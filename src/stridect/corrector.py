@@ -135,28 +135,37 @@ def refine_bands(bands: WaveletBands, observed: WaveletBands, score_low, score_h
     ``score_high`` evaluated on their channel stack. Passing None for a
     score disables that branch entirely (no step, no consistency). Each
     band draws from its own RNG stream derived from (seed, band index), and
-    every enabled chain ends with a data-consistency application.
+    every enabled chain ends with a data-consistency application. A trust
+    mask with no True row makes data consistency a no-op, so it is skipped.
     """
     if bands.shape != observed.shape or bands.wavelet != observed.wavelet:
         raise ShapeMismatchError("band sets are not compatible")
     trust = np.asarray(trust, bool)
+    if trust.shape != bands.shape[:1]:
+        raise ShapeMismatchError("row flag length does not match")
+    dc = bool(trust.any())
     eps = eps_schedule(cfg, sched)
     ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps) if cfg.n_steps else np.zeros(0)
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
             for band in range(4)]
     low = np.array(bands.low, dtype=np.float64)
     highs = [np.array(h, dtype=np.float64) for h in bands.high]
+    # one stack buffer for every step: a fresh one each step makes the heap
+    # trim and fault its pages back in
+    stack = np.empty((3,) + low.shape)
     for k in range(cfg.n_steps):
         if score_low is not None:
             low = langevin_step(low, score_low, ts[k], cfg.lambda_low * eps[k], rngs[0])
-            low = data_consistency(low, observed.low, trust)
+            if dc:
+                low = data_consistency(low, observed.low, trust)
         if score_high is not None:
-            s = np.asarray(score_high.score(np.stack(highs), ts[k]), dtype=np.float64)
+            s = np.asarray(score_high.score(np.stack(highs, out=stack), ts[k]), dtype=np.float64)
             if not np.all(np.isfinite(s)):
                 raise NumericalAbortError(f"non-finite high-band score at step {k}")
             e = cfg.lambda_high * eps[k]
             for i in range(3):
                 z = rngs[i + 1].standard_normal(highs[i].shape)
                 highs[i] = highs[i] + e * s[i] + np.sqrt(2.0 * e) * z
-                highs[i] = data_consistency(highs[i], observed.high[i], trust)
+                if dc:
+                    highs[i] = data_consistency(highs[i], observed.high[i], trust)
     return bands.replace(low=low, high=highs)

@@ -45,7 +45,7 @@ def _read_payload(f, count):
 
 def write_image(path, img: ImageGrid) -> None:
     with open(path, "wb") as f:
-        f.write(f"IMGF {img.nx} {img.ny}\n".encode())
+        f.write(_IMG_MAGIC + f" {img.nx} {img.ny}\n".encode())
         f.write(np.asarray(img.values, dtype="<f4").tobytes())
 
 
@@ -66,7 +66,7 @@ def write_sinogram(path, sino: Sinogram) -> None:
     if g is None:
         raise InvalidArgumentError("sinogram has no geometry to serialize")
     with open(path, "wb") as f:
-        f.write(f"SGRAM {g.n_views} {g.n_detectors}\n".encode())
+        f.write(_SINO_MAGIC + f" {g.n_views} {g.n_detectors}\n".encode())
         f.write(np.asarray(sino.values, dtype="<f4").tobytes())
     with open(_geom_path(path), "w") as f:
         f.write(g.to_kv())

@@ -218,11 +218,13 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         obs_bands = swt_decompose(ys_n, cfg.wavelet)
         lo, _ = filter_pair(cfg.wavelet)
         trust = consistency_mask(active, len(lo))
-        if run_low and score_low is None:
-            score_low = AnalyticGaussianScore(swt_decompose(interp, cfg.wavelet).low, prior_var)
-        if run_high and score_high is None:
-            score_high = AnalyticGaussianScore(
-                swt_decompose(interp, cfg.wavelet).stack_high(), prior_var)
+        if (run_low and score_low is None) or (run_high and score_high is None):
+            prior = swt_decompose(interp, cfg.wavelet)
+            if run_low and score_low is None:
+                score_low = AnalyticGaussianScore(prior.low, prior_var)
+            if run_high and score_high is None:
+                score_high = AnalyticGaussianScore(prior.stack_high(), prior_var)
+            del prior  # free the bands no score keeps before refinement
         bands = refine_bands(bands, obs_bands,
                              score_low if run_low else None,
                              score_high if run_high else None,

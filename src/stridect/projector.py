@@ -1,8 +1,9 @@
 """Ray-driven projection and its exact adjoint.
 
-Rays are sampled at half-pixel steps with bilinear interpolation; the adjoint
-scatters the same weights, so ``adjoint_project`` is the exact transpose of
-``forward_project`` up to floating-point accumulation order.
+Rays are sampled at half-pixel steps with bilinear interpolation. Both
+directions draw their weights from one generator, so ``adjoint_project``
+scatters exactly the weights ``forward_project`` gathers. Samples that cannot
+touch the grid are dropped: they would contribute exact zeros.
 """
 
 from __future__ import annotations
@@ -50,41 +51,40 @@ def _ray_frames(g: FanBeamGeometry, theta: float, beam: str):
     return origins, u
 
 
-def _sample_positions(origins, u, radius, step):
-    """Sample points centered on each ray's closest approach to the origin."""
+def _view_weights(g: FanBeamGeometry, grid: ImageGrid, beam: str):
+    """Per view: the (detectors, samples) mask of ray samples that can touch
+    the grid (-1 < f < n in pixel coordinates f, on both axes) and the four
+    bilinear (flat index, weight) corner pairs of the kept samples in C
+    order. Indices address the grid padded by a one-pixel border of zeros,
+    which holds every corner of a kept sample that lies off the grid.
+    """
+    px, nx, ny = grid.pixel_size, grid.nx, grid.ny
+    step = px / 2.0
+    radius = 0.5 * px * float(np.hypot(nx, ny)) + px
     n_s = int(np.ceil(2.0 * radius / step))
     offs = (np.arange(n_s) + 0.5) * step - radius
-    t_mid = -np.einsum("dk,dk->d", origins, u)
-    t = t_mid[:, None] + offs[None, :]
-    return origins[:, None, :] + t[:, :, None] * u[:, None, :]
-
-
-def _bilinear_parts(pos, grid: ImageGrid):
-    """Corner indices, weights and in-bounds flags for bilinear sampling."""
-    px = grid.pixel_size
-    fx = pos[..., 0] / px + (grid.nx - 1) / 2.0
-    fy = pos[..., 1] / px + (grid.ny - 1) / 2.0
-    ix = np.floor(fx).astype(np.int64)
-    iy = np.floor(fy).astype(np.int64)
-    wx = fx - ix
-    wy = fy - iy
-    parts = []
-    for dx, dy, w in (
-        (0, 0, (1 - wx) * (1 - wy)),
-        (1, 0, wx * (1 - wy)),
-        (0, 1, (1 - wx) * wy),
-        (1, 1, wx * wy),
-    ):
-        cx = ix + dx
-        cy = iy + dy
-        inb = (cx >= 0) & (cx < grid.nx) & (cy >= 0) & (cy < grid.ny)
-        flat = np.where(inb, cy * grid.nx + cx, 0)
-        parts.append((flat, w * inb))
-    return parts
-
-
-def _sampling_radius(grid: ImageGrid):
-    return 0.5 * grid.pixel_size * float(np.hypot(grid.nx, grid.ny)) + grid.pixel_size
+    for theta in g.view_angles:
+        origins, u = _ray_frames(g, theta, beam)
+        t = -np.einsum("dk,dk->d", origins, u)[:, None] + offs[None, :]
+        # in place: at this size a fresh temporary costs more than its op
+        fx, fy = t * u[:, 0:1], np.multiply(t, u[:, 1:2], out=t)
+        for f, k, n in ((fx, 0, nx), (fy, 1, ny)):
+            f += origins[:, k:k + 1]
+            f /= px
+            f += (n - 1) / 2.0
+        keep = (fx > -1) & (fx < nx) & (fy > -1) & (fy < ny)
+        wx, wy = fx[keep], fy[keep]
+        ix, iy = np.floor(wx), np.floor(wy)
+        wx -= ix
+        wy -= iy
+        base = (iy.astype(np.int64) + 1) * (nx + 2) + ix.astype(np.int64) + 1
+        ax, ay = 1 - wx, 1 - wy
+        yield keep, [
+            (base, ax * ay),
+            (base + 1, np.multiply(wx, ay, out=ay)),
+            (base + (nx + 2), np.multiply(ax, wy, out=ax)),
+            (base + (nx + 3), np.multiply(wx, wy, out=wx)),
+        ]
 
 
 def forward_project(x: ImageGrid, g: FanBeamGeometry, beam: str = "fan") -> Sinogram:
@@ -98,16 +98,16 @@ def forward_project(x: ImageGrid, g: FanBeamGeometry, beam: str = "fan") -> Sino
         against analytic projections.
     """
     step = x.pixel_size / 2.0
-    radius = _sampling_radius(x)
-    flat_img = x.values.ravel()
+    flat_img = np.pad(x.values, 1).ravel()
     out = np.empty((g.n_views, g.n_detectors))
-    for v, theta in enumerate(g.view_angles):
-        origins, u = _ray_frames(g, theta, beam)
-        pos = _sample_positions(origins, u, radius, step)
-        acc = np.zeros(pos.shape[:2])
-        for flat, w in _bilinear_parts(pos, x):
+    for v, (keep, corners) in enumerate(_view_weights(g, x, beam)):
+        acc = np.zeros(np.count_nonzero(keep))
+        for flat, w in corners:
             acc += flat_img[flat] * w
-        out[v] = acc.sum(axis=1) * step
+        samples = np.zeros(keep.shape)
+        samples[keep] = acc
+        # summing whole rows keeps numpy's pairwise order over all samples
+        out[v] = samples.sum(axis=1) * step
     return Sinogram(out, g)
 
 
@@ -121,17 +121,13 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid,
     if s.values.shape != (g.n_views, g.n_detectors):
         raise ShapeMismatchError("sinogram shape does not match geometry")
     step = grid.pixel_size / 2.0
-    radius = _sampling_radius(grid)
-    n_pix = grid.nx * grid.ny
+    n_pix = (grid.nx + 2) * (grid.ny + 2)
     acc = np.zeros(n_pix)
-    for v, theta in enumerate(g.view_angles):
-        origins, u = _ray_frames(g, theta, beam)
-        pos = _sample_positions(origins, u, radius, step)
-        row = s.values[v][:, None]
-        for flat, w in _bilinear_parts(pos, grid):
-            contrib = (w * row).ravel() * step
-            acc += np.bincount(flat.ravel(), weights=contrib, minlength=n_pix)
-    return grid.with_values(acc.reshape(grid.ny, grid.nx))
+    for v, (keep, corners) in enumerate(_view_weights(g, grid, beam)):
+        row = np.broadcast_to(s.values[v][:, None], keep.shape)[keep]
+        for flat, w in corners:
+            acc += np.bincount(flat, weights=w * row * step, minlength=n_pix)
+    return grid.with_values(acc.reshape(grid.ny + 2, grid.nx + 2)[1:-1, 1:-1])
 
 
 def simulate_measurement(x: ImageGrid, g: FanBeamGeometry,

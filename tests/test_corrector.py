@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stridect as st
+import stridect.corrector as corrector
 from stridect.corrector import (
     AlignmentParams,
     CorrectorConfig,
@@ -290,6 +291,25 @@ def test_refine_bands_full_trust_pins_observations():
     assert np.array_equal(out.low, tb.low)
     for a, b in zip(out.high, tb.high):
         assert np.array_equal(a, b)
+
+
+def test_refine_bands_empty_trust_skips_consistency(monkeypatch):
+    tb, noisy, _ = _band_fixture()
+    sched = st.linear_schedule(T=10)
+    cfg = CorrectorConfig(n_steps=5, eps_start=5e-5, eps_end=1e-6)
+    args = (noisy, tb, st.AnalyticGaussianScore(tb.low, 1e-4),
+            st.AnalyticGaussianScore(np.stack(tb.high), 1e-4), cfg)
+    calls = []
+
+    def counted(x, observed, rows):
+        calls.append(rows)
+        return data_consistency(x, observed, rows)
+
+    monkeypatch.setattr(corrector, "data_consistency", counted)
+    refine_bands(*args, np.zeros(noisy.shape[0], bool), sched)
+    assert calls == []
+    with pytest.raises(ShapeMismatchError):
+        refine_bands(*args, np.zeros(noisy.shape[0] + 1, bool), sched)
 
 
 def test_refine_bands_incompatible_sets():

@@ -72,9 +72,11 @@ def test_sinogram_roundtrip(tmp_path):
     sino = _small_sino()
     path = tmp_path / "scan.bin"
     st.write_sinogram(path, sino)
+    g0 = sino.geometry
+    assert path.read_bytes().startswith(f"SGRAM {g0.n_views} {g0.n_detectors}\n".encode())
     back = st.read_sinogram(path)
     assert np.array_equal(back.values, sino.values)
-    g0, g1 = sino.geometry, back.geometry
+    g1 = back.geometry
     assert g1.n_views == g0.n_views
     assert g1.n_detectors == g0.n_detectors
     assert g1.source_to_center == g0.source_to_center
