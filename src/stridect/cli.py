@@ -3,13 +3,12 @@
 Subcommands cover the full workflow: make a phantom, simulate a masked
 acquisition, train the tiny denoising network, reconstruct, score results,
 and run ablations. Exit codes: 0 success, 2 usage error, 3 data or shape
-error, 4 numerical abort.
+error or a rejected setting, 4 numerical abort.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -106,18 +105,6 @@ def build_pipeline_config(kv: dict) -> tuple[PipelineConfig, float]:
                       cutoff=kv.pop("cutoff", 1.0))
     cfg = PipelineConfig(guidance=guidance, corrector=corrector, filter=filt, **kv)
     return cfg, float(prior_var)
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("STRIDE_THREADS", "1")
-    try:
-        n = int(value)
-    except ValueError as e:
-        raise _UsageError(f"bad thread count {value!r}") from e
-    if n < 1:
-        raise _UsageError("--threads must be >= 1")
-    return n
 
 
 def _cmd_phantom(args) -> int:
@@ -238,9 +225,6 @@ def _cmd_ablate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stridect",
                                 description="Sparse-view CT reconstruction toolkit")
-    p.add_argument("--threads", default=None,
-                   help="worker count (reserved; execution is sequential); "
-                        "defaults to STRIDE_THREADS or 1")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("phantom", help="write a head phantom image")
@@ -313,7 +297,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return _USAGE_EXIT if e.code not in (0, None) else 0
     try:
-        _resolve_threads(args.threads)
         return args.func(args)
     except NumericalAbortError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,6 +8,10 @@ determined by observed views (the trust mask below).
 
 from __future__ import annotations
 
+import os
+import time
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +58,33 @@ def apply_linear_alignment(y, params: AlignmentParams):
     return params.a * np.asarray(getattr(y, "values", y), dtype=np.float64) + params.b
 
 
+def _score(model, x, t):
+    """model.score(x, t) as float64; a non-finite entry aborts the chain."""
+    s = np.asarray(model.score(x, t), dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise NumericalAbortError(f"non-finite score at t={t}")
+    return s
+
+
+def _langevin_update(x, s, e, z, buf):
+    """x <- x + e * s + sqrt(2 e) * z in place, summed in that order.
+
+    Overwrites x, z and buf; never s, which a score model may cache.
+    """
+    np.multiply(s, e, out=buf)
+    x += buf
+    z *= np.sqrt(2.0 * e)
+    x += z
+
+
 def langevin_step(x, score_model, t: float, eps_t: float, rng):
     """x + eps_t * score + sqrt(2 eps_t) z with z ~ N(0, I)."""
     if eps_t < 0:
         raise InvalidArgumentError("eps_t must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(score_model.score(x, t), dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise NumericalAbortError(f"non-finite score at t={t}")
-    z = rng.standard_normal(x.shape)
-    return x + eps_t * s + np.sqrt(2.0 * eps_t) * z
+    x = np.array(x, dtype=np.float64)
+    s = _score(score_model, x, t)
+    _langevin_update(x, s, eps_t, rng.standard_normal(x.shape), np.empty_like(x))
+    return x
 
 
 def data_consistency(x, observed, rows):
@@ -127,6 +148,29 @@ def eps_schedule(cfg: CorrectorConfig, sched: NoiseSchedule) -> np.ndarray:
     return start * ratio ** np.arange(cfg.n_steps)
 
 
+def langevin_growth(eps, var: float) -> float:
+    """log10 of the largest factor by which Langevin steps of sizes ``eps``
+    grow a deviation from the mean under the score of N(mean, var I).
+
+    Each step multiplies the deviation by (1 - eps_k / var), so the factor
+    after step k is the product of |1 - eps_j / var| over j <= k. A chain
+    whose factor passes the largest float overflows whatever its start.
+    """
+    if var <= 0:
+        raise InvalidArgumentError("var must be positive")
+    with np.errstate(divide="ignore"):  # a step of exactly var resets it
+        g = np.cumsum(np.log10(np.abs(1.0 - np.asarray(eps) / var)))
+    return float(g.max()) if g.size else float("-inf")
+
+
+def _cpu_cap() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def refine_bands(bands: WaveletBands, observed: WaveletBands, score_low, score_high,
                  cfg: CorrectorConfig, trust, sched: NoiseSchedule) -> WaveletBands:
     """Langevin-refine all four bands with interleaved data consistency.
@@ -137,35 +181,87 @@ def refine_bands(bands: WaveletBands, observed: WaveletBands, score_low, score_h
     band draws from its own RNG stream derived from (seed, band index), and
     every enabled chain ends with a data-consistency application. A trust
     mask with no True row makes data consistency a no-op, so it is skipped.
+
+    The noise of step k + 1 is drawn on worker threads while step k is
+    applied, and the calling thread draws the bands no worker has taken:
+    up to one drawing thread per band and per CPU. Each band's stream is
+    drawn by one thread at a time, in step order, so the result does not
+    depend on the thread count.
     """
     if bands.shape != observed.shape or bands.wavelet != observed.wavelet:
         raise ShapeMismatchError("band sets are not compatible")
     trust = np.asarray(trust, bool)
     if trust.shape != bands.shape[:1]:
         raise ShapeMismatchError("row flag length does not match")
-    dc = bool(trust.any())
+    # band 0 is the low band, bands 1-3 the high-band stack
+    x = np.empty((4,) + bands.shape)
+    x[0] = bands.low
+    x[1:] = bands.high
+    first = 0 if score_low is not None else 1
+    stop = 4 if score_high is not None else 1
+    if cfg.n_steps and first < stop:
+        _refine(x[first:stop], [observed.low, *observed.high][first:stop],
+                score_low, score_high, cfg, trust, sched,
+                [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
+                 for band in range(first, stop)])
+    return bands.replace(low=x[0], high=x[1:])
+
+
+def _refine(x, observed, score_low, score_high, cfg, trust, sched, rngs):
+    """Run the Langevin chain in place on the live bands x, which start with
+    the low band when ``score_low`` is set and end with the high-band stack
+    when ``score_high`` is set."""
     eps = eps_schedule(cfg, sched)
-    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps) if cfg.n_steps else np.zeros(0)
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
-            for band in range(4)]
-    low = np.array(bands.low, dtype=np.float64)
-    highs = [np.array(h, dtype=np.float64) for h in bands.high]
-    # one stack buffer for every step: a fresh one each step makes the heap
-    # trim and fault its pages back in
-    stack = np.empty((3,) + low.shape)
-    for k in range(cfg.n_steps):
-        if score_low is not None:
-            low = langevin_step(low, score_low, ts[k], cfg.lambda_low * eps[k], rngs[0])
-            if dc:
-                low = data_consistency(low, observed.low, trust)
-        if score_high is not None:
-            s = np.asarray(score_high.score(np.stack(highs, out=stack), ts[k]), dtype=np.float64)
-            if not np.all(np.isfinite(s)):
-                raise NumericalAbortError(f"non-finite high-band score at step {k}")
-            e = cfg.lambda_high * eps[k]
-            for i in range(3):
-                z = rngs[i + 1].standard_normal(highs[i].shape)
-                highs[i] = highs[i] + e * s[i] + np.sqrt(2.0 * e) * z
-                if dc:
-                    highs[i] = data_consistency(highs[i], observed.high[i], trust)
-    return bands.replace(low=low, high=highs)
+    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps)
+    high = slice(0 if score_low is None else 1, len(x))
+    dc = trust[:, None] if trust.any() else None
+    # two noise slots: one being applied while the next step's is drawn
+    noise = np.empty((2,) + x.shape)
+    buf = np.empty(x.shape)
+
+    def claim(slot, pop):
+        """Draw the bands ``pop`` hands out into a noise slot until none is left."""
+        while True:
+            try:
+                b = pop()
+            except IndexError:
+                return
+            rngs[b].standard_normal(out=noise[slot, b])
+
+    # the calling thread draws too, so it is one of the min(bands, CPUs) drawers
+    n_workers = min(len(x), _cpu_cap()) - 1
+    if n_workers:
+        from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+        pool = ThreadPoolExecutor(n_workers)
+    else:
+        pool = None
+    with pool or nullcontext():
+        todo, futures = deque(range(len(x))), []
+        for k in range(cfg.n_steps):
+            slot = k % 2
+            # workers take this step's bands from the front, this thread from
+            # the back; it polls rather than blocks, because a blocked thread
+            # lets its CPU idle, and an idle virtual CPU can take a
+            # millisecond to run again on a busy host
+            claim(slot, todo.pop)
+            while not all(f.done() for f in futures):
+                time.sleep(0)
+            for f in futures:
+                f.result()
+            if k + 1 < cfg.n_steps:
+                todo = deque(range(len(x)))
+                if pool is not None:
+                    futures = [pool.submit(claim, 1 - slot, todo.popleft)
+                               for _ in range(n_workers)]
+            z = noise[slot]
+            if score_low is not None:
+                s = _score(score_low, x[0], ts[k])
+                _langevin_update(x[0], s, cfg.lambda_low * eps[k], z[0], buf[0])
+            if score_high is not None:
+                s = np.asarray(score_high.score(x[high], ts[k]), dtype=np.float64)
+                if not np.all(np.isfinite(s)):
+                    raise NumericalAbortError(f"non-finite high-band score at step {k}")
+                _langevin_update(x[high], s, cfg.lambda_high * eps[k], z[high], buf[high])
+            if dc is not None:
+                for band, obs in zip(x, observed):
+                    np.copyto(band, obs, where=dc)

@@ -54,7 +54,12 @@ def analytic_gaussian_score(y, mean, var: float):
     """Score of N(mean, var I): -(y - mean) / var."""
     if var <= 0:
         raise InvalidArgumentError("var must be positive")
-    return -(np.asarray(y, dtype=np.float64) - np.asarray(mean)) / var
+    # -(y - mean) / var with one allocation; (mean - y) / var would flip
+    # the sign of zeros
+    d = np.asarray(np.asarray(y, dtype=np.float64) - np.asarray(mean))
+    np.negative(d, out=d)
+    d /= var
+    return d
 
 
 class AnalyticGaussianDenoiser:

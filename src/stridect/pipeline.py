@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment,
-                        consistency_mask, data_consistency, fit_linear_alignment,
-                        refine_bands)
+                        consistency_mask, data_consistency, eps_schedule,
+                        fit_linear_alignment, langevin_growth, refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
                         apply_sparse_guidance, cfg_combine, ddim_step,
@@ -188,6 +188,19 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         sched = linear_schedule()
     if cfg.guidance.T != sched.T:
         raise InvalidArgumentError("guidance horizon differs from schedule")
+    run_low = cfg.low_band and cfg.corrector.n_steps > 0
+    run_high = cfg.high_band and cfg.corrector.n_steps > 0
+    eps = eps_schedule(cfg.corrector, sched)
+    for run, given, lam in ((run_low, score_low, cfg.corrector.lambda_low),
+                            (run_high, score_high, cfg.corrector.lambda_high)):
+        if not run or given is not None:
+            continue  # only a default Gaussian band score is known here
+        growth = langevin_growth(lam * eps, prior_var)
+        if growth > np.log10(np.finfo(np.float64).max):
+            raise InvalidArgumentError(
+                f"Langevin steps from eps={lam * eps[0]:.3g} grow deviations "
+                f"under prior_var={prior_var:g} by 10^{growth:.0f}, past the "
+                "float range; lower eps_start or raise prior_var")
     active = m.active
     raw = np.asarray(y_s.values, dtype=np.float64)
     scale = float(np.max(np.abs(raw[active]))) if cfg.normalize else 1.0
@@ -211,8 +224,6 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         y = apply_linear_alignment(y, align)
         stages.append(_stage("aligned", y * scale, ref_arr, active))
 
-    run_low = cfg.low_band and cfg.corrector.n_steps > 0
-    run_high = cfg.high_band and cfg.corrector.n_steps > 0
     if run_low or run_high:
         bands = swt_decompose(y, cfg.wavelet)
         obs_bands = swt_decompose(ys_n, cfg.wavelet)

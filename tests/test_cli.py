@@ -224,14 +224,23 @@ def test_unknown_flag_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_threads_validation(workdir, capsys, monkeypatch):
+def test_threads_flag_is_unknown(workdir, capsys):
     ph = str(workdir / "ph2.bin")
-    monkeypatch.setenv("STRIDE_THREADS", "0")
-    assert _run("phantom", "--size", "16", "--out", ph) == 2
-    monkeypatch.delenv("STRIDE_THREADS")
-    assert _run("--threads", "2", "phantom", "--size", "16", "--out", ph) == 0
-    assert _run("--threads", "abc", "phantom", "--size", "16", "--out", ph) == 2
+    assert _run("phantom", "--size", "16", "--out", ph, "--threads", "2") == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert _run("--threads", "2", "phantom", "--size", "16", "--out", ph) == 2
     capsys.readouterr()
+
+
+def test_unstable_langevin_setting_exit_three(workdir, capsys):
+    cfg = workdir / "unstable.cfg"
+    cfg.write_text("ddim_steps = 4\nprior_var = 1e-5\n")
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg),
+                "--out", str(workdir / "o.bin"))
+    assert code == 3
+    assert "prior_var" in capsys.readouterr().err
+    assert not (workdir / "o.bin").exists()
 
 
 # ------------------------------------------------------------ config helpers

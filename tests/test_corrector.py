@@ -1,5 +1,8 @@
 """Alignment fitting, Langevin refinement, and data consistency."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from stridect.corrector import (
     data_consistency,
     eps_schedule,
     fit_linear_alignment,
+    langevin_growth,
     langevin_step,
     refine_bands,
 )
@@ -319,3 +323,169 @@ def test_refine_bands_incompatible_sets():
     with pytest.raises(ShapeMismatchError):
         refine_bands(noisy, other, None, None, CorrectorConfig(n_steps=0),
                      consistency_mask(active, 2), sched)
+
+
+# ------------------------------------------ refine_bands against its old loop
+
+
+class _OldGaussianScore:
+    """The Gaussian score written as it was: -(y - mean) / var in three
+    allocations. It can turn non-finite after a number of calls."""
+
+    def __init__(self, mean, var, finite_calls=None):
+        self.mean = np.asarray(mean, dtype=np.float64)
+        self.var = var
+        self.finite_calls = finite_calls
+        self.calls = 0
+
+    def score(self, y, t):
+        self.calls += 1
+        s = -(np.asarray(y, dtype=np.float64) - self.mean) / self.var
+        if self.finite_calls is not None and self.calls > self.finite_calls:
+            s[(0,) * s.ndim] = np.nan
+        return s
+
+
+def _old_refine_bands(bands, observed, score_low, score_high, cfg, trust, sched):
+    """Reference: the refinement loop before the bands were stacked, one band
+    at a time with fresh arrays and noise drawn inline, step by step."""
+    trust = np.asarray(trust, bool)
+    dc = bool(trust.any())
+    eps = eps_schedule(cfg, sched)
+    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps) if cfg.n_steps else np.zeros(0)
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
+            for band in range(4)]
+    low = np.array(bands.low, dtype=np.float64)
+    highs = [np.array(h, dtype=np.float64) for h in bands.high]
+    for k in range(cfg.n_steps):
+        if score_low is not None:
+            s = np.asarray(score_low.score(low, ts[k]), dtype=np.float64)
+            if not np.all(np.isfinite(s)):
+                raise NumericalAbortError(f"non-finite score at t={ts[k]}")
+            e = cfg.lambda_low * eps[k]
+            low = low + e * s + np.sqrt(2.0 * e) * rngs[0].standard_normal(low.shape)
+            if dc:
+                low = np.where(trust[:, None], observed.low, low)
+        if score_high is not None:
+            s = np.asarray(score_high.score(np.stack(highs), ts[k]), dtype=np.float64)
+            if not np.all(np.isfinite(s)):
+                raise NumericalAbortError(f"non-finite high-band score at step {k}")
+            e = cfg.lambda_high * eps[k]
+            for i in range(3):
+                z = rngs[i + 1].standard_normal(highs[i].shape)
+                highs[i] = highs[i] + e * s[i] + np.sqrt(2.0 * e) * z
+                if dc:
+                    highs[i] = np.where(trust[:, None], observed.high[i], highs[i])
+    return [low, *highs]
+
+
+def _bands_case(wavelet="haar", shape=(12, 16), seed=5):
+    """Noisy bands, their clean observation and the r = 3 active rows."""
+    rng = np.random.default_rng(seed)
+    clean = st.swt_decompose(rng.normal(size=shape), wavelet)
+    noisy = st.swt_decompose(rng.normal(size=shape), wavelet)
+    return noisy, clean, st.make_sparse_mask(shape[0], 3).active
+
+
+_REFINE_CASES = {
+    "both": {},
+    "low-only": {"high": False},
+    "high-only": {"low": False},
+    "full-trust": {"trust": "full"},
+    "active-trust": {"trust": "active"},
+    "lambdas-differ": {"cfg": {"lambda_low": 0.3, "lambda_high": 1.7}},
+    "db2": {"wavelet": "db2"},
+    "db2-active-trust": {"wavelet": "db2", "trust": "active"},
+    "odd-shape": {"shape": (13, 7)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+def test_refine_bands_bytes_match_old_loop(case, monkeypatch):
+    spec = _REFINE_CASES[case]
+    noisy, clean, active = _bands_case(spec.get("wavelet", "haar"),
+                                       spec.get("shape", (12, 16)))
+    trust = {"full": np.ones(active.shape, bool), "active": active,
+             None: consistency_mask(active, 2)}[spec.get("trust")]
+    cfg = CorrectorConfig(n_steps=25, eps_start=5e-5, eps_end=1e-6, seed=4,
+                          **spec.get("cfg", {}))
+    sched = st.linear_schedule(T=10)
+
+    def scores(cls):
+        return (cls(clean.low, 1e-4) if spec.get("low", True) else None,
+                cls(clean.stack_high(), 1e-4) if spec.get("high", True) else None)
+
+    want = _old_refine_bands(noisy, clean, *scores(_OldGaussianScore), cfg, trust, sched)
+    for cap in (1, 4):
+        monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
+        out = refine_bands(noisy, clean, *scores(st.AnalyticGaussianScore), cfg,
+                           trust, sched)
+        got = [out.low, *out.high]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], cap
+
+
+def test_refine_bands_bytes_hold_under_fast_thread_switching(monkeypatch):
+    # more drawing threads than cores and a tiny switch interval: a band
+    # drawn twice, or not at all, in some step would change the bytes
+    monkeypatch.setattr(corrector, "_cpu_cap", lambda: 4)
+    noisy, clean, active = _bands_case()
+    cfg = CorrectorConfig(n_steps=60, eps_start=5e-5, eps_end=1e-6, seed=8)
+    sched = st.linear_schedule(T=10)
+    trust = consistency_mask(active, 2)
+    want = _old_refine_bands(noisy, clean, _OldGaussianScore(clean.low, 1e-4),
+                             _OldGaussianScore(clean.stack_high(), 1e-4),
+                             cfg, trust, sched)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = refine_bands(noisy, clean, st.AnalyticGaussianScore(clean.low, 1e-4),
+                           st.AnalyticGaussianScore(clean.stack_high(), 1e-4),
+                           cfg, trust, sched)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [g.tobytes() for g in (out.low, *out.high)] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("branch", ["low", "high"])
+@pytest.mark.parametrize("cap", [1, 4])
+def test_refine_bands_abort_keeps_message_and_joins_threads(branch, cap, monkeypatch):
+    monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
+    noisy, clean, active = _bands_case()
+    cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
+    sched = st.linear_schedule(T=10)
+    trust = consistency_mask(active, 2)
+    before = threading.active_count()
+
+    refine_bands(noisy, clean, st.AnalyticGaussianScore(clean.low, 1e-4),
+                 st.AnalyticGaussianScore(clean.stack_high(), 1e-4), cfg, trust, sched)
+    assert threading.active_count() == before
+
+    def scores():
+        bad = {branch: 5}
+        return (_OldGaussianScore(clean.low, 1e-4, bad.get("low")),
+                _OldGaussianScore(clean.stack_high(), 1e-4, bad.get("high")))
+
+    with pytest.raises(NumericalAbortError) as old:
+        _old_refine_bands(noisy, clean, *scores(), cfg, trust, sched)
+    with pytest.raises(NumericalAbortError) as new:
+        refine_bands(noisy, clean, *scores(), cfg, trust, sched)
+    assert str(new.value) == str(old.value)
+    assert threading.active_count() == before
+
+
+# ------------------------------------------------------- Langevin stability
+
+
+def test_langevin_growth_on_the_default_schedule():
+    eps = eps_schedule(CorrectorConfig(), st.linear_schedule())
+    growth = {v: langevin_growth(eps, v) for v in (0.05, 1e-3, 1e-4, 1e-5)}
+    assert growth[0.05] == pytest.approx(-0.097, abs=1e-3)
+    assert growth[1e-3] == pytest.approx(73.2, abs=0.1)
+    assert growth[1e-4] == pytest.approx(369.7, abs=0.1)
+    assert growth[1e-5] == pytest.approx(869.1, abs=0.1)
+    assert langevin_growth(np.zeros(0), 1.0) == float("-inf")
+    with pytest.raises(InvalidArgumentError):
+        langevin_growth(eps, 0.0)
+    # a step of exactly var zeroes the deviation without a warning
+    with np.errstate(all="raise"):
+        assert langevin_growth(np.array([3.0, 1.0, 0.5]), 1.0) == pytest.approx(np.log10(2.0))

@@ -1,9 +1,12 @@
 """End-to-end reconstruction chain: stages, ablations, CSV reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import stridect as st
+import stridect.pipeline as pipeline
 from stridect.denoiser import AnalyticGaussianDenoiser
 from stridect.diffusion import predict_x0
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
@@ -175,6 +178,36 @@ def test_reconstruct_validation():
     bad_cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="temporal", T=99))
     with pytest.raises(InvalidArgumentError):
         st.stride_reconstruct(masked, m, grid, bad_cfg, sched=sched)
+
+
+class _CoarseReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("prior_var,accepted", [(0.05, True), (1e-3, True),
+                                                (1e-4, False), (1e-5, False)])
+def test_reconstruct_rejects_overflowing_langevin_up_front(
+        prior_var, accepted, sino180, grid64, monkeypatch):
+    # the desk scan with the default schedule; reaching coarse generation
+    # means the setting passed the check
+    def reached(*args, **kwargs):
+        raise _CoarseReached
+
+    monkeypatch.setattr(pipeline, "coarse_generate", reached)
+    m = st.make_sparse_mask(180, 3)
+    masked = st.apply_mask(sino180, m)
+    cfg = PipelineConfig()
+    expected = _CoarseReached if accepted else InvalidArgumentError
+    with pytest.raises(expected):
+        st.stride_reconstruct(masked, m, grid64, cfg, prior_var=prior_var)
+    # only the branches that would run under a default Gaussian score count
+    off = replace(cfg, low_band=False, high_band=False)
+    with pytest.raises(_CoarseReached):
+        st.stride_reconstruct(masked, m, grid64, off, prior_var=prior_var)
+    scores = dict(score_low=st.AnalyticGaussianScore(np.zeros(1), 1.0),
+                  score_high=st.AnalyticGaussianScore(np.zeros(1), 1.0))
+    with pytest.raises(_CoarseReached):
+        st.stride_reconstruct(masked, m, grid64, cfg, prior_var=prior_var, **scores)
 
 
 def test_reconstruct_flag_combinations_run():
