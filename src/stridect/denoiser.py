@@ -28,13 +28,10 @@ _OFFSETS = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
 # analytic oracles
 
 
-def analytic_gaussian_eps(y_t, t: int, sched: NoiseSchedule, prior_mean, prior_var: float):
-    """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I).
-
-    E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab), and the
-    noise estimate re-arranges the forward kernel around it. t = 0 returns
-    zeros (the clean limit has no noise to explain).
-    """
+def _analytic_gaussian_eps(y_t, t: int, sched: NoiseSchedule, prior_mean,
+                           prior_var: float, scratch):
+    """analytic_gaussian_eps with the (1 - ab) mu term computed into scratch,
+    an array of prior_mean's shape; the result is the only allocation."""
     sched._check_t(t)
     y_t = np.asarray(y_t, dtype=np.float64)
     if t == 0:
@@ -44,10 +41,28 @@ def analytic_gaussian_eps(y_t, t: int, sched: NoiseSchedule, prior_mean, prior_v
     prior_var = max(prior_var, 1e-12)
     ab = sched.alpha_bar[t]
     sab = np.sqrt(ab)
-    mean_post = (sab * prior_var * y_t + (1.0 - ab) * np.asarray(prior_mean)) / (
-        ab * prior_var + 1.0 - ab
-    )
-    return (y_t - sab * mean_post) / np.sqrt(1.0 - ab)
+    # (y_t - sab * mean_post) / sqrt(1 - ab), with mean_post as documented,
+    # one operation at a time in the order the formula reads
+    out = np.multiply(y_t, sab * prior_var,
+                      out=np.empty(np.broadcast_shapes(y_t.shape, scratch.shape)))
+    out += np.multiply(prior_mean, 1.0 - ab, out=scratch)
+    out /= ab * prior_var + 1.0 - ab
+    out *= sab
+    np.subtract(y_t, out, out=out)
+    out /= np.sqrt(1.0 - ab)
+    return out
+
+
+def analytic_gaussian_eps(y_t, t: int, sched: NoiseSchedule, prior_mean, prior_var: float):
+    """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I).
+
+    E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab), and the
+    noise estimate re-arranges the forward kernel around it. t = 0 returns
+    zeros (the clean limit has no noise to explain).
+    """
+    prior_mean = np.asarray(prior_mean)
+    return _analytic_gaussian_eps(y_t, t, sched, prior_mean, prior_var,
+                                  np.empty(prior_mean.shape))
 
 
 def analytic_gaussian_score(y, mean, var: float):
@@ -71,9 +86,12 @@ class AnalyticGaussianDenoiser:
         self.prior_mean = np.asarray(prior_mean, dtype=np.float64)
         self.prior_var = float(prior_var)
         self.sched = sched
+        # scratch for the (1 - ab) mu term; one caller at a time
+        self._scratch = np.empty_like(self.prior_mean)
 
     def predict_eps(self, y_t, t: int, condition=None):
-        return analytic_gaussian_eps(y_t, t, self.sched, self.prior_mean, self.prior_var)
+        return _analytic_gaussian_eps(y_t, t, self.sched, self.prior_mean,
+                                      self.prior_var, self._scratch)
 
 
 class CoupledGaussianDenoiser:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuidanceClampWarning, InvalidArgumentError
+from .errors import GuidanceClampWarning, InvalidArgumentError, ShapeMismatchError
 
 _GUIDANCE_MODES = ("temporal", "fixed", "optimal-closed-form", "optimal-oracle")
 
@@ -81,11 +81,24 @@ def forward_noising(y0, t: int, sched: NoiseSchedule, rng) -> tuple:
     return y_t, eps
 
 
+def _predict_x0(out, y_t, eps_hat, ab):
+    """out <- (y_t - sqrt(1 - ab) eps_hat) / sqrt(ab) in that order.
+
+    eps_hat may share memory with y_t but not with out; it is never written.
+    """
+    np.multiply(eps_hat, np.sqrt(1.0 - ab), out=out)
+    np.subtract(y_t, out, out=out)
+    out /= np.sqrt(ab)
+    return out
+
+
 def predict_x0(y_t, eps_hat, t: int, sched: NoiseSchedule):
     """Invert the forward kernel: y0_hat = (y_t - sqrt(1-ab) eps) / sqrt(ab)."""
     sched._check_t(t)
-    ab = sched.alpha_bar[t]
-    return (np.asarray(y_t) - np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(ab)
+    y_t = np.asarray(y_t)
+    eps_hat = np.asarray(eps_hat)
+    out = np.empty(np.broadcast_shapes(y_t.shape, eps_hat.shape))
+    return _predict_x0(out, y_t, eps_hat, sched.alpha_bar[t])
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,31 @@ def guidance_weight(t: int, cfg: GuidanceConfig) -> float:
     return min(1.0, t / cfg.T) * cfg.nu
 
 
+def _guidance_lambda(lam: float) -> float:
+    """Check a guidance weight and clamp it into [0, 1] with a warning."""
+    if not np.isfinite(lam):
+        raise InvalidArgumentError("guidance weight must be finite")
+    if lam < 0.0 or lam > 1.0:
+        warnings.warn(f"guidance weight {lam} clamped into [0, 1]", GuidanceClampWarning)
+        lam = min(1.0, max(0.0, lam))
+    return lam
+
+
+def _guide_rows(x0, ys_rows, rows, lam: float, buf, diff):
+    """x0[rows] <- x0[rows] + lam * (ys_rows - x0[rows]) in place, for a
+    weight already in [0, 1]; lam = 1 copies ys_rows exactly and lam = 0
+    changes nothing. buf and diff have ys_rows' shape and are overwritten.
+    """
+    if lam == 1.0:
+        x0[rows] = ys_rows
+    elif lam != 0.0:
+        np.take(x0, rows, axis=0, out=buf)
+        np.subtract(ys_rows, buf, out=diff)
+        diff *= lam
+        buf += diff
+        x0[rows] = buf
+
+
 def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     """Blend observed rows into the prediction:
     y0_tilde = y0_hat + lam * M o (y_s - y0_hat).
@@ -124,19 +162,38 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     Unmasked rows pass through bit-exactly; lam = 1 copies observed rows
     exactly. Weights outside [0, 1] are clamped with a GuidanceClampWarning.
     """
-    if not np.isfinite(lam):
-        raise InvalidArgumentError("guidance weight must be finite")
-    if lam < 0.0 or lam > 1.0:
-        warnings.warn(f"guidance weight {lam} clamped into [0, 1]", GuidanceClampWarning)
-        lam = min(1.0, max(0.0, lam))
+    lam = _guidance_lambda(lam)
     y0_hat = np.asarray(y0_hat)
     if lam == 0.0:
         return y0_hat
-    active = np.asarray(active, bool)[:, None]
-    y_s = np.asarray(y_s)
-    if lam == 1.0:
-        return np.where(active, y_s, y0_hat)
-    return np.where(active, y0_hat + lam * (y_s - y0_hat), y0_hat)
+    active = np.asarray(active, bool)
+    if active.shape != y0_hat.shape[:1]:
+        raise ShapeMismatchError("row flag length does not match")
+    rows = np.flatnonzero(active)
+    ys_rows = np.asarray(y_s)[rows]
+    dtype = np.result_type(y0_hat, ys_rows, lam)
+    out = np.array(y0_hat, dtype=dtype)
+    _guide_rows(out, ys_rows, rows, lam, np.empty(ys_rows.shape, dtype),
+                np.empty(ys_rows.shape, dtype))
+    return out
+
+
+def _ddim_update(out, y0_tilde, eps_hat, ab_prev, gap: float, sigma_t: float,
+                 rng, buf):
+    """out <- sqrt(ab_prev) y0_tilde + sqrt(max(gap, 0)) eps_hat + sigma_t z,
+    summed in that order, with z drawn into buf only when sigma_t > 0.
+
+    out may be the array eps_hat was predicted from, and eps_hat may share
+    memory with it: eps_hat is read before out is written, and never written.
+    """
+    np.multiply(eps_hat, np.sqrt(max(gap, 0.0)), out=buf)
+    np.multiply(y0_tilde, np.sqrt(ab_prev), out=out)
+    out += buf
+    if sigma_t > 0.0:
+        rng.standard_normal(out=buf)
+        buf *= sigma_t
+        out += buf
+    return out
 
 
 def ddim_step(y_t, y0_tilde, eps_hat, t: int, t_prev: int, sched: NoiseSchedule,
@@ -155,12 +212,14 @@ def ddim_step(y_t, y0_tilde, eps_hat, t: int, t_prev: int, sched: NoiseSchedule,
     gap = 1.0 - ab_prev - (sigma_t**2 if subtract_sigma else 0.0)
     if gap < -1e-15:
         raise InvalidArgumentError("sigma_t too large for this step")
-    out = np.sqrt(ab_prev) * np.asarray(y0_tilde) + np.sqrt(max(gap, 0.0)) * np.asarray(eps_hat)
-    if sigma_t > 0.0:
-        if rng is None:
-            raise InvalidArgumentError("stochastic step needs an rng")
-        out = out + sigma_t * rng.standard_normal(out.shape)
-    return out
+    if sigma_t > 0.0 and rng is None:
+        raise InvalidArgumentError("stochastic step needs an rng")
+    y0_tilde = np.asarray(y0_tilde)
+    eps_hat = np.asarray(eps_hat)
+    shape = np.broadcast_shapes(y0_tilde.shape, eps_hat.shape)
+    out = np.empty(shape)
+    return _ddim_update(out, y0_tilde, eps_hat, ab_prev, gap, sigma_t, rng,
+                        np.empty(shape))
 
 
 def ddpm_posterior_mean(y_t, eps_hat, t: int, sched: NoiseSchedule):

@@ -19,9 +19,12 @@ from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment
                         fit_linear_alignment, langevin_growth, refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
-                        apply_sparse_guidance, cfg_combine, ddim_step,
-                        guidance_weight, linear_schedule, optimal_lambda,
-                        optimal_lambda_oracle, predict_x0)
+                        _ddim_update, _guidance_lambda, _guide_rows,
+                        _predict_x0, cfg_combine, guidance_weight,
+                        linear_schedule, optimal_lambda, optimal_lambda_oracle)
+# the public step functions stay attributes of this module, where call
+# tracers look them up, though coarse_generate runs their in-place forms
+from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .evalkit import kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
@@ -91,10 +94,30 @@ def interpolate_views(values, active):
         raise InvalidArgumentError("no active views to interpolate from")
     n = values.shape[0]
     rows = np.arange(n, dtype=np.float64)
+    # np.interp(rows, rows[active], column, period=n) for all columns at
+    # once, by numpy's own rule: knots padded by one period on each side,
+    # slope[j] * (x - xp[j]) + fp[j] between knots j and j + 1, fp[j] where
+    # x == xp[j], and the other end's form where that gives nan
     xp = rows[active]
-    out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        out[:, j] = np.interp(rows, xp, values[active, j], period=float(n))
+    xp = np.concatenate((xp[-1:] - n, xp, xp[:1] + n))
+    fp = values[active]
+    fp = np.concatenate((fp[-1:], fp, fp[:1]))
+    j = np.searchsorted(xp, rows, side="right") - 1
+    with np.errstate(invalid="ignore"):  # np.interp does not warn on inf
+        slope = np.diff(fp, axis=0) / np.diff(xp)[:, None]
+        out = slope[j]
+        out *= (rows - xp[j])[:, None]
+        out += fp[j]
+        nan = np.isnan(out)
+        if nan.any():
+            r, c = np.nonzero(nan)
+            k = j[r]
+            alt = slope[k, c] * (rows[r] - xp[k + 1]) + fp[k + 1, c]
+            flat = np.isnan(alt) & (fp[k, c] == fp[k + 1, c])
+            alt[flat] = fp[k, c][flat]
+            out[r, c] = alt
+    on_knot = xp[j] == rows
+    out[on_knot] = fp[j[on_knot]]
     return out
 
 
@@ -112,30 +135,42 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     gcfg = cfg.guidance
     if gcfg.mode.startswith("optimal") and reference is None:
         raise InvalidArgumentError("optimal guidance modes need a reference")
+    if active.shape != y_s.shape[:1]:
+        raise ShapeMismatchError("row flag length does not match")
+    if cfg.sigma_ddim < 0:
+        raise InvalidArgumentError("sigma_t must be >= 0")
     cond = mask_rows(y_s, active) if getattr(model, "conditional", False) else None
     ts = ddim_times(sched.T, cfg.ddim_steps)
+    # the loop owns y, x0, prod and the active-row buffers and updates them
+    # in place with the operation order of predict_x0, apply_sparse_guidance
+    # and ddim_step; it never writes into an array the model returns
     y = rng.standard_normal(y_s.shape)
-    align = None
+    x0 = np.empty_like(y)
+    prod = np.empty_like(y)
+    rows = np.flatnonzero(active)
+    ys_rows = y_s[rows]
+    row_buf = np.empty_like(ys_rows)
+    row_diff = np.empty_like(ys_rows)
     for t, t_prev in zip(ts[:-1], ts[1:]):
         t = int(t)
         eps_hat = model.predict_eps(y, t, cond)
         if cond is not None and cfg.omega != 0.0:
             eps_unc = model.predict_eps(y, t, None)
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
-        y0_hat = predict_x0(y, eps_hat, t, sched)
+        _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
         if gcfg.mode in ("temporal", "fixed"):
             lam = guidance_weight(t, gcfg)
         else:
-            inp = LambdaInputs.from_vectors((y0_hat - reference)[active].ravel(),
+            inp = LambdaInputs.from_vectors((x0 - reference)[active].ravel(),
                                             (y_s - reference)[active].ravel())
             lam = (optimal_lambda(inp) if gcfg.mode == "optimal-closed-form"
                    else optimal_lambda_oracle(inp))
-        y0_hat = apply_sparse_guidance(y0_hat, y_s, active, lam)
+        _guide_rows(x0, ys_rows, rows, _guidance_lambda(lam), row_buf, row_diff)
         if cfg.align_per_step and cfg.alignment:
-            align = fit_linear_alignment(y0_hat, y_s, active)
-            y0_hat = apply_linear_alignment(y0_hat, align)
-        y = ddim_step(y, y0_hat, eps_hat, t, int(t_prev), sched,
-                      sigma_t=cfg.sigma_ddim, rng=rng)
+            x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))
+        ab_prev = sched.alpha_bar[int(t_prev)]
+        _ddim_update(y, x0, eps_hat, ab_prev, 1.0 - ab_prev, cfg.sigma_ddim,
+                     rng, prod)
     return y
 
 
@@ -319,7 +354,9 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                      cfg: PipelineConfig, reference: Sinogram,
                      reference_image: ImageGrid | None = None, **kwargs):
     """Fixed guidance weights 0.0 .. 1.0 in steps of 0.1 plus the temporal
-    schedule: 12 rows of (label, sinogram MSE, image PSNR, sinogram KL)."""
+    schedule: 12 rows of (label, sinogram MSE, image PSNR, sinogram KL).
+
+    Only the table is returned; the chains compute no per-stage metrics."""
     ref = np.asarray(reference.values, dtype=np.float64)
     ref_img = (np.asarray(reference_image.values, dtype=np.float64)
                if reference_image is not None else None)
@@ -331,9 +368,9 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                                                T=cfg.guidance.T)))
     rows = []
     for name, g in configs:
-        res = stride_reconstruct(y_s, m, grid, replace(cfg, guidance=g),
-                                 reference=reference,
-                                 reference_image=reference_image, **kwargs)
+        # fixed and temporal weights never read the reference, so the chain
+        # gets none and computes no stage metrics
+        res = stride_reconstruct(y_s, m, grid, replace(cfg, guidance=g), **kwargs)
         out = np.asarray(res.sinogram.values)
         rows.append((name, mse(ref, out),
                      psnr(ref_img, res.image.values) if ref_img is not None

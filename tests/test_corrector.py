@@ -297,23 +297,32 @@ def test_refine_bands_full_trust_pins_observations():
         assert np.array_equal(a, b)
 
 
-def test_refine_bands_empty_trust_skips_consistency(monkeypatch):
-    tb, noisy, _ = _band_fixture()
+def test_refine_bands_empty_trust_skips_consistency():
+    tb, noisy, active = _band_fixture()
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=5, eps_start=5e-5, eps_end=1e-6)
-    args = (noisy, tb, st.AnalyticGaussianScore(tb.low, 1e-4),
-            st.AnalyticGaussianScore(np.stack(tb.high), 1e-4), cfg)
-    calls = []
+    scores = (st.AnalyticGaussianScore(tb.low, 1e-4),
+              st.AnalyticGaussianScore(np.stack(tb.high), 1e-4))
+    n = noisy.shape[0]
 
-    def counted(x, observed, rows):
-        calls.append(rows)
-        return data_consistency(x, observed, rows)
+    def bands(b):
+        return (b.low, *b.high)
 
-    monkeypatch.setattr(corrector, "data_consistency", counted)
-    refine_bands(*args, np.zeros(noisy.shape[0], bool), sched)
-    assert calls == []
+    # no trusted row: the observed bands are never read, so nan ones change
+    # nothing
+    nan_obs = tb.replace(low=np.full(tb.shape, np.nan),
+                         high=[np.full(tb.shape, np.nan)] * 3)
+    a = refine_bands(noisy, tb, *scores, cfg, np.zeros(n, bool), sched)
+    b = refine_bands(noisy, nan_obs, *scores, cfg, np.zeros(n, bool), sched)
+    for x, y in zip(bands(a), bands(b)):
+        assert np.all(np.isfinite(x))
+        assert x.tobytes() == y.tobytes()
+    # a partial trust mask pins its rows (a full one: the test above)
+    out = refine_bands(noisy, tb, *scores, cfg, active, sched)
+    for x, obs in zip(bands(out), bands(tb)):
+        assert np.array_equal(x[active], obs[active])
     with pytest.raises(ShapeMismatchError):
-        refine_bands(*args, np.zeros(noisy.shape[0] + 1, bool), sched)
+        refine_bands(noisy, tb, *scores, cfg, np.zeros(n + 1, bool), sched)
 
 
 def test_refine_bands_incompatible_sets():

@@ -73,6 +73,40 @@ def test_analytic_eps_matches_bayes_posterior():
         assert np.max(np.abs(x0 - bayes)) <= 1e-10
 
 
+def _expr_analytic_eps(y_t, t, s, mu, v):
+    """The posterior noise prediction as first written, one expression."""
+    y_t = np.asarray(y_t, dtype=np.float64)
+    if t == 0:
+        return np.zeros_like(y_t)
+    v = max(v, 1e-12)
+    ab = s.alpha_bar[t]
+    sab = np.sqrt(ab)
+    mean_post = (sab * v * y_t + (1.0 - ab) * np.asarray(mu)) / (ab * v + 1.0 - ab)
+    return (y_t - sab * mean_post) / np.sqrt(1.0 - ab)
+
+
+def test_analytic_eps_matches_expression_bytes():
+    s = st.linear_schedule(T=20)
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=(6, 5))
+    mu = rng.normal(size=(6, 5))
+    y.flat[::4] = -0.0
+    mu.flat[1::3] = -0.0
+    mu.flat[2::3] = 0.0
+    for prior_mean in (mu, 0.0, -0.0, mu[0]):
+        for v in (0.0, 1e-3, 0.7):
+            model = st.AnalyticGaussianDenoiser(prior_mean, v, s)
+            for t in (0, 1, 10, 20):
+                expect = _expr_analytic_eps(y, t, s, prior_mean, v).tobytes()
+                assert st.analytic_gaussian_eps(y, t, s, prior_mean, v).tobytes() == expect
+                # the model reuses its scratch array from call to call
+                assert model.predict_eps(y, t).tobytes() == expect
+                assert model.predict_eps(y, t).tobytes() == expect
+    frozen = y.copy()
+    frozen.setflags(write=False)
+    st.AnalyticGaussianDenoiser(mu, 0.5, s).predict_eps(frozen, 3)  # input not written
+
+
 def test_gaussian_score():
     y = np.array([[1.0, 3.0]])
     out = st.analytic_gaussian_score(y, 1.0, 2.0)

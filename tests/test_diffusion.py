@@ -5,7 +5,8 @@ import pytest
 
 import stridect as st
 from stridect.diffusion import LambdaInputs, cfg_combine, ddpm_posterior_mean
-from stridect.errors import GuidanceClampWarning, InvalidArgumentError
+from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
+                             ShapeMismatchError)
 
 
 def _sched_from_beta(T, beta, **kw):
@@ -18,6 +19,43 @@ def _sched_from_beta(T, beta, **kw):
 def _mc_schedule():
     # hand-built two-step schedule with cumulative signal level exactly 1/4
     return _sched_from_beta(2, [0.0, 0.4, 7.0 / 12.0])
+
+
+def _signed_zero_normal(rng, shape):
+    """Normal draws with some entries set to +0.0 and some to -0.0."""
+    a = rng.normal(size=shape)
+    a.flat[::5] = 0.0
+    a.flat[2::7] = -0.0
+    return a
+
+
+# The step functions as first written, one whole-array expression each; the
+# in-place forms used by the sampler must match them byte for byte.
+
+
+def _expr_predict_x0(y_t, eps_hat, t, s):
+    ab = s.alpha_bar[t]
+    return (np.asarray(y_t) - np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(ab)
+
+
+def _expr_guidance(y0_hat, y_s, active, lam):
+    """The blend for a weight already clamped into [0, 1]."""
+    if lam == 0.0:
+        return np.asarray(y0_hat)
+    active = np.asarray(active, bool)[:, None]
+    if lam == 1.0:
+        return np.where(active, y_s, y0_hat)
+    return np.where(active, y0_hat + lam * (y_s - y0_hat), y0_hat)
+
+
+def _expr_ddim(y0_tilde, eps_hat, t_prev, s, sigma_t=0.0, rng=None,
+               subtract_sigma=False):
+    ab_prev = s.alpha_bar[t_prev]
+    gap = 1.0 - ab_prev - (sigma_t**2 if subtract_sigma else 0.0)
+    out = np.sqrt(ab_prev) * y0_tilde + np.sqrt(max(gap, 0.0)) * eps_hat
+    if sigma_t > 0.0:
+        out = out + sigma_t * rng.standard_normal(out.shape)
+    return out
 
 
 # ---------------------------------------------------------------- schedules
@@ -101,6 +139,19 @@ def test_predict_x0_roundtrip():
         assert np.max(np.abs(back - y0)) <= 1e-5
 
 
+def test_predict_x0_matches_expression_bytes():
+    s = st.linear_schedule(T=50)
+    rng = np.random.default_rng(4)
+    y_t = _signed_zero_normal(rng, (6, 7))
+    eps = _signed_zero_normal(rng, (6, 7))
+    for t in (0, 1, 10, 50):
+        out = st.predict_x0(y_t, eps, t, s)
+        assert out.tobytes() == _expr_predict_x0(y_t, eps, t, s).tobytes()
+    # the prediction may be handed the array it was predicted from
+    assert (st.predict_x0(y_t, y_t, 7, s).tobytes()
+            == _expr_predict_x0(y_t, y_t, 7, s).tobytes())
+
+
 # ---------------------------------------------------------------- guidance
 
 
@@ -141,6 +192,15 @@ def test_apply_sparse_guidance_blend():
     assert np.array_equal(st.apply_sparse_guidance(gen, obs, m, 0.0), gen)
     one = st.apply_sparse_guidance(gen, obs, m, 1.0)
     assert np.array_equal(one[m], obs[m])
+    rng = np.random.default_rng(2)
+    gen = _signed_zero_normal(rng, (9, 4))
+    obs = _signed_zero_normal(rng, (9, 4))
+    m = st.make_sparse_mask(9, 3).active
+    for lam in (0.0, 0.3, 0.5, 1.0):
+        out = st.apply_sparse_guidance(gen, obs, m, lam)
+        assert out.tobytes() == _expr_guidance(gen, obs, m, lam).tobytes()
+    with pytest.raises(ShapeMismatchError):
+        st.apply_sparse_guidance(gen, obs, m[:-1], 0.5)
 
 
 def test_apply_sparse_guidance_clamps():
@@ -153,6 +213,8 @@ def test_apply_sparse_guidance_clamps():
     with pytest.warns(GuidanceClampWarning):
         lo = st.apply_sparse_guidance(gen, obs, m, -0.5)
     assert np.array_equal(lo, gen)
+    assert hi.tobytes() == _expr_guidance(gen, obs, m, 1.0).tobytes()
+    assert lo.tobytes() == _expr_guidance(gen, obs, m, 0.0).tobytes()
     with pytest.raises(InvalidArgumentError):
         st.apply_sparse_guidance(gen, obs, m, np.nan)
 
@@ -176,6 +238,17 @@ def test_ddim_step_determinism_and_validation():
     a = st.ddim_step(y, y, y, 5, 3, s, sigma_t=0.1, rng=np.random.default_rng(9))
     b = st.ddim_step(y, y, y, 5, 3, s, sigma_t=0.1, rng=np.random.default_rng(9))
     assert np.array_equal(a, b)
+    rng = np.random.default_rng(3)
+    y0 = _signed_zero_normal(rng, (5, 6))
+    eps = _signed_zero_normal(rng, (5, 6))
+    for t, t_prev, sigma, sub in ((5, 3, 0.0, False), (1, 0, 0.0, False),
+                                  (5, 3, 0.1, False), (5, 3, 0.05, True),
+                                  (10, 0, 0.0, True)):
+        out = st.ddim_step(eps, y0, eps, t, t_prev, s, sigma_t=sigma,
+                           rng=np.random.default_rng(9), subtract_sigma=sub)
+        expect = _expr_ddim(y0, eps, t_prev, s, sigma, np.random.default_rng(9),
+                            sub)
+        assert out.tobytes() == expect.tobytes()
     with pytest.raises(InvalidArgumentError):
         st.ddim_step(y, y, y, 3, 5, s)
     with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,6 @@
 """End-to-end reconstruction chain: stages, ablations, CSV reports."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 import stridect as st
 import stridect.pipeline as pipeline
 from stridect.denoiser import AnalyticGaussianDenoiser
-from stridect.diffusion import predict_x0
-from stridect.errors import InvalidArgumentError, ShapeMismatchError
+from stridect.diffusion import (LambdaInputs, cfg_combine, optimal_lambda,
+                                optimal_lambda_oracle, predict_x0)
+from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
+                             ShapeMismatchError)
 from stridect.pipeline import (
     PipelineConfig,
     ReconstructionResult,
@@ -74,6 +77,48 @@ def test_interpolate_views_basics():
     assert np.allclose(out[1], mid, rtol=1e-12)
 
 
+def _interp_column_loop(values, active):
+    """interpolate_views as first written: one periodic np.interp a column."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    rows = np.arange(n, dtype=np.float64)
+    out = np.empty_like(values)
+    for j in range(values.shape[1]):
+        out[:, j] = np.interp(rows, rows[active], values[active, j], period=float(n))
+    return out
+
+
+def test_interpolate_views_matches_column_loop_bytes():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        active = rng.random(n) < rng.uniform(0.1, 0.9)
+        active[rng.integers(n)] = True
+        cases.append((rng.normal(size=(n, int(rng.integers(1, 9)))), active))
+    single = np.zeros(10, bool)
+    single[6] = True
+    cases.append((rng.normal(size=(10, 4)), single))
+    late = st.make_sparse_mask(12, 3).active  # first row inactive: wraps
+    late = np.roll(late, 1)
+    cases.append((rng.normal(size=(12, 5)), late))
+    odd = rng.normal(size=(12, 6))
+    odd[3, 0] = np.inf
+    odd[6, 1] = -np.inf
+    odd[0, 2] = np.inf
+    odd[3, 2] = np.inf
+    odd[9, 3] = np.nan
+    odd[6, 4] = -0.0
+    cases.append((odd, st.make_sparse_mask(12, 3).active))
+    cases.append((odd, np.ones(12, bool)))
+    for values, active in cases:
+        expect = _interp_column_loop(values, active)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the loop warns on nothing
+            out = interpolate_views(values, active)
+        assert out.tobytes() == expect.tobytes()
+
+
 def test_interpolate_views_periodic_wrap():
     vals = np.zeros((8, 2))
     vals[0] = 1.0
@@ -124,6 +169,125 @@ def test_coarse_generate_optimal_modes_run():
         out = coarse_generate(y_s, active, model, sched, cfg,
                               np.random.default_rng(4), reference=y_s)
         assert np.all(np.isfinite(out))
+
+
+def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
+    """coarse_generate as first written, with the step functions inlined as
+    whole-array expressions: a fresh array for every intermediate."""
+    y_s = np.asarray(y_s, dtype=np.float64)
+    active = np.asarray(active, bool)
+    gcfg = cfg.guidance
+    cond = st.mask_rows(y_s, active) if getattr(model, "conditional", False) else None
+    ts = ddim_times(sched.T, cfg.ddim_steps)
+    y = rng.standard_normal(y_s.shape)
+    for t, t_prev in zip(ts[:-1], ts[1:]):
+        t = int(t)
+        eps_hat = model.predict_eps(y, t, cond)
+        if cond is not None and cfg.omega != 0.0:
+            eps_unc = model.predict_eps(y, t, None)
+            eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
+        ab = sched.alpha_bar[t]
+        y0_hat = (y - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+        if gcfg.mode in ("temporal", "fixed"):
+            lam = st.guidance_weight(t, gcfg)
+        else:
+            inp = LambdaInputs.from_vectors((y0_hat - reference)[active].ravel(),
+                                            (y_s - reference)[active].ravel())
+            lam = (optimal_lambda(inp) if gcfg.mode == "optimal-closed-form"
+                   else optimal_lambda_oracle(inp))
+        lam = min(1.0, max(0.0, lam))
+        rows = active[:, None]
+        if lam == 1.0:
+            y0_hat = np.where(rows, y_s, y0_hat)
+        elif lam != 0.0:
+            y0_hat = np.where(rows, y0_hat + lam * (y_s - y0_hat), y0_hat)
+        if cfg.align_per_step and cfg.alignment:
+            align = st.fit_linear_alignment(y0_hat, y_s, active)
+            y0_hat = align.a * y0_hat + align.b
+        ab_prev = sched.alpha_bar[int(t_prev)]
+        y = np.sqrt(ab_prev) * y0_hat + np.sqrt(max(1.0 - ab_prev, 0.0)) * eps_hat
+        if cfg.sigma_ddim > 0.0:
+            y = y + cfg.sigma_ddim * rng.standard_normal(y.shape)
+    return y
+
+
+class _ReadOnlyEps:
+    """Hands back a model's noise predictions as read-only arrays, so a
+    sampler that writes into one raises."""
+
+    def __init__(self, model):
+        self.model = model
+        self.conditional = getattr(model, "conditional", False)
+
+    def predict_eps(self, y_t, t, condition=None):
+        eps = self.model.predict_eps(y_t, t, condition)
+        eps.setflags(write=False)
+        return eps
+
+
+def _coarse_cases():
+    sched = st.linear_schedule(T=20)
+    rng = np.random.default_rng(21)
+    y_s = rng.normal(size=(12, 9)) + 1.0
+    reference = y_s + 0.1 * rng.normal(size=y_s.shape)
+    active = st.make_sparse_mask(12, 3).active
+    prior = interpolate_views(y_s, active)
+    plain = AnalyticGaussianDenoiser(prior, 0.05, sched)
+    net = st.TinyEpsNet(st.init_tiny_net(2, 1, hidden=4, seed=5), sched)
+
+    def cfg(**over):
+        base = dict(ddim_steps=6, guidance=st.GuidanceConfig(mode="temporal",
+                                                             nu=0.9, T=20))
+        base.update(over)
+        return PipelineConfig(**base)
+
+    def fixed(lam):
+        return st.GuidanceConfig(mode="fixed", fixed_lambda=lam, T=20)
+
+    cases = [(f"fixed-{lam}", plain, cfg(guidance=fixed(lam)))
+             for lam in (0.0, 0.3, 1.0, 1.5)]
+    cases += [
+        ("temporal", plain, cfg()),
+        ("closed-form", plain,
+         cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form", T=20))),
+        ("oracle", plain, cfg(guidance=st.GuidanceConfig(mode="optimal-oracle", T=20))),
+        ("coupled", st.CoupledGaussianDenoiser(prior, 0.05, sched, mix=0.3), cfg()),
+        ("net-omega", net, cfg(omega=0.7)),
+        ("net-no-omega", net, cfg()),
+        ("align-per-step", plain, cfg(align_per_step=True)),
+        ("sigma", plain, cfg(sigma_ddim=0.2)),
+        ("one-step", plain, cfg(ddim_steps=1)),
+    ]
+    return sched, y_s, active, reference, cases
+
+
+def test_coarse_generate_matches_old_loop_bytes():
+    sched, y_s, active, reference, cases = _coarse_cases()
+    for name, model, cfg in cases:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = coarse_generate(y_s, active, _ReadOnlyEps(model), sched, cfg,
+                                  np.random.default_rng(8), reference=reference)
+        expect = _old_coarse_generate(y_s, active, model, sched, cfg,
+                                      np.random.default_rng(8), reference=reference)
+        assert out.tobytes() == expect.tobytes(), name
+        clamped = [w for w in seen if issubclass(w.category, GuidanceClampWarning)]
+        assert len(clamped) == (cfg.ddim_steps if name == "fixed-1.5" else 0), name
+
+
+def test_coarse_generate_rejects_nan_weight_and_bad_mask():
+    sched, y_s, active, _, _ = _coarse_cases()
+    model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
+    cfg = PipelineConfig(ddim_steps=3, guidance=st.GuidanceConfig(
+        mode="fixed", fixed_lambda=float("nan"), T=20))
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        coarse_generate(y_s, active, model, sched, cfg, np.random.default_rng(0))
+    ok = replace(cfg, guidance=st.GuidanceConfig(mode="temporal", T=20))
+    with pytest.raises(ShapeMismatchError):
+        coarse_generate(y_s, active[:-1], model, sched, ok, np.random.default_rng(0))
+    with pytest.raises(InvalidArgumentError):
+        coarse_generate(y_s, active, model, sched, replace(ok, sigma_ddim=-0.1),
+                        np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ full pipeline
@@ -313,3 +477,34 @@ def test_lambda_sweep_rows():
     lines = csv.strip().split("\n")
     assert lines[0] == "guidance,mse_full,psnr,kl"
     assert len(lines) == 13
+
+
+def test_lambda_sweep_table_unchanged_without_stage_metrics(monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    # the table as first computed: each chain run with the references
+    ref = np.asarray(sino.values, dtype=np.float64)
+    guides = [(f"fixed-{k / 10.0:.1f}",
+               st.GuidanceConfig(mode="fixed", nu=cfg.guidance.nu, T=10,
+                                 fixed_lambda=k / 10.0)) for k in range(11)]
+    guides.append(("temporal", st.GuidanceConfig(mode="temporal",
+                                                 nu=cfg.guidance.nu, T=10)))
+    expect = []
+    for name, guide in guides:
+        res = st.stride_reconstruct(masked, m, grid, replace(cfg, guidance=guide),
+                                    sched=sched, reference=sino,
+                                    reference_image=phantom)
+        out = np.asarray(res.sinogram.values)
+        expect.append((name, st.mse(ref, out), st.psnr(phantom.values, res.image.values),
+                       st.kl_divergence(ref, out)))
+    calls = []
+
+    def counted_ssim(*args, **kwargs):
+        calls.append(args)
+        return st.ssim(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ssim", counted_ssim)
+    rows = st.run_lambda_sweep(masked, m, grid, cfg, sino,
+                               reference_image=phantom, sched=sched)
+    assert rows == expect
+    assert calls == []
