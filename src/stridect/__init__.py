@@ -8,8 +8,8 @@ metrics, plus a small hand-rolled network with training code and a CLI.
 """
 
 from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment,
-                        consistency_mask, data_consistency, eps_schedule,
-                        fit_linear_alignment, langevin_step, refine_bands)
+                        data_consistency, eps_schedule, fit_linear_alignment,
+                        langevin_step, refine_bands)
 from .denoiser import (AnalyticGaussianDenoiser, AnalyticGaussianScore,
                        CoupledGaussianDenoiser, ExactNoiseDenoiser,
                        TinyEpsNet, TinyNetParams,

@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--config", default=None, help="key=value settings file")
     q.add_argument("--net", default=None, help="trained parameter file")
     q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--final-dc", choices=("active", "trust", "off"), default=None)
+    q.add_argument("--final-dc", choices=("active", "off"), default=None)
     q.add_argument("--reference", default=None, help="full sinogram for metrics")
     q.add_argument("--out", required=True)
     q.add_argument("--sino-out", default=None)

@@ -1,9 +1,8 @@
 """Distribution alignment and dual-band Langevin refinement.
 
-The aligned coarse sinogram is split into stationary-wavelet bands; each band
-runs annealed Langevin updates under its score model, interleaved with a
-data-consistency replacement on the rows whose band values are fully
-determined by observed views (the trust mask below).
+The aligned coarse sinogram is split into stationary-wavelet bands and each
+band runs annealed Langevin updates under its score model. Measurements are
+restored afterwards, on the sinogram, by :func:`data_consistency`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalAbortError, ShapeMismatchError
 from .diffusion import NoiseSchedule
-from .wavelet import WaveletBands, filter_pair
+from .wavelet import WaveletBands
 
 
 @dataclass(frozen=True)
@@ -99,21 +98,6 @@ def data_consistency(x, observed, rows):
     return np.where(rows[:, None], observed, x)
 
 
-def consistency_mask(active, filter_len: int):
-    """Shrink the active-row set by the filter half-width.
-
-    A band row is trusted only when no row within filter_len // 2 of it is
-    unobserved (band values smear across neighbouring rows). For stride
-    masks with r >= 2 this is typically empty; a full mask passes through.
-    """
-    active = np.asarray(active, bool)
-    hw = int(filter_len) // 2
-    trusted = active.copy()
-    for d in range(1, hw + 1):
-        trusted &= np.roll(active, d) & np.roll(active, -d)
-    return trusted
-
-
 @dataclass(frozen=True)
 class CorrectorConfig:
     """Annealed Langevin settings. eps_start defaults to 1e-2 * sigma_max^2
@@ -171,16 +155,14 @@ def _cpu_cap() -> int:
         return os.cpu_count() or 1
 
 
-def refine_bands(bands: WaveletBands, observed: WaveletBands, score_low, score_high,
-                 cfg: CorrectorConfig, trust, sched: NoiseSchedule) -> WaveletBands:
-    """Langevin-refine all four bands with interleaved data consistency.
+def refine_bands(bands: WaveletBands, score_low, score_high,
+                 cfg: CorrectorConfig, sched: NoiseSchedule) -> WaveletBands:
+    """Langevin-refine the four bands under their score models.
 
     The low band uses ``score_low``; the three high bands share
     ``score_high`` evaluated on their channel stack. Passing None for a
-    score disables that branch entirely (no step, no consistency). Each
-    band draws from its own RNG stream derived from (seed, band index), and
-    every enabled chain ends with a data-consistency application. A trust
-    mask with no True row makes data consistency a no-op, so it is skipped.
+    score leaves that branch's bands as they are. Each band draws from its
+    own RNG stream derived from (seed, band index).
 
     The noise of step k + 1 is drawn on worker threads while step k is
     applied, and the calling thread draws the bands no worker has taken:
@@ -188,11 +170,6 @@ def refine_bands(bands: WaveletBands, observed: WaveletBands, score_low, score_h
     drawn by one thread at a time, in step order, so the result does not
     depend on the thread count.
     """
-    if bands.shape != observed.shape or bands.wavelet != observed.wavelet:
-        raise ShapeMismatchError("band sets are not compatible")
-    trust = np.asarray(trust, bool)
-    if trust.shape != bands.shape[:1]:
-        raise ShapeMismatchError("row flag length does not match")
     # band 0 is the low band, bands 1-3 the high-band stack
     x = np.empty((4,) + bands.shape)
     x[0] = bands.low
@@ -200,21 +177,19 @@ def refine_bands(bands: WaveletBands, observed: WaveletBands, score_low, score_h
     first = 0 if score_low is not None else 1
     stop = 4 if score_high is not None else 1
     if cfg.n_steps and first < stop:
-        _refine(x[first:stop], [observed.low, *observed.high][first:stop],
-                score_low, score_high, cfg, trust, sched,
+        _refine(x[first:stop], score_low, score_high, cfg, sched,
                 [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
                  for band in range(first, stop)])
     return bands.replace(low=x[0], high=x[1:])
 
 
-def _refine(x, observed, score_low, score_high, cfg, trust, sched, rngs):
+def _refine(x, score_low, score_high, cfg, sched, rngs):
     """Run the Langevin chain in place on the live bands x, which start with
     the low band when ``score_low`` is set and end with the high-band stack
     when ``score_high`` is set."""
     eps = eps_schedule(cfg, sched)
     ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps)
     high = slice(0 if score_low is None else 1, len(x))
-    dc = trust[:, None] if trust.any() else None
     # two noise slots: one being applied while the next step's is drawn
     noise = np.empty((2,) + x.shape)
     buf = np.empty(x.shape)
@@ -262,6 +237,3 @@ def _refine(x, observed, score_low, score_high, cfg, trust, sched, rngs):
                 if not np.all(np.isfinite(s)):
                     raise NumericalAbortError(f"non-finite high-band score at step {k}")
                 _langevin_update(x[high], s, cfg.lambda_high * eps[k], z[high], buf[high])
-            if dc is not None:
-                for band, obs in zip(x, observed):
-                    np.copyto(band, obs, where=dc)

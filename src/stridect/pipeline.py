@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment,
-                        consistency_mask, data_consistency, eps_schedule,
-                        fit_linear_alignment, langevin_growth, refine_bands)
+                        data_consistency, eps_schedule, fit_linear_alignment,
+                        langevin_growth, refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
                         _ddim_update, _guidance_lambda, _guide_rows,
@@ -29,16 +29,15 @@ from .errors import InvalidArgumentError, ShapeMismatchError
 from .evalkit import kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
 from .geometry import ImageGrid, SparseMask, Sinogram, apply_mask, mask_rows
-from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
+from .wavelet import iswt_reconstruct, swt_decompose
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the full reconstruction chain.
 
-    final_dc selects the rows overwritten with measured data after
-    refinement: "active" (all observed views), "trust" (filter-eroded
-    subset), or "off".
+    final_dc selects whether the observed views are overwritten with the
+    measured rows after refinement: "active" or "off".
     """
 
     ddim_steps: int = 100
@@ -61,8 +60,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.ddim_steps < 1:
             raise InvalidArgumentError("ddim_steps must be >= 1")
-        if self.final_dc not in ("active", "trust", "off"):
-            raise InvalidArgumentError("final_dc must be active, trust, or off")
+        if self.final_dc not in ("active", "off"):
+            raise InvalidArgumentError("final_dc must be active or off")
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,6 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
     if run_low or run_high:
         bands = swt_decompose(y, cfg.wavelet)
-        obs_bands = swt_decompose(ys_n, cfg.wavelet)
-        lo, _ = filter_pair(cfg.wavelet)
-        trust = consistency_mask(active, len(lo))
         if (run_low and score_low is None) or (run_high and score_high is None):
             prior = swt_decompose(interp, cfg.wavelet)
             if run_low and score_low is None:
@@ -271,19 +267,15 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
             if run_high and score_high is None:
                 score_high = AnalyticGaussianScore(prior.stack_high(), prior_var)
             del prior  # free the bands no score keeps before refinement
-        bands = refine_bands(bands, obs_bands,
-                             score_low if run_low else None,
+        bands = refine_bands(bands, score_low if run_low else None,
                              score_high if run_high else None,
-                             cfg.corrector, trust, sched)
+                             cfg.corrector, sched)
         y = iswt_reconstruct(bands)
         stages.append(_stage("refined", y * scale, ref_arr, active))
 
     y_out = y * scale
     if cfg.final_dc == "active":
         y_out = data_consistency(y_out, raw, active)
-    elif cfg.final_dc == "trust":
-        lo, _ = filter_pair(cfg.wavelet)
-        y_out = data_consistency(y_out, raw, consistency_mask(active, len(lo)))
     stages.append(_stage("final-dc", y_out, ref_arr, active))
 
     sino_out = Sinogram(y_out, y_s.geometry)

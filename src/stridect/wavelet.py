@@ -60,11 +60,8 @@ class WaveletBands:
     low: np.ndarray = field(repr=False)
     high: tuple = field(repr=False)
     wavelet: str = "haar"
-    level: int = 1
 
     def __post_init__(self):
-        if self.level != 1:
-            raise InvalidArgumentError("only level 1 is supported")
         if len(self.high) != 3:
             raise InvalidArgumentError("expected exactly three high bands")
         shapes = {np.asarray(b).shape for b in (self.low, *self.high)}
@@ -83,18 +80,15 @@ class WaveletBands:
             low=self.low if low is None else low,
             high=tuple(self.high) if high is None else tuple(high),
             wavelet=self.wavelet,
-            level=self.level,
         )
 
 
-def swt_decompose(x, wavelet: str = "haar", level: int = 1) -> WaveletBands:
+def swt_decompose(x, wavelet: str = "haar") -> WaveletBands:
     """Undecimated analysis of a 2-D array (or Sinogram) into four bands.
 
     Band order: low = (lo, lo); high = ((lo, hi), (hi, lo), (hi, hi)) where
     the pair states the filters applied along (axis 0, axis 1).
     """
-    if level != 1:
-        raise InvalidArgumentError("only level 1 is supported")
     lo, hi = filter_pair(wavelet)
     arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if arr.ndim != 2:
@@ -105,7 +99,7 @@ def swt_decompose(x, wavelet: str = "haar", level: int = 1) -> WaveletBands:
     lh = _conv_axis(r_lo, hi, 1)
     hl = _conv_axis(r_hi, lo, 1)
     hh = _conv_axis(r_hi, hi, 1)
-    return WaveletBands(low=low, high=(lh, hl, hh), wavelet=wavelet, level=level)
+    return WaveletBands(low=low, high=(lh, hl, hh), wavelet=wavelet)
 
 
 def iswt_reconstruct(bands: WaveletBands) -> np.ndarray:

@@ -1,0 +1,39 @@
+"""The benchmark's traced run wraps stridect calls by attribute name, from
+its own files under ``bench/``. A name it patches that the package no
+longer has breaks every traced run, so the hooks are checked against the
+real package here."""
+
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture()
+def bench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import spans
+    return layers, spans
+
+
+def _current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_traced_run_patches_existing_attributes_and_restores_them(bench_modules):
+    layers, spans = bench_modules
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)  # a missing attribute raises here
+        patched = list(tracer._undo)
+        wrapped = [_current(owner, attr) for owner, attr, _ in patched]
+    finally:
+        tracer.restore()
+    assert patched
+    for (owner, attr, original), w in zip(patched, wrapped):
+        where = f"{getattr(owner, '__name__', owner)}.{attr}"
+        assert original.__module__.startswith("stridect."), where
+        assert w.__wrapped__ is original, where
+        assert _current(owner, attr) is original, where

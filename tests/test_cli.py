@@ -222,6 +222,10 @@ def test_unknown_flag_exit_two(capsys):
     assert _run("phantom", "--size", "16", "--out", "x.bin",
                 "--warp", "9") == 2
     capsys.readouterr()
+    assert _run("reconstruct", "--sino", "x.bin", "--r", "3", "--size", "16",
+                "--out", "o.bin", "--final-dc", "trust") == 2
+    err = capsys.readouterr().err
+    assert "--final-dc" in err and "trust" in err
 
 
 def test_threads_flag_is_unknown(workdir, capsys):
@@ -240,6 +244,13 @@ def test_unstable_langevin_setting_exit_three(workdir, capsys):
                 "--out", str(workdir / "o.bin"))
     assert code == 3
     assert "prior_var" in capsys.readouterr().err
+    assert not (workdir / "o.bin").exists()
+    cfg.write_text("ddim_steps = 4\nfinal_dc = trust\n")
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg),
+                "--out", str(workdir / "o.bin"))
+    assert code == 3
+    assert "final_dc must be active or off" in capsys.readouterr().err
     assert not (workdir / "o.bin").exists()
 
 

@@ -11,7 +11,6 @@ import stridect.corrector as corrector
 from stridect.corrector import (
     AlignmentParams,
     CorrectorConfig,
-    consistency_mask,
     data_consistency,
     eps_schedule,
     fit_linear_alignment,
@@ -172,20 +171,6 @@ def test_data_consistency_validation():
         data_consistency(np.zeros((4, 3)), np.zeros((4, 3)), np.ones(3, bool))
 
 
-def test_consistency_mask_erosion():
-    full = np.ones(8, bool)
-    assert np.array_equal(consistency_mask(full, 2), full)
-    assert np.array_equal(consistency_mask(full, 4), full)
-    sparse = st.make_sparse_mask(12, 3).active
-    assert not consistency_mask(sparse, 2).any()
-    assert np.array_equal(consistency_mask(sparse, 1), sparse)
-    # wider filters erode more
-    pair = np.ones(8, bool)
-    pair[4] = False
-    assert consistency_mask(pair, 2).sum() == 5
-    assert consistency_mask(pair, 4).sum() == 3
-
-
 # ------------------------------------------------------------- step schedule
 
 
@@ -231,24 +216,23 @@ def _band_fixture(seed=3, shape=(12, 16)):
 
 
 def test_refine_bands_zero_steps_is_identity():
-    tb, noisy, active = _band_fixture()
+    tb, noisy, _ = _band_fixture()
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=0)
-    out = refine_bands(noisy, tb, st.AnalyticGaussianScore(tb.low, 1e-4),
+    out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
                        st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-                       cfg, consistency_mask(active, 2), sched)
+                       cfg, sched)
     assert np.array_equal(out.low, noisy.low)
     for a, b in zip(out.high, noisy.high):
         assert np.array_equal(a, b)
 
 
 def test_refine_bands_deterministic():
-    tb, noisy, active = _band_fixture()
+    tb, noisy, _ = _band_fixture()
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=20, eps_start=5e-5, eps_end=1e-6, seed=9)
-    args = (noisy, tb, st.AnalyticGaussianScore(tb.low, 1e-4),
-            st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-            cfg, consistency_mask(active, 2), sched)
+    args = (noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
+            st.AnalyticGaussianScore(np.stack(tb.high), 1e-4), cfg, sched)
     a = refine_bands(*args)
     b = refine_bands(*args)
     assert np.array_equal(a.low, b.low)
@@ -260,9 +244,9 @@ def test_refine_bands_improves_unobserved_rows():
     tb, noisy, active = _band_fixture()
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=200, eps_start=5e-5, eps_end=1e-6, seed=0)
-    out = refine_bands(noisy, tb, st.AnalyticGaussianScore(tb.low, 1e-4),
+    out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
                        st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-                       cfg, consistency_mask(active, 2), sched)
+                       cfg, sched)
     m = ~active
 
     def err(b):
@@ -274,64 +258,13 @@ def test_refine_bands_improves_unobserved_rows():
 
 
 def test_refine_bands_disabled_branch_untouched():
-    tb, noisy, active = _band_fixture()
-    sched = st.linear_schedule(T=10)
-    cfg = CorrectorConfig(n_steps=10, eps_start=5e-5, eps_end=1e-6)
-    out = refine_bands(noisy, tb, None,
-                       st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-                       cfg, consistency_mask(active, 2), sched)
-    assert np.array_equal(out.low, noisy.low)
-    assert any(not np.array_equal(a, b) for a, b in zip(out.high, noisy.high))
-
-
-def test_refine_bands_full_trust_pins_observations():
     tb, noisy, _ = _band_fixture()
     sched = st.linear_schedule(T=10)
-    cfg = CorrectorConfig(n_steps=5, eps_start=5e-5, eps_end=1e-6)
-    trust = np.ones(noisy.shape[0], bool)
-    out = refine_bands(noisy, tb, st.AnalyticGaussianScore(tb.low, 1e-4),
-                       st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-                       cfg, trust, sched)
-    assert np.array_equal(out.low, tb.low)
-    for a, b in zip(out.high, tb.high):
-        assert np.array_equal(a, b)
-
-
-def test_refine_bands_empty_trust_skips_consistency():
-    tb, noisy, active = _band_fixture()
-    sched = st.linear_schedule(T=10)
-    cfg = CorrectorConfig(n_steps=5, eps_start=5e-5, eps_end=1e-6)
-    scores = (st.AnalyticGaussianScore(tb.low, 1e-4),
-              st.AnalyticGaussianScore(np.stack(tb.high), 1e-4))
-    n = noisy.shape[0]
-
-    def bands(b):
-        return (b.low, *b.high)
-
-    # no trusted row: the observed bands are never read, so nan ones change
-    # nothing
-    nan_obs = tb.replace(low=np.full(tb.shape, np.nan),
-                         high=[np.full(tb.shape, np.nan)] * 3)
-    a = refine_bands(noisy, tb, *scores, cfg, np.zeros(n, bool), sched)
-    b = refine_bands(noisy, nan_obs, *scores, cfg, np.zeros(n, bool), sched)
-    for x, y in zip(bands(a), bands(b)):
-        assert np.all(np.isfinite(x))
-        assert x.tobytes() == y.tobytes()
-    # a partial trust mask pins its rows (a full one: the test above)
-    out = refine_bands(noisy, tb, *scores, cfg, active, sched)
-    for x, obs in zip(bands(out), bands(tb)):
-        assert np.array_equal(x[active], obs[active])
-    with pytest.raises(ShapeMismatchError):
-        refine_bands(noisy, tb, *scores, cfg, np.zeros(n + 1, bool), sched)
-
-
-def test_refine_bands_incompatible_sets():
-    tb, noisy, active = _band_fixture()
-    other = st.swt_decompose(np.zeros((10, 16)))
-    sched = st.linear_schedule(T=10)
-    with pytest.raises(ShapeMismatchError):
-        refine_bands(noisy, other, None, None, CorrectorConfig(n_steps=0),
-                     consistency_mask(active, 2), sched)
+    cfg = CorrectorConfig(n_steps=10, eps_start=5e-5, eps_end=1e-6)
+    out = refine_bands(noisy, None,
+                       st.AnalyticGaussianScore(np.stack(tb.high), 1e-4), cfg, sched)
+    assert np.array_equal(out.low, noisy.low)
+    assert any(not np.array_equal(a, b) for a, b in zip(out.high, noisy.high))
 
 
 # ------------------------------------------ refine_bands against its old loop
@@ -357,7 +290,10 @@ class _OldGaussianScore:
 
 def _old_refine_bands(bands, observed, score_low, score_high, cfg, trust, sched):
     """Reference: the refinement loop before the bands were stacked, one band
-    at a time with fresh arrays and noise drawn inline, step by step."""
+    at a time with fresh arrays and noise drawn inline, step by step. It
+    still pins the ``trust`` rows to ``observed`` after each step; every
+    call here passes an all-False mask, the one every stride r >= 2 gave
+    it, under which it pins nothing."""
     trust = np.asarray(trust, bool)
     dc = bool(trust.any())
     eps = eps_schedule(cfg, sched)
@@ -400,11 +336,8 @@ _REFINE_CASES = {
     "both": {},
     "low-only": {"high": False},
     "high-only": {"low": False},
-    "full-trust": {"trust": "full"},
-    "active-trust": {"trust": "active"},
     "lambdas-differ": {"cfg": {"lambda_low": 0.3, "lambda_high": 1.7}},
     "db2": {"wavelet": "db2"},
-    "db2-active-trust": {"wavelet": "db2", "trust": "active"},
     "odd-shape": {"shape": (13, 7)},
 }
 
@@ -414,8 +347,6 @@ def test_refine_bands_bytes_match_old_loop(case, monkeypatch):
     spec = _REFINE_CASES[case]
     noisy, clean, active = _bands_case(spec.get("wavelet", "haar"),
                                        spec.get("shape", (12, 16)))
-    trust = {"full": np.ones(active.shape, bool), "active": active,
-             None: consistency_mask(active, 2)}[spec.get("trust")]
     cfg = CorrectorConfig(n_steps=25, eps_start=5e-5, eps_end=1e-6, seed=4,
                           **spec.get("cfg", {}))
     sched = st.linear_schedule(T=10)
@@ -424,11 +355,11 @@ def test_refine_bands_bytes_match_old_loop(case, monkeypatch):
         return (cls(clean.low, 1e-4) if spec.get("low", True) else None,
                 cls(clean.stack_high(), 1e-4) if spec.get("high", True) else None)
 
-    want = _old_refine_bands(noisy, clean, *scores(_OldGaussianScore), cfg, trust, sched)
+    want = _old_refine_bands(noisy, clean, *scores(_OldGaussianScore), cfg,
+                             np.zeros(active.shape, bool), sched)
     for cap in (1, 4):
         monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
-        out = refine_bands(noisy, clean, *scores(st.AnalyticGaussianScore), cfg,
-                           trust, sched)
+        out = refine_bands(noisy, *scores(st.AnalyticGaussianScore), cfg, sched)
         got = [out.low, *out.high]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want], cap
 
@@ -440,16 +371,15 @@ def test_refine_bands_bytes_hold_under_fast_thread_switching(monkeypatch):
     noisy, clean, active = _bands_case()
     cfg = CorrectorConfig(n_steps=60, eps_start=5e-5, eps_end=1e-6, seed=8)
     sched = st.linear_schedule(T=10)
-    trust = consistency_mask(active, 2)
     want = _old_refine_bands(noisy, clean, _OldGaussianScore(clean.low, 1e-4),
                              _OldGaussianScore(clean.stack_high(), 1e-4),
-                             cfg, trust, sched)
+                             cfg, np.zeros(active.shape, bool), sched)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = refine_bands(noisy, clean, st.AnalyticGaussianScore(clean.low, 1e-4),
+        out = refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
                            st.AnalyticGaussianScore(clean.stack_high(), 1e-4),
-                           cfg, trust, sched)
+                           cfg, sched)
     finally:
         sys.setswitchinterval(interval)
     assert [g.tobytes() for g in (out.low, *out.high)] == [w.tobytes() for w in want]
@@ -462,11 +392,11 @@ def test_refine_bands_abort_keeps_message_and_joins_threads(branch, cap, monkeyp
     noisy, clean, active = _bands_case()
     cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
     sched = st.linear_schedule(T=10)
-    trust = consistency_mask(active, 2)
+    trust = np.zeros(active.shape, bool)
     before = threading.active_count()
 
-    refine_bands(noisy, clean, st.AnalyticGaussianScore(clean.low, 1e-4),
-                 st.AnalyticGaussianScore(clean.stack_high(), 1e-4), cfg, trust, sched)
+    refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
+                 st.AnalyticGaussianScore(clean.stack_high(), 1e-4), cfg, sched)
     assert threading.active_count() == before
 
     def scores():
@@ -477,7 +407,7 @@ def test_refine_bands_abort_keeps_message_and_joins_threads(branch, cap, monkeyp
     with pytest.raises(NumericalAbortError) as old:
         _old_refine_bands(noisy, clean, *scores(), cfg, trust, sched)
     with pytest.raises(NumericalAbortError) as new:
-        refine_bands(noisy, clean, *scores(), cfg, trust, sched)
+        refine_bands(noisy, *scores(), cfg, sched)
     assert str(new.value) == str(old.value)
     assert threading.active_count() == before
 

@@ -304,8 +304,9 @@ def test_reconstruct_final_dc_pins_active_rows():
 
 
 def test_reconstruct_trust_dc_full_mask_pins_everything():
+    # r = 1 observes every view, so the final step writes back all of them
     phantom, g, sino, m, masked, grid = _small_problem(r=1)
-    cfg, sched = _small_cfg(final_dc="trust")
+    cfg, sched = _small_cfg(final_dc="active")
     res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
     assert np.array_equal(res.sinogram.values, masked.values)
 
@@ -342,6 +343,8 @@ def test_reconstruct_validation():
     bad_cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="temporal", T=99))
     with pytest.raises(InvalidArgumentError):
         st.stride_reconstruct(masked, m, grid, bad_cfg, sched=sched)
+    with pytest.raises(InvalidArgumentError, match="final_dc"):
+        PipelineConfig(final_dc="trust")
 
 
 class _CoarseReached(Exception):

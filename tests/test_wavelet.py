@@ -23,13 +23,6 @@ def test_unknown_filter_rejected():
         st.swt_decompose(np.zeros((8, 8)), "coif1")
 
 
-def test_level_restriction():
-    with pytest.raises(InvalidArgumentError):
-        st.swt_decompose(np.zeros((8, 8)), "haar", level=2)
-    with pytest.raises(InvalidArgumentError):
-        st.WaveletBands(low=np.zeros((4, 4)), high=(np.zeros((4, 4)),) * 3, level=2)
-
-
 @pytest.mark.parametrize("wavelet", ["haar", "db2"])
 def test_perfect_reconstruction(wavelet):
     rng = np.random.default_rng(7)
