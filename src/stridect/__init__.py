@@ -19,9 +19,9 @@ from .denoiser import (AnalyticGaussianDenoiser, AnalyticGaussianScore,
                        train_score)
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
                         apply_sparse_guidance, cfg_combine, ddim_step,
-                        ddpm_posterior_mean, forward_noising, guidance_weight,
-                        lambda_worst_case_bound, linear_schedule,
-                        optimal_lambda, optimal_lambda_oracle, predict_x0)
+                        forward_noising, guidance_weight, lambda_worst_case_bound,
+                        linear_schedule, optimal_lambda, optimal_lambda_oracle,
+                        predict_x0)
 from .errors import (GuidanceClampWarning, InvalidArgumentError,
                      NumericalAbortError, ShapeMismatchError)
 from .evalkit import (SHEPP_LOGAN_ELLIPSES, Ellipse, kl_divergence, mse, psnr,
@@ -40,7 +40,6 @@ from .pipeline import (PipelineConfig, ReconstructionResult, StageMetrics,
                        sparse_fbp_baseline, stride_reconstruct)
 from .projector import (NoiseSpec, adjoint_project, forward_project,
                         simulate_measurement)
-from .wavelet import (WaveletBands, energy_constant, filter_pair,
-                      iswt_reconstruct, swt_decompose)
+from .wavelet import WaveletBands, filter_pair, iswt_reconstruct, swt_decompose
 
 __version__ = "0.1.0"

@@ -159,9 +159,11 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
                  cfg: CorrectorConfig, sched: NoiseSchedule) -> WaveletBands:
     """Langevin-refine the four bands under their score models.
 
-    The low band uses ``score_low``; the three high bands share
-    ``score_high`` evaluated on their channel stack. Passing None for a
-    score leaves that branch's bands as they are. Each band draws from its
+    The chain runs on one copy of ``bands.values``, so the caller's bands
+    are never written, and the returned bands hold that copy. The low band
+    ``values[0]`` uses ``score_low``; the high bands ``values[1:]`` share
+    ``score_high`` evaluated on that (3, rows, cols) view. Passing None for
+    a score leaves that branch's bands as they are. Each band draws from its
     own RNG stream derived from (seed, band index).
 
     The noise of step k + 1 is drawn on worker threads while step k is
@@ -170,17 +172,14 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     drawn by one thread at a time, in step order, so the result does not
     depend on the thread count.
     """
-    # band 0 is the low band, bands 1-3 the high-band stack
-    x = np.empty((4,) + bands.shape)
-    x[0] = bands.low
-    x[1:] = bands.high
+    x = np.array(bands.values, dtype=np.float64)
     first = 0 if score_low is not None else 1
     stop = 4 if score_high is not None else 1
     if cfg.n_steps and first < stop:
         _refine(x[first:stop], score_low, score_high, cfg, sched,
                 [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
                  for band in range(first, stop)])
-    return bands.replace(low=x[0], high=x[1:])
+    return WaveletBands(x, bands.wavelet)
 
 
 def _refine(x, score_low, score_high, cfg, sched, rngs):

@@ -31,8 +31,6 @@ class NoiseSchedule:
     ve_sigma_max: float = 1.0
 
     def __post_init__(self):
-        if self.T < 1:
-            raise InvalidArgumentError("T must be >= 1")
         b = np.asarray(self.beta, dtype=np.float64)
         if b.shape != (self.T + 1,) or b[0] != 0.0:
             raise InvalidArgumentError("beta must have length T+1 with beta[0] = 0")
@@ -107,7 +105,6 @@ class GuidanceConfig:
 
     mode: str = "temporal"
     nu: float = 1.0
-    T: int = 1000
     fixed_lambda: float | None = None
 
     def __post_init__(self):
@@ -115,19 +112,18 @@ class GuidanceConfig:
             raise InvalidArgumentError(f"unknown guidance mode {self.mode!r}")
         if not (0.0 <= self.nu <= 1.0):
             raise InvalidArgumentError("nu must lie in [0, 1]")
-        if self.T < 1:
-            raise InvalidArgumentError("T must be >= 1")
         if self.mode == "fixed" and self.fixed_lambda is None:
             raise InvalidArgumentError("fixed mode requires fixed_lambda")
 
 
-def guidance_weight(t: int, cfg: GuidanceConfig) -> float:
-    """Scheduled blend weight: temporal mode is min(1, t/T) * nu."""
+def guidance_weight(t: int, cfg: GuidanceConfig, T: int) -> float:
+    """Scheduled blend weight: temporal mode is min(1, t/T) * nu, with T
+    the horizon of the noise schedule being sampled."""
     if t < 0:
         raise InvalidArgumentError("t must be >= 0")
     if cfg.mode == "fixed":
         return float(cfg.fixed_lambda)
-    return min(1.0, t / cfg.T) * cfg.nu
+    return min(1.0, t / T) * cfg.nu
 
 
 def _guidance_lambda(lam: float) -> float:
@@ -178,15 +174,14 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     return out
 
 
-def _ddim_update(out, y0_tilde, eps_hat, ab_prev, gap: float, sigma_t: float,
-                 rng, buf):
-    """out <- sqrt(ab_prev) y0_tilde + sqrt(max(gap, 0)) eps_hat + sigma_t z,
+def _ddim_update(out, y0_tilde, eps_hat, ab_prev, sigma_t: float, rng, buf):
+    """out <- sqrt(ab_prev) y0_tilde + sqrt(1 - ab_prev) eps_hat + sigma_t z,
     summed in that order, with z drawn into buf only when sigma_t > 0.
 
     out may be the array eps_hat was predicted from, and eps_hat may share
     memory with it: eps_hat is read before out is written, and never written.
     """
-    np.multiply(eps_hat, np.sqrt(max(gap, 0.0)), out=buf)
+    np.multiply(eps_hat, np.sqrt(1.0 - ab_prev), out=buf)
     np.multiply(y0_tilde, np.sqrt(ab_prev), out=out)
     out += buf
     if sigma_t > 0.0:
@@ -197,37 +192,23 @@ def _ddim_update(out, y0_tilde, eps_hat, ab_prev, gap: float, sigma_t: float,
 
 
 def ddim_step(y_t, y0_tilde, eps_hat, t: int, t_prev: int, sched: NoiseSchedule,
-              sigma_t: float = 0.0, rng=None, subtract_sigma: bool = False):
+              sigma_t: float = 0.0, rng=None):
     """One reverse jump t -> t_prev:
-    y_prev = sqrt(ab_prev) y0_tilde + c eps_hat + sigma_t z,
-    with c = sqrt(1 - ab_prev) by default (c = sqrt(1 - ab_prev - sigma^2)
-    when subtract_sigma, which is the form whose sigma matches ancestral
-    sampling). sigma_t = 0 is deterministic.
+    y_prev = sqrt(ab_prev) y0_tilde + sqrt(1 - ab_prev) eps_hat + sigma_t z.
+    sigma_t = 0 is deterministic.
     """
     if not (0 <= t_prev < t <= sched.T):
         raise InvalidArgumentError(f"need 0 <= t_prev < t <= T, got {t_prev}, {t}")
     if sigma_t < 0:
         raise InvalidArgumentError("sigma_t must be >= 0")
-    ab_prev = sched.alpha_bar[t_prev]
-    gap = 1.0 - ab_prev - (sigma_t**2 if subtract_sigma else 0.0)
-    if gap < -1e-15:
-        raise InvalidArgumentError("sigma_t too large for this step")
     if sigma_t > 0.0 and rng is None:
         raise InvalidArgumentError("stochastic step needs an rng")
     y0_tilde = np.asarray(y0_tilde)
     eps_hat = np.asarray(eps_hat)
     shape = np.broadcast_shapes(y0_tilde.shape, eps_hat.shape)
     out = np.empty(shape)
-    return _ddim_update(out, y0_tilde, eps_hat, ab_prev, gap, sigma_t, rng,
-                        np.empty(shape))
-
-
-def ddpm_posterior_mean(y_t, eps_hat, t: int, sched: NoiseSchedule):
-    """Ancestral posterior mean mu = (y_t - (1-a_t)/sqrt(1-ab_t) eps)/sqrt(a_t)."""
-    sched._check_t(t, lowest=1)
-    a = sched.alpha[t]
-    ab = sched.alpha_bar[t]
-    return (np.asarray(y_t) - (1.0 - a) / np.sqrt(1.0 - ab) * np.asarray(eps_hat)) / np.sqrt(a)
+    return _ddim_update(out, y0_tilde, eps_hat, sched.alpha_bar[t_prev], sigma_t,
+                        rng, np.empty(shape))
 
 
 def cfg_combine(eps_cond, eps_uncond, omega: float):

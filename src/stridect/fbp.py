@@ -92,6 +92,12 @@ def fan_pre_weight(s: Sinogram) -> Sinogram:
     return Sinogram(s.values * w[None, :], g)
 
 
+def check_weighting(weighting: str):
+    """Reject a backprojection weighting other than "literal" or "exact"."""
+    if weighting not in ("literal", "exact"):
+        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
+
+
 def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") -> ImageGrid:
     """Backproject filtered rows onto the grid.
 
@@ -104,8 +110,7 @@ def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") ->
     Pixels whose r falls outside the detector contribute nothing, and the
     view sum is a Riemann sum with step (angular range) / n_views.
     """
-    if weighting not in ("literal", "exact"):
-        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
+    check_weighting(weighting)
     g = q.geometry
     if g is None:
         raise InvalidArgumentError("backprojection needs sinogram geometry")

@@ -27,9 +27,9 @@ from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .evalkit import kl_divergence, mse, psnr, ssim
-from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
+from .fbp import FilterSpec, check_weighting, extract_active_views, fbp_reconstruct
 from .geometry import ImageGrid, SparseMask, Sinogram, apply_mask, mask_rows
-from .wavelet import iswt_reconstruct, swt_decompose
+from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class PipelineConfig:
     """Knobs for the full reconstruction chain.
 
     final_dc selects whether the observed views are overwritten with the
-    measured rows after refinement: "active" or "off".
+    measured rows after refinement: "active" or "off". An unknown final_dc,
+    weighting or wavelet is rejected here, before any chain work.
     """
 
     ddim_steps: int = 100
@@ -62,6 +63,8 @@ class PipelineConfig:
             raise InvalidArgumentError("ddim_steps must be >= 1")
         if self.final_dc not in ("active", "off"):
             raise InvalidArgumentError("final_dc must be active or off")
+        check_weighting(self.weighting)
+        filter_pair(self.wavelet)
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
         if gcfg.mode in ("temporal", "fixed"):
-            lam = guidance_weight(t, gcfg)
+            lam = guidance_weight(t, gcfg, sched.T)
         else:
             inp = LambdaInputs.from_vectors((x0 - reference)[active].ravel(),
                                             (y_s - reference)[active].ravel())
@@ -167,8 +170,7 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
         _guide_rows(x0, ys_rows, rows, _guidance_lambda(lam), row_buf, row_diff)
         if cfg.align_per_step and cfg.alignment:
             x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))
-        ab_prev = sched.alpha_bar[int(t_prev)]
-        _ddim_update(y, x0, eps_hat, ab_prev, 1.0 - ab_prev, cfg.sigma_ddim,
+        _ddim_update(y, x0, eps_hat, sched.alpha_bar[int(t_prev)], cfg.sigma_ddim,
                      rng, prod)
     return y
 
@@ -220,8 +222,6 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         raise ShapeMismatchError("mask and sinogram view counts differ")
     if sched is None:
         sched = linear_schedule()
-    if cfg.guidance.T != sched.T:
-        raise InvalidArgumentError("guidance horizon differs from schedule")
     run_low = cfg.low_band and cfg.corrector.n_steps > 0
     run_high = cfg.high_band and cfg.corrector.n_steps > 0
     eps = eps_schedule(cfg.corrector, sched)
@@ -265,8 +265,7 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
             if run_low and score_low is None:
                 score_low = AnalyticGaussianScore(prior.low, prior_var)
             if run_high and score_high is None:
-                score_high = AnalyticGaussianScore(prior.stack_high(), prior_var)
-            del prior  # free the bands no score keeps before refinement
+                score_high = AnalyticGaussianScore(prior.high, prior_var)
         bands = refine_bands(bands, score_low if run_low else None,
                              score_high if run_high else None,
                              cfg.corrector, sched)
@@ -305,8 +304,7 @@ def sparse_fbp_baseline(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
 
 def _ablation_variants(cfg: PipelineConfig):
-    off = GuidanceConfig(mode="fixed", nu=cfg.guidance.nu, T=cfg.guidance.T,
-                         fixed_lambda=0.0)
+    off = GuidanceConfig(mode="fixed", nu=cfg.guidance.nu, fixed_lambda=0.0)
     return [
         ("full", cfg),
         ("no-guidance", replace(cfg, guidance=off)),
@@ -354,10 +352,9 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                if reference_image is not None else None)
     configs = [(f"fixed-{k / 10.0:.1f}",
                 GuidanceConfig(mode="fixed", nu=cfg.guidance.nu,
-                               T=cfg.guidance.T, fixed_lambda=k / 10.0))
+                               fixed_lambda=k / 10.0))
                for k in range(11)]
-    configs.append(("temporal", GuidanceConfig(mode="temporal", nu=cfg.guidance.nu,
-                                               T=cfg.guidance.T)))
+    configs.append(("temporal", GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
     rows = []
     for name, g in configs:
         # fixed and temporal weights never read the reference, so the chain

@@ -37,88 +37,72 @@ def filter_pair(wavelet: str):
     return lo, hi
 
 
-def _conv_axis(x, f, axis):
-    """Circular convolution y[n] = sum_k f[k] x[n-k] along one axis."""
-    out = np.zeros_like(x, dtype=np.float64)
+def _filter_axis(x, f, axis, sign, out):
+    """out <- sum_k f[k] x[n - sign * k] along one axis, zero-filled first:
+    circular convolution for sign = +1, its adjoint (correlation) for -1.
+    out must not share memory with x."""
+    out[...] = 0.0
     for k, fk in enumerate(f):
-        out += fk * np.roll(x, k, axis=axis)
-    return out
-
-
-def _corr_axis(x, f, axis):
-    """Adjoint of :func:`_conv_axis`: z[n] = sum_k f[k] x[n+k]."""
-    out = np.zeros_like(x, dtype=np.float64)
-    for k, fk in enumerate(f):
-        out += fk * np.roll(x, -k, axis=axis)
+        out += fk * np.roll(x, sign * k, axis=axis)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class WaveletBands:
-    """Level-1 band set: one low band and three high bands (lh, hl, hh)."""
+    """Level-1 band set as one (4, rows, cols) array: the low band, then the
+    high bands lh, hl and hh. ``low`` and ``high`` are views of it."""
 
-    low: np.ndarray = field(repr=False)
-    high: tuple = field(repr=False)
+    values: np.ndarray = field(repr=False)
     wavelet: str = "haar"
 
     def __post_init__(self):
-        if len(self.high) != 3:
-            raise InvalidArgumentError("expected exactly three high bands")
-        shapes = {np.asarray(b).shape for b in (self.low, *self.high)}
-        if len(shapes) != 1:
-            raise ShapeMismatchError(f"band shapes differ: {shapes}")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 3 or values.shape[0] != 4:
+            raise ShapeMismatchError(
+                f"bands must be one (4, rows, cols) array, got {values.shape}")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def low(self):
+        return self.values[0]
+
+    @property
+    def high(self):
+        return self.values[1:]
 
     @property
     def shape(self):
-        return np.asarray(self.low).shape
-
-    def stack_high(self):
-        return np.stack(self.high, axis=0)
-
-    def replace(self, low=None, high=None) -> "WaveletBands":
-        return WaveletBands(
-            low=self.low if low is None else low,
-            high=tuple(self.high) if high is None else tuple(high),
-            wavelet=self.wavelet,
-        )
+        return self.values.shape[1:]
 
 
 def swt_decompose(x, wavelet: str = "haar") -> WaveletBands:
     """Undecimated analysis of a 2-D array (or Sinogram) into four bands.
 
-    Band order: low = (lo, lo); high = ((lo, hi), (hi, lo), (hi, hi)) where
-    the pair states the filters applied along (axis 0, axis 1).
+    Band order: (lo, lo), (lo, hi), (hi, lo), (hi, hi), where each pair
+    states the filters applied along (axis 0, axis 1); the first is the low
+    band, the other three the high bands lh, hl and hh. All four are written
+    into one preallocated array.
     """
     lo, hi = filter_pair(wavelet)
     arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError("swt_decompose expects a 2-D array")
-    r_lo = _conv_axis(arr, lo, 0)
-    r_hi = _conv_axis(arr, hi, 0)
-    low = _conv_axis(r_lo, lo, 1)
-    lh = _conv_axis(r_lo, hi, 1)
-    hl = _conv_axis(r_hi, lo, 1)
-    hh = _conv_axis(r_hi, hi, 1)
-    return WaveletBands(low=low, high=(lh, hl, hh), wavelet=wavelet)
+    values = np.empty((4,) + arr.shape)
+    rows = np.empty(arr.shape)
+    for i, f0 in enumerate((lo, hi)):
+        _filter_axis(arr, f0, 0, 1, rows)
+        for j, f1 in enumerate((lo, hi)):
+            _filter_axis(rows, f1, 1, 1, values[2 * i + j])
+    return WaveletBands(values, wavelet)
 
 
 def iswt_reconstruct(bands: WaveletBands) -> np.ndarray:
     """Exact inverse of :func:`swt_decompose` (synthesis by scaled adjoint)."""
-    lo, hi = filter_pair(bands.wavelet)
-    pairs = (
-        (bands.low, lo, lo),
-        (bands.high[0], lo, hi),
-        (bands.high[1], hi, lo),
-        (bands.high[2], hi, hi),
-    )
-    out = np.zeros(bands.shape, dtype=np.float64)
-    for band, f0, f1 in pairs:
-        out += _corr_axis(_corr_axis(np.asarray(band, dtype=np.float64), f1, 1), f0, 0)
+    pair = filter_pair(bands.wavelet)
+    out = np.zeros(bands.shape)
+    cols = np.empty(bands.shape)
+    rows = np.empty(bands.shape)
+    for b, band in enumerate(bands.values):
+        _filter_axis(band, pair[b % 2], 1, -1, cols)
+        out += _filter_axis(cols, pair[b // 2], 0, -1, rows)
     return out / 4.0
-
-
-def energy_constant(wavelet: str) -> float:
-    """Sum of squared band-filter norms; the exact band-energy multiplier."""
-    lo, hi = filter_pair(wavelet)
-    e = float(lo @ lo + hi @ hi)
-    return e * e

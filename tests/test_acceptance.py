@@ -217,7 +217,7 @@ def test_10_end_to_end_ordering(acceptance_log, phantom64, sino180, grid64):
     sched = st.linear_schedule()
     model = st.CoupledGaussianDenoiser(1.15 * interp + 0.08, 0.01, sched, mix=0.5)
     score_low = st.AnalyticGaussianScore(st.swt_decompose(ref_n).low, 2e-5)
-    score_high = st.AnalyticGaussianScore(st.swt_decompose(ref_n).stack_high(), 2e-5)
+    score_high = st.AnalyticGaussianScore(st.swt_decompose(ref_n).high, 2e-5)
     cfg = st.PipelineConfig(corrector=st.CorrectorConfig(n_steps=600, eps_start=2e-5,
                                                          eps_end=2e-7, seed=0))
 

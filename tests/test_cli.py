@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stridect as st
+import stridect.cli as cli
 from stridect.cli import (
     _UsageError,
     build_pipeline_config,
@@ -251,6 +252,27 @@ def test_unstable_langevin_setting_exit_three(workdir, capsys):
                 "--out", str(workdir / "o.bin"))
     assert code == 3
     assert "final_dc must be active or off" in capsys.readouterr().err
+    assert not (workdir / "o.bin").exists()
+
+
+@pytest.mark.parametrize("line,word", [("weighting = bogus", "weighting"),
+                                       ("wavelet = sym4", "wavelet")])
+def test_unknown_weighting_or_wavelet_exit_three_before_chain(workdir, capsys,
+                                                               monkeypatch, line,
+                                                               word):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    monkeypatch.setattr(cli, "sparse_fbp_baseline", reached)
+    cfg = workdir / "bogus.cfg"
+    cfg.write_text(f"n_steps = 0\n{line}\n")
+    for method in ("stride", "fbp"):
+        code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                    "--size", "16", "--config", str(cfg), "--method", method,
+                    "--out", str(workdir / "o.bin"))
+        assert code == 3
+        assert word in capsys.readouterr().err
     assert not (workdir / "o.bin").exists()
 
 

@@ -208,10 +208,7 @@ def _band_fixture(seed=3, shape=(12, 16)):
     tb = st.swt_decompose(truth)
     active = st.make_sparse_mask(shape[0], 3).active
     bump = np.where(~active[:, None], 0.3, 0.0)
-    noisy = tb.replace(
-        low=tb.low + bump * rng.standard_normal(shape),
-        high=[h + bump * rng.standard_normal(shape) for h in tb.high],
-    )
+    noisy = st.WaveletBands(tb.values + bump * rng.standard_normal((4,) + shape))
     return tb, noisy, active
 
 
@@ -220,11 +217,8 @@ def test_refine_bands_zero_steps_is_identity():
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=0)
     out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
-                       st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-                       cfg, sched)
-    assert np.array_equal(out.low, noisy.low)
-    for a, b in zip(out.high, noisy.high):
-        assert np.array_equal(a, b)
+                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
+    assert np.array_equal(out.values, noisy.values)
 
 
 def test_refine_bands_deterministic():
@@ -232,12 +226,24 @@ def test_refine_bands_deterministic():
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=20, eps_start=5e-5, eps_end=1e-6, seed=9)
     args = (noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
-            st.AnalyticGaussianScore(np.stack(tb.high), 1e-4), cfg, sched)
+            st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
     a = refine_bands(*args)
     b = refine_bands(*args)
-    assert np.array_equal(a.low, b.low)
-    for x, y in zip(a.high, b.high):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_refine_bands_leaves_caller_bands_unwritten():
+    tb, noisy, _ = _band_fixture()
+    before = noisy.values.copy()
+    sched = st.linear_schedule(T=10)
+    cfg = CorrectorConfig(n_steps=20, eps_start=5e-5, eps_end=1e-6, seed=9)
+    for low, high in ((True, True), (False, True), (True, False)):
+        out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4) if low else None,
+                           st.AnalyticGaussianScore(tb.high, 1e-4) if high else None,
+                           cfg, sched)
+        assert noisy.values.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.values, noisy.values)
+        assert out.wavelet == noisy.wavelet
 
 
 def test_refine_bands_improves_unobserved_rows():
@@ -245,8 +251,7 @@ def test_refine_bands_improves_unobserved_rows():
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=200, eps_start=5e-5, eps_end=1e-6, seed=0)
     out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
-                       st.AnalyticGaussianScore(np.stack(tb.high), 1e-4),
-                       cfg, sched)
+                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
     m = ~active
 
     def err(b):
@@ -262,7 +267,7 @@ def test_refine_bands_disabled_branch_untouched():
     sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=10, eps_start=5e-5, eps_end=1e-6)
     out = refine_bands(noisy, None,
-                       st.AnalyticGaussianScore(np.stack(tb.high), 1e-4), cfg, sched)
+                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
     assert np.array_equal(out.low, noisy.low)
     assert any(not np.array_equal(a, b) for a, b in zip(out.high, noisy.high))
 
@@ -288,14 +293,9 @@ class _OldGaussianScore:
         return s
 
 
-def _old_refine_bands(bands, observed, score_low, score_high, cfg, trust, sched):
+def _old_refine_bands(bands, score_low, score_high, cfg, sched):
     """Reference: the refinement loop before the bands were stacked, one band
-    at a time with fresh arrays and noise drawn inline, step by step. It
-    still pins the ``trust`` rows to ``observed`` after each step; every
-    call here passes an all-False mask, the one every stride r >= 2 gave
-    it, under which it pins nothing."""
-    trust = np.asarray(trust, bool)
-    dc = bool(trust.any())
+    at a time with fresh arrays and noise drawn inline, step by step."""
     eps = eps_schedule(cfg, sched)
     ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps) if cfg.n_steps else np.zeros(0)
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
@@ -309,8 +309,6 @@ def _old_refine_bands(bands, observed, score_low, score_high, cfg, trust, sched)
                 raise NumericalAbortError(f"non-finite score at t={ts[k]}")
             e = cfg.lambda_low * eps[k]
             low = low + e * s + np.sqrt(2.0 * e) * rngs[0].standard_normal(low.shape)
-            if dc:
-                low = np.where(trust[:, None], observed.low, low)
         if score_high is not None:
             s = np.asarray(score_high.score(np.stack(highs), ts[k]), dtype=np.float64)
             if not np.all(np.isfinite(s)):
@@ -319,17 +317,15 @@ def _old_refine_bands(bands, observed, score_low, score_high, cfg, trust, sched)
             for i in range(3):
                 z = rngs[i + 1].standard_normal(highs[i].shape)
                 highs[i] = highs[i] + e * s[i] + np.sqrt(2.0 * e) * z
-                if dc:
-                    highs[i] = np.where(trust[:, None], observed.high[i], highs[i])
     return [low, *highs]
 
 
 def _bands_case(wavelet="haar", shape=(12, 16), seed=5):
-    """Noisy bands, their clean observation and the r = 3 active rows."""
+    """Noisy bands and the clean bands their scores centre on."""
     rng = np.random.default_rng(seed)
     clean = st.swt_decompose(rng.normal(size=shape), wavelet)
     noisy = st.swt_decompose(rng.normal(size=shape), wavelet)
-    return noisy, clean, st.make_sparse_mask(shape[0], 3).active
+    return noisy, clean
 
 
 _REFINE_CASES = {
@@ -345,67 +341,61 @@ _REFINE_CASES = {
 @pytest.mark.parametrize("case", sorted(_REFINE_CASES))
 def test_refine_bands_bytes_match_old_loop(case, monkeypatch):
     spec = _REFINE_CASES[case]
-    noisy, clean, active = _bands_case(spec.get("wavelet", "haar"),
-                                       spec.get("shape", (12, 16)))
+    noisy, clean = _bands_case(spec.get("wavelet", "haar"), spec.get("shape", (12, 16)))
     cfg = CorrectorConfig(n_steps=25, eps_start=5e-5, eps_end=1e-6, seed=4,
                           **spec.get("cfg", {}))
     sched = st.linear_schedule(T=10)
 
     def scores(cls):
         return (cls(clean.low, 1e-4) if spec.get("low", True) else None,
-                cls(clean.stack_high(), 1e-4) if spec.get("high", True) else None)
+                cls(clean.high, 1e-4) if spec.get("high", True) else None)
 
-    want = _old_refine_bands(noisy, clean, *scores(_OldGaussianScore), cfg,
-                             np.zeros(active.shape, bool), sched)
+    want = _old_refine_bands(noisy, *scores(_OldGaussianScore), cfg, sched)
     for cap in (1, 4):
         monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
         out = refine_bands(noisy, *scores(st.AnalyticGaussianScore), cfg, sched)
-        got = [out.low, *out.high]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], cap
+        assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want], cap
 
 
 def test_refine_bands_bytes_hold_under_fast_thread_switching(monkeypatch):
     # more drawing threads than cores and a tiny switch interval: a band
     # drawn twice, or not at all, in some step would change the bytes
     monkeypatch.setattr(corrector, "_cpu_cap", lambda: 4)
-    noisy, clean, active = _bands_case()
+    noisy, clean = _bands_case()
     cfg = CorrectorConfig(n_steps=60, eps_start=5e-5, eps_end=1e-6, seed=8)
     sched = st.linear_schedule(T=10)
-    want = _old_refine_bands(noisy, clean, _OldGaussianScore(clean.low, 1e-4),
-                             _OldGaussianScore(clean.stack_high(), 1e-4),
-                             cfg, np.zeros(active.shape, bool), sched)
+    want = _old_refine_bands(noisy, _OldGaussianScore(clean.low, 1e-4),
+                             _OldGaussianScore(clean.high, 1e-4), cfg, sched)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         out = refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
-                           st.AnalyticGaussianScore(clean.stack_high(), 1e-4),
-                           cfg, sched)
+                           st.AnalyticGaussianScore(clean.high, 1e-4), cfg, sched)
     finally:
         sys.setswitchinterval(interval)
-    assert [g.tobytes() for g in (out.low, *out.high)] == [w.tobytes() for w in want]
+    assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("branch", ["low", "high"])
 @pytest.mark.parametrize("cap", [1, 4])
 def test_refine_bands_abort_keeps_message_and_joins_threads(branch, cap, monkeypatch):
     monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
-    noisy, clean, active = _bands_case()
+    noisy, clean = _bands_case()
     cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
     sched = st.linear_schedule(T=10)
-    trust = np.zeros(active.shape, bool)
     before = threading.active_count()
 
     refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
-                 st.AnalyticGaussianScore(clean.stack_high(), 1e-4), cfg, sched)
+                 st.AnalyticGaussianScore(clean.high, 1e-4), cfg, sched)
     assert threading.active_count() == before
 
     def scores():
         bad = {branch: 5}
         return (_OldGaussianScore(clean.low, 1e-4, bad.get("low")),
-                _OldGaussianScore(clean.stack_high(), 1e-4, bad.get("high")))
+                _OldGaussianScore(clean.high, 1e-4, bad.get("high")))
 
     with pytest.raises(NumericalAbortError) as old:
-        _old_refine_bands(noisy, clean, *scores(), cfg, trust, sched)
+        _old_refine_bands(noisy, *scores(), cfg, sched)
     with pytest.raises(NumericalAbortError) as new:
         refine_bands(noisy, *scores(), cfg, sched)
     assert str(new.value) == str(old.value)

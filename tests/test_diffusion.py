@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stridect as st
-from stridect.diffusion import LambdaInputs, cfg_combine, ddpm_posterior_mean
+from stridect.diffusion import LambdaInputs, cfg_combine
 from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
                              ShapeMismatchError)
 
@@ -48,11 +48,9 @@ def _expr_guidance(y0_hat, y_s, active, lam):
     return np.where(active, y0_hat + lam * (y_s - y0_hat), y0_hat)
 
 
-def _expr_ddim(y0_tilde, eps_hat, t_prev, s, sigma_t=0.0, rng=None,
-               subtract_sigma=False):
+def _expr_ddim(y0_tilde, eps_hat, t_prev, s, sigma_t=0.0, rng=None):
     ab_prev = s.alpha_bar[t_prev]
-    gap = 1.0 - ab_prev - (sigma_t**2 if subtract_sigma else 0.0)
-    out = np.sqrt(ab_prev) * y0_tilde + np.sqrt(max(gap, 0.0)) * eps_hat
+    out = np.sqrt(ab_prev) * y0_tilde + np.sqrt(1.0 - ab_prev) * eps_hat
     if sigma_t > 0.0:
         out = out + sigma_t * rng.standard_normal(out.shape)
     return out
@@ -156,30 +154,30 @@ def test_predict_x0_matches_expression_bytes():
 
 
 def test_guidance_weight_values():
-    g = st.GuidanceConfig(mode="temporal", nu=1.0, T=1000)
-    assert st.guidance_weight(1000, g) == 1.0
-    assert st.guidance_weight(0, g) == 0.0
-    g2 = st.GuidanceConfig(mode="temporal", nu=0.8, T=1000)
-    assert st.guidance_weight(500, g2) == pytest.approx(0.4)
-    gf = st.GuidanceConfig(mode="fixed", fixed_lambda=0.3, T=1000)
-    assert st.guidance_weight(999, gf) == 0.3
-    assert st.guidance_weight(1, gf) == 0.3
+    g = st.GuidanceConfig(mode="temporal", nu=1.0)
+    assert st.guidance_weight(1000, g, 1000) == 1.0
+    assert st.guidance_weight(0, g, 1000) == 0.0
+    g2 = st.GuidanceConfig(mode="temporal", nu=0.8)
+    assert st.guidance_weight(500, g2, 1000) == pytest.approx(0.4)
+    gf = st.GuidanceConfig(mode="fixed", fixed_lambda=0.3)
+    assert st.guidance_weight(999, gf, 1000) == 0.3
+    assert st.guidance_weight(1, gf, 1000) == 0.3
 
 
 def test_guidance_weight_monotone_and_bounded():
-    g = st.GuidanceConfig(mode="temporal", nu=0.7, T=100)
-    w = [st.guidance_weight(t, g) for t in range(101)]
+    g = st.GuidanceConfig(mode="temporal", nu=0.7)
+    w = [st.guidance_weight(t, g, 100) for t in range(101)]
     assert np.all(np.diff(w) >= 0)
     assert max(w) <= 0.7
 
 
 def test_guidance_config_validation():
     with pytest.raises(InvalidArgumentError):
-        st.GuidanceConfig(mode="fixed", T=10)  # fixed needs a level
+        st.GuidanceConfig(mode="fixed")  # fixed needs a level
     with pytest.raises(InvalidArgumentError):
-        st.GuidanceConfig(mode="temporal", nu=1.5, T=10)
+        st.GuidanceConfig(mode="temporal", nu=1.5)
     with pytest.raises(InvalidArgumentError):
-        st.GuidanceConfig(mode="sometimes", T=10)
+        st.GuidanceConfig(mode="sometimes")
 
 
 def test_apply_sparse_guidance_blend():
@@ -241,13 +239,10 @@ def test_ddim_step_determinism_and_validation():
     rng = np.random.default_rng(3)
     y0 = _signed_zero_normal(rng, (5, 6))
     eps = _signed_zero_normal(rng, (5, 6))
-    for t, t_prev, sigma, sub in ((5, 3, 0.0, False), (1, 0, 0.0, False),
-                                  (5, 3, 0.1, False), (5, 3, 0.05, True),
-                                  (10, 0, 0.0, True)):
+    for t, t_prev, sigma in ((5, 3, 0.0), (1, 0, 0.0), (5, 3, 0.1), (10, 0, 0.0)):
         out = st.ddim_step(eps, y0, eps, t, t_prev, s, sigma_t=sigma,
-                           rng=np.random.default_rng(9), subtract_sigma=sub)
-        expect = _expr_ddim(y0, eps, t_prev, s, sigma, np.random.default_rng(9),
-                            sub)
+                           rng=np.random.default_rng(9))
+        expect = _expr_ddim(y0, eps, t_prev, s, sigma, np.random.default_rng(9))
         assert out.tobytes() == expect.tobytes()
     with pytest.raises(InvalidArgumentError):
         st.ddim_step(y, y, y, 3, 5, s)
@@ -255,9 +250,6 @@ def test_ddim_step_determinism_and_validation():
         st.ddim_step(y, y, y, 5, 3, s, sigma_t=-0.1, rng=np.random.default_rng(0))
     with pytest.raises(InvalidArgumentError):
         st.ddim_step(y, y, y, 5, 3, s, sigma_t=0.1)  # stochastic without rng
-    with pytest.raises(InvalidArgumentError):
-        st.ddim_step(y, y, y, 5, 3, s, sigma_t=10.0, rng=np.random.default_rng(0),
-                     subtract_sigma=True)
 
 
 def test_deterministic_sampler_inverts_forward():
@@ -275,40 +267,6 @@ def test_deterministic_sampler_inverts_forward():
             y0_tilde = st.predict_x0(y, eps_hat, t, s)
             y = st.ddim_step(y, y0_tilde, eps_hat, t, t_prev, s)
         assert np.max(np.abs(y - y0)) <= 1e-4
-
-
-def test_ddpm_posterior_identities():
-    s = st.linear_schedule(T=20)
-    rng = np.random.default_rng(5)
-    y_t = rng.normal(size=(3, 4))
-    # zero predicted noise rescales by the single-step signal level
-    out = ddpm_posterior_mean(y_t, np.zeros_like(y_t), 7, s)
-    assert np.allclose(out, y_t / np.sqrt(s.alpha[7]), rtol=1e-12)
-    # at t=1 the posterior mean equals the clean estimate for any schedule
-    eps = rng.normal(size=(3, 4))
-    out1 = ddpm_posterior_mean(y_t, eps, 1, s)
-    x0 = st.predict_x0(y_t, eps, 1, s)
-    assert np.max(np.abs(out1 - x0)) <= 1e-12
-    with pytest.raises(InvalidArgumentError):
-        ddpm_posterior_mean(y_t, eps, 0, s)
-
-
-def test_ddpm_mean_matches_ancestral_composition():
-    # the ancestral mean equals a noise-shrunk deterministic step
-    s = st.linear_schedule(T=30)
-    rng = np.random.default_rng(11)
-    y_t = rng.normal(size=(4, 4))
-    eps_hat = rng.normal(size=(4, 4))
-    for t in (2, 10, 30):
-        ab, ab_prev = s.alpha_bar[t], s.alpha_bar[t - 1]
-        var = (1.0 - ab_prev) / (1.0 - ab) * s.beta[t]
-        sig = np.sqrt(var)
-        y0_tilde = st.predict_x0(y_t, eps_hat, t, s)
-        draw = st.ddim_step(y_t, y0_tilde, eps_hat, t, t - 1, s, sigma_t=sig,
-                            rng=np.random.default_rng(77), subtract_sigma=True)
-        z = np.random.default_rng(77).standard_normal(y_t.shape)
-        mean = draw - sig * z
-        assert np.max(np.abs(mean - ddpm_posterior_mean(y_t, eps_hat, t, s))) <= 1e-6
 
 
 def test_cfg_combine():

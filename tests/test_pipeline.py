@@ -38,7 +38,7 @@ def _small_cfg(**over):
     sched = st.linear_schedule(T=10)
     base = dict(
         ddim_steps=5,
-        guidance=st.GuidanceConfig(mode="temporal", nu=0.9, T=10),
+        guidance=st.GuidanceConfig(mode="temporal", nu=0.9),
         corrector=st.CorrectorConfig(n_steps=5, eps_start=1e-4, eps_end=1e-6),
     )
     base.update(over)
@@ -141,7 +141,7 @@ def test_coarse_generate_full_clamp_reproduces_input():
     y_s = rng.normal(size=(6, 5)) + 3.0
     active = np.ones(6, bool)
     sched = st.linear_schedule(T=10)
-    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="fixed", fixed_lambda=1.0, T=10))
+    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="fixed", fixed_lambda=1.0))
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
     out = coarse_generate(y_s, active, model, sched, cfg,
                           np.random.default_rng(2))
@@ -150,7 +150,7 @@ def test_coarse_generate_full_clamp_reproduces_input():
 
 def test_coarse_generate_optimal_needs_reference():
     sched = st.linear_schedule(T=10)
-    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form", T=10))
+    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))
     y_s = np.ones((6, 5))
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
     with pytest.raises(InvalidArgumentError):
@@ -165,7 +165,7 @@ def test_coarse_generate_optimal_modes_run():
     sched = st.linear_schedule(T=10)
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
     for mode in ("optimal-closed-form", "optimal-oracle"):
-        cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode=mode, T=10))
+        cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode=mode))
         out = coarse_generate(y_s, active, model, sched, cfg,
                               np.random.default_rng(4), reference=y_s)
         assert np.all(np.isfinite(out))
@@ -189,7 +189,7 @@ def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
         ab = sched.alpha_bar[t]
         y0_hat = (y - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
         if gcfg.mode in ("temporal", "fixed"):
-            lam = st.guidance_weight(t, gcfg)
+            lam = st.guidance_weight(t, gcfg, sched.T)
         else:
             inp = LambdaInputs.from_vectors((y0_hat - reference)[active].ravel(),
                                             (y_s - reference)[active].ravel())
@@ -236,21 +236,20 @@ def _coarse_cases():
     net = st.TinyEpsNet(st.init_tiny_net(2, 1, hidden=4, seed=5), sched)
 
     def cfg(**over):
-        base = dict(ddim_steps=6, guidance=st.GuidanceConfig(mode="temporal",
-                                                             nu=0.9, T=20))
+        base = dict(ddim_steps=6, guidance=st.GuidanceConfig(mode="temporal", nu=0.9))
         base.update(over)
         return PipelineConfig(**base)
 
     def fixed(lam):
-        return st.GuidanceConfig(mode="fixed", fixed_lambda=lam, T=20)
+        return st.GuidanceConfig(mode="fixed", fixed_lambda=lam)
 
     cases = [(f"fixed-{lam}", plain, cfg(guidance=fixed(lam)))
              for lam in (0.0, 0.3, 1.0, 1.5)]
     cases += [
         ("temporal", plain, cfg()),
         ("closed-form", plain,
-         cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form", T=20))),
-        ("oracle", plain, cfg(guidance=st.GuidanceConfig(mode="optimal-oracle", T=20))),
+         cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))),
+        ("oracle", plain, cfg(guidance=st.GuidanceConfig(mode="optimal-oracle"))),
         ("coupled", st.CoupledGaussianDenoiser(prior, 0.05, sched, mix=0.3), cfg()),
         ("net-omega", net, cfg(omega=0.7)),
         ("net-no-omega", net, cfg()),
@@ -279,10 +278,10 @@ def test_coarse_generate_rejects_nan_weight_and_bad_mask():
     sched, y_s, active, _, _ = _coarse_cases()
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
     cfg = PipelineConfig(ddim_steps=3, guidance=st.GuidanceConfig(
-        mode="fixed", fixed_lambda=float("nan"), T=20))
+        mode="fixed", fixed_lambda=float("nan")))
     with pytest.raises(InvalidArgumentError, match="finite"):
         coarse_generate(y_s, active, model, sched, cfg, np.random.default_rng(0))
-    ok = replace(cfg, guidance=st.GuidanceConfig(mode="temporal", T=20))
+    ok = replace(cfg, guidance=st.GuidanceConfig(mode="temporal"))
     with pytest.raises(ShapeMismatchError):
         coarse_generate(y_s, active[:-1], model, sched, ok, np.random.default_rng(0))
     with pytest.raises(InvalidArgumentError):
@@ -340,11 +339,15 @@ def test_reconstruct_validation():
     with pytest.raises(ShapeMismatchError):
         st.stride_reconstruct(masked, st.make_sparse_mask(8, 2), grid, cfg,
                               sched=sched)
-    bad_cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="temporal", T=99))
-    with pytest.raises(InvalidArgumentError):
-        st.stride_reconstruct(masked, m, grid, bad_cfg, sched=sched)
     with pytest.raises(InvalidArgumentError, match="final_dc"):
         PipelineConfig(final_dc="trust")
+    with pytest.raises(InvalidArgumentError, match="weighting"):
+        PipelineConfig(weighting="exactt")
+    with pytest.raises(InvalidArgumentError, match="wavelet"):
+        PipelineConfig(wavelet="sym4")
+    # refinement off never reaches the wavelet code, and is still checked
+    with pytest.raises(InvalidArgumentError, match="wavelet"):
+        PipelineConfig(wavelet="sym4", corrector=st.CorrectorConfig(n_steps=0))
 
 
 class _CoarseReached(Exception):
@@ -395,7 +398,7 @@ def test_unguided_chain_matches_manual_loop():
     sched = st.linear_schedule(T=10)
     cfg = PipelineConfig(
         ddim_steps=5,
-        guidance=st.GuidanceConfig(mode="temporal", nu=0.0, T=10),
+        guidance=st.GuidanceConfig(mode="temporal", nu=0.0),
         corrector=st.CorrectorConfig(n_steps=0),
         alignment=False,
         final_dc="off",
@@ -488,10 +491,9 @@ def test_lambda_sweep_table_unchanged_without_stage_metrics(monkeypatch):
     # the table as first computed: each chain run with the references
     ref = np.asarray(sino.values, dtype=np.float64)
     guides = [(f"fixed-{k / 10.0:.1f}",
-               st.GuidanceConfig(mode="fixed", nu=cfg.guidance.nu, T=10,
+               st.GuidanceConfig(mode="fixed", nu=cfg.guidance.nu,
                                  fixed_lambda=k / 10.0)) for k in range(11)]
-    guides.append(("temporal", st.GuidanceConfig(mode="temporal",
-                                                 nu=cfg.guidance.nu, T=10)))
+    guides.append(("temporal", st.GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
     expect = []
     for name, guide in guides:
         res = st.stride_reconstruct(masked, m, grid, replace(cfg, guidance=guide),

@@ -35,8 +35,7 @@ def test_perfect_reconstruction(wavelet):
 
 def test_zero_input_zero_bands():
     bands = st.swt_decompose(np.zeros((16, 16)), "haar")
-    assert not bands.low.any()
-    assert not any(b.any() for b in bands.high)
+    assert not bands.values.any()
     assert not st.iswt_reconstruct(bands).any()
 
 
@@ -55,10 +54,9 @@ def test_energy_identity(wavelet):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(128, 128))
     bands = st.swt_decompose(x, wavelet)
-    total = sum(float(np.sum(np.asarray(b) ** 2)) for b in (bands.low, *bands.high))
-    expect = st.energy_constant(wavelet) * float(np.sum(x * x))
-    assert total == pytest.approx(expect, rel=1e-8)
-    assert st.energy_constant(wavelet) == pytest.approx(4.0, abs=1e-12)
+    # each band filter pair has unit norm, so the four bands carry 4 |x|^2
+    total = float(np.sum(bands.values ** 2))
+    assert total == pytest.approx(4.0 * float(np.sum(x * x)), rel=1e-8)
 
 
 def test_analysis_and_synthesis_linear():
@@ -69,8 +67,7 @@ def test_analysis_and_synthesis_linear():
     mix = st.swt_decompose(a * x1 + b * x2, "db2")
     b1 = st.swt_decompose(x1, "db2")
     b2 = st.swt_decompose(x2, "db2")
-    for got, p, q in zip((mix.low, *mix.high), (b1.low, *b1.high), (b2.low, *b2.high)):
-        assert np.max(np.abs(got - (a * p + b * q))) <= 1e-10
+    assert np.max(np.abs(mix.values - (a * b1.values + b * b2.values))) <= 1e-10
     lhs = st.iswt_reconstruct(mix)
     rhs = a * st.iswt_reconstruct(b1) + b * st.iswt_reconstruct(b2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -83,8 +80,7 @@ def test_shift_covariance_bitwise(wavelet):
     shift = (3, -5)
     rolled = st.swt_decompose(np.roll(x, shift, axis=(0, 1)), wavelet)
     plain = st.swt_decompose(x, wavelet)
-    for got, ref in zip((rolled.low, *rolled.high), (plain.low, *plain.high)):
-        assert np.array_equal(got, np.roll(ref, shift, axis=(0, 1)))
+    assert np.array_equal(rolled.values, np.roll(plain.values, shift, axis=(1, 2)))
 
 
 def test_swt_accepts_sinogram_values():
@@ -98,15 +94,69 @@ def test_swt_accepts_sinogram_values():
 
 def test_band_container_contracts():
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(8, 8))
+    x = rng.normal(size=(8, 6))
     bands = st.swt_decompose(x, "haar")
-    stack = bands.stack_high()
-    assert stack.shape == (3, 8, 8)
-    assert np.array_equal(stack[1], bands.high[1])
-    swapped = bands.replace(low=np.zeros((8, 8)))
-    assert not swapped.low.any()
-    assert np.array_equal(swapped.high[0], bands.high[0])
-    with pytest.raises(InvalidArgumentError):
-        st.WaveletBands(low=x, high=(x, x))
-    with pytest.raises(ShapeMismatchError):
-        st.WaveletBands(low=x, high=(x, x, np.zeros((4, 4))))
+    assert bands.values.shape == (4, 8, 6)
+    assert bands.shape == (8, 6)
+    # low and high are views of the one band array, not copies
+    assert np.shares_memory(bands.low, bands.values)
+    assert np.shares_memory(bands.high, bands.values)
+    assert np.array_equal(bands.low, bands.values[0])
+    assert np.array_equal(bands.high, bands.values[1:])
+    values = rng.normal(size=(4, 5, 7))
+    made = st.WaveletBands(values, "db2")
+    assert made.values is values
+    assert made.wavelet == "db2"
+    assert made.shape == (5, 7)
+    for bad in (np.zeros((3, 8, 8)), np.zeros((5, 8, 8)), np.zeros((8, 8)),
+                np.zeros((4, 8, 8, 1))):
+        with pytest.raises(ShapeMismatchError):
+            st.WaveletBands(bad)
+
+
+# ------------------------------------ one band array against the band tuple
+
+
+def _tuple_conv_axis(x, f, axis):
+    out = np.zeros_like(x, dtype=np.float64)
+    for k, fk in enumerate(f):
+        out += fk * np.roll(x, k, axis=axis)
+    return out
+
+
+def _tuple_corr_axis(x, f, axis):
+    out = np.zeros_like(x, dtype=np.float64)
+    for k, fk in enumerate(f):
+        out += fk * np.roll(x, -k, axis=axis)
+    return out
+
+
+def _tuple_swt(x, wavelet):
+    """The analysis as written when the bands were a low array and a tuple
+    of three high arrays, each from its own convolution and adjoint."""
+    lo, hi = filter_pair(wavelet)
+    arr = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    r_lo = _tuple_conv_axis(arr, lo, 0)
+    r_hi = _tuple_conv_axis(arr, hi, 0)
+    return [_tuple_conv_axis(r_lo, lo, 1), _tuple_conv_axis(r_lo, hi, 1),
+            _tuple_conv_axis(r_hi, lo, 1), _tuple_conv_axis(r_hi, hi, 1)]
+
+
+def _tuple_iswt(bands, wavelet):
+    lo, hi = filter_pair(wavelet)
+    out = np.zeros(bands[0].shape, dtype=np.float64)
+    for band, f0, f1 in zip(bands, (lo, lo, hi, hi), (lo, hi, lo, hi)):
+        out += _tuple_corr_axis(_tuple_corr_axis(band, f1, 1), f0, 0)
+    return out / 4.0
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "db2"])
+@pytest.mark.parametrize("shape", [(16, 16), (13, 7), (18, 40), "sinogram"])
+def test_band_array_bytes_match_band_tuple(wavelet, shape):
+    rng = np.random.default_rng(14)
+    x = (st.Sinogram(rng.normal(size=(12, 20))) if shape == "sinogram"
+         else rng.normal(size=shape))
+    bands = st.swt_decompose(x, wavelet)
+    want = _tuple_swt(x, wavelet)
+    assert [b.tobytes() for b in bands.values] == [w.tobytes() for w in want]
+    assert st.iswt_reconstruct(bands).tobytes() == _tuple_iswt(want, wavelet).tobytes()
