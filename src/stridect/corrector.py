@@ -1,21 +1,22 @@
 """Distribution alignment and dual-band Langevin refinement.
 
 The aligned coarse sinogram is split into stationary-wavelet bands and each
-band runs annealed Langevin updates under its score model. Measurements are
-restored afterwards, on the sinogram, by :func:`data_consistency`.
+band runs annealed Langevin updates under its score model. Under a fixed
+Gaussian score every update is linear, so a branch scored by
+:class:`AnalyticGaussianScore` takes all of its steps at once in closed form;
+other score models step through the chain. Measurements are restored
+afterwards, on the sinogram, by :func:`data_consistency`.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from collections import deque
-from contextlib import nullcontext
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalAbortError, ShapeMismatchError
+from .denoiser import AnalyticGaussianScore
 from .diffusion import NoiseSchedule
 from .wavelet import WaveletBands
 
@@ -147,12 +148,9 @@ def langevin_growth(eps, var: float) -> float:
     return float(g.max()) if g.size else float("-inf")
 
 
-def _cpu_cap() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _band_rngs(seed: int, bands) -> list:
+    """One generator per band, each on its own (seed, band index) stream."""
+    return [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in bands]
 
 
 def refine_bands(bands: WaveletBands, score_low, score_high,
@@ -166,73 +164,83 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     a score leaves that branch's bands as they are. Each band draws from its
     own RNG stream derived from (seed, band index).
 
-    The noise of step k + 1 is drawn on worker threads while step k is
-    applied, and the calling thread draws the bands no worker has taken:
-    up to one drawing thread per band and per CPU. Each band's stream is
-    drawn by one thread at a time, in step order, so the result does not
-    depend on the thread count.
+    A branch whose score is an :class:`AnalyticGaussianScore` takes all
+    ``n_steps`` at once in closed form (:func:`_gaussian_steps`): the same
+    distribution as the step loop, with one noise draw per band instead of
+    one per step. Any other score model runs the step loop.
     """
     x = np.array(bands.values, dtype=np.float64)
-    first = 0 if score_low is not None else 1
-    stop = 4 if score_high is not None else 1
-    if cfg.n_steps and first < stop:
-        _refine(x[first:stop], score_low, score_high, cfg, sched,
-                [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
-                 for band in range(first, stop)])
+    if not cfg.n_steps:
+        return WaveletBands(x, bands.wavelet)
+    eps = eps_schedule(cfg, sched)
+    looped = {}
+    for name, part, model, lam in (("low", slice(0, 1), score_low, cfg.lambda_low),
+                                   ("high", slice(1, 4), score_high, cfg.lambda_high)):
+        if isinstance(model, AnalyticGaussianScore):
+            _gaussian_steps(x[part], model, lam * eps,
+                            _band_rngs(cfg.seed, range(part.start, part.stop)), name)
+        elif model is not None:
+            looped[name] = model
+    if looped:
+        _langevin_loop(x, looped.get("low"), looped.get("high"), cfg, eps)
     return WaveletBands(x, bands.wavelet)
 
 
-def _refine(x, score_low, score_high, cfg, sched, rngs):
-    """Run the Langevin chain in place on the live bands x, which start with
-    the low band when ``score_low`` is set and end with the high-band stack
-    when ``score_high`` is set."""
-    eps = eps_schedule(cfg, sched)
+def _gaussian_steps(x, model: AnalyticGaussianScore, e, rngs, branch: str):
+    """Apply Langevin steps of sizes ``e`` under the score of N(mean, var I)
+    to the bands x (band axis first) in place, all at once.
+
+    Each step maps the deviation d = x - mean to a_k d + sqrt(2 e_k) z_k with
+    a_k = 1 - e_k / var, so after the last step d is P d_0 + S z with
+    P = prod_k a_k, S^2 = sum_j 2 e_j prod_{i>j} a_i^2 and z ~ N(0, I): the
+    step loop's distribution exactly, but not its bytes.
+
+    Operation order, from P = 1.0 and S = 0.0 as Python floats: for each k,
+    a = 1.0 - e_k / var, P *= a, S = math.hypot(a * S, math.sqrt(2.0 * e_k)).
+    (S is carried rather than S^2 = a^2 S^2 + 2 e_k, which overflows at half
+    the exponent the chain itself reaches.) Then x -= mean, x *= P,
+    x += mean, and band by band in band order, z = rngs[b].standard_normal
+    (band shape), z *= S, x[b] += z. A non-finite result aborts.
+    """
+    var = model.var
+    if var <= 0:
+        raise InvalidArgumentError("var must be positive")
+    p, s = 1.0, 0.0
+    for ek in e.tolist():
+        a = 1.0 - ek / var
+        p *= a
+        s = math.hypot(a * s, math.sqrt(2.0 * ek))
+    x -= model.mean
+    x *= p
+    x += model.mean
+    for xb, rng in zip(x, rngs):
+        z = rng.standard_normal(xb.shape)
+        z *= s
+        xb += z
+    if not np.all(np.isfinite(x)):
+        raise NumericalAbortError(f"non-finite {branch}-band Gaussian refinement "
+                                  f"(deviation factor {p:.3g}, noise scale {s:.3g})")
+
+
+def _langevin_loop(x, score_low, score_high, cfg, eps):
+    """Run the Langevin chain step by step, in place, on the low band x[0]
+    when ``score_low`` is set and on the high-band stack x[1:] when
+    ``score_high`` is set. Each step draws its noise inline, one band at a
+    time in band order, from that band's stream."""
     ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps)
-    high = slice(0 if score_low is None else 1, len(x))
-    # two noise slots: one being applied while the next step's is drawn
-    noise = np.empty((2,) + x.shape)
+    first = 0 if score_low is not None else 1
+    stop = 4 if score_high is not None else 1
+    rngs = _band_rngs(cfg.seed, range(first, stop))
+    z = np.empty((4,) + x.shape[1:])
     buf = np.empty(x.shape)
-
-    def claim(slot, pop):
-        """Draw the bands ``pop`` hands out into a noise slot until none is left."""
-        while True:
-            try:
-                b = pop()
-            except IndexError:
-                return
-            rngs[b].standard_normal(out=noise[slot, b])
-
-    # the calling thread draws too, so it is one of the min(bands, CPUs) drawers
-    n_workers = min(len(x), _cpu_cap()) - 1
-    if n_workers:
-        from concurrent.futures import ThreadPoolExecutor  # kept off the import path
-        pool = ThreadPoolExecutor(n_workers)
-    else:
-        pool = None
-    with pool or nullcontext():
-        todo, futures = deque(range(len(x))), []
-        for k in range(cfg.n_steps):
-            slot = k % 2
-            # workers take this step's bands from the front, this thread from
-            # the back; it polls rather than blocks, because a blocked thread
-            # lets its CPU idle, and an idle virtual CPU can take a
-            # millisecond to run again on a busy host
-            claim(slot, todo.pop)
-            while not all(f.done() for f in futures):
-                time.sleep(0)
-            for f in futures:
-                f.result()
-            if k + 1 < cfg.n_steps:
-                todo = deque(range(len(x)))
-                if pool is not None:
-                    futures = [pool.submit(claim, 1 - slot, todo.popleft)
-                               for _ in range(n_workers)]
-            z = noise[slot]
-            if score_low is not None:
-                s = _score(score_low, x[0], ts[k])
-                _langevin_update(x[0], s, cfg.lambda_low * eps[k], z[0], buf[0])
-            if score_high is not None:
-                s = np.asarray(score_high.score(x[high], ts[k]), dtype=np.float64)
-                if not np.all(np.isfinite(s)):
-                    raise NumericalAbortError(f"non-finite high-band score at step {k}")
-                _langevin_update(x[high], s, cfg.lambda_high * eps[k], z[high], buf[high])
+    for k in range(cfg.n_steps):
+        for b, rng in enumerate(rngs, first):
+            rng.standard_normal(out=z[b])
+        if score_low is not None:
+            s = _score(score_low, x[0], ts[k])
+            _langevin_update(x[0], s, cfg.lambda_low * eps[k], z[0], buf[0])
+        if score_high is not None:
+            s = np.asarray(score_high.score(x[1:], ts[k]), dtype=np.float64)
+            if not np.all(np.isfinite(s)):
+                raise NumericalAbortError(f"non-finite high-band score at step {k}")
+            _langevin_update(x[1:], s, cfg.lambda_high * eps[k], z[1:], buf[1:])

@@ -217,6 +217,8 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     view-interpolated sinogram stands in for a trained network; the same
     centering builds default band scores when refinement is enabled but no
     score model was given. grid supplies the output raster (values unused).
+    A live band branch whose Gaussian score, default or given, must overflow
+    under the corrector's steps is rejected before any work starts.
     """
     if m.n_views != y_s.geometry.n_views:
         raise ShapeMismatchError("mask and sinogram view counts differ")
@@ -225,16 +227,22 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     run_low = cfg.low_band and cfg.corrector.n_steps > 0
     run_high = cfg.high_band and cfg.corrector.n_steps > 0
     eps = eps_schedule(cfg.corrector, sched)
-    for run, given, lam in ((run_low, score_low, cfg.corrector.lambda_low),
-                            (run_high, score_high, cfg.corrector.lambda_high)):
-        if not run or given is not None:
-            continue  # only a default Gaussian band score is known here
-        growth = langevin_growth(lam * eps, prior_var)
+    for name, run, given, lam in (("low", run_low, score_low, cfg.corrector.lambda_low),
+                                  ("high", run_high, score_high, cfg.corrector.lambda_high)):
+        if not run:
+            continue
+        if given is None:
+            var, where = prior_var, "prior_var"
+        elif isinstance(given, AnalyticGaussianScore):
+            var, where = given.var, f"the given {name}-band score's var"
+        else:
+            continue  # only a Gaussian band score's growth is known here
+        growth = langevin_growth(lam * eps, var)
         if growth > np.log10(np.finfo(np.float64).max):
             raise InvalidArgumentError(
                 f"Langevin steps from eps={lam * eps[0]:.3g} grow deviations "
-                f"under prior_var={prior_var:g} by 10^{growth:.0f}, past the "
-                "float range; lower eps_start or raise prior_var")
+                f"under {where}={var:g} by 10^{growth:.0f}, past the "
+                f"float range; lower eps_start or raise {where}")
     active = m.active
     raw = np.asarray(y_s.values, dtype=np.float64)
     scale = float(np.max(np.abs(raw[active]))) if cfg.normalize else 1.0

@@ -1,13 +1,12 @@
 """Alignment fitting, Langevin refinement, and data consistency."""
 
-import sys
-import threading
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stridect as st
-import stridect.corrector as corrector
 from stridect.corrector import (
     AlignmentParams,
     CorrectorConfig,
@@ -338,56 +337,120 @@ _REFINE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
-def test_refine_bands_bytes_match_old_loop(case, monkeypatch):
-    spec = _REFINE_CASES[case]
+def _case_scores(spec, clean, cls):
+    """The case's (score_low, score_high), each of class ``cls`` unless the
+    case names another class or switches the branch off."""
+    def make(branch, mean):
+        kind = spec.get(branch, cls)
+        return kind(mean, 1e-4) if kind else None
+    return make("low", clean.low), make("high", clean.high)
+
+
+def _case(spec):
     noisy, clean = _bands_case(spec.get("wavelet", "haar"), spec.get("shape", (12, 16)))
     cfg = CorrectorConfig(n_steps=25, eps_start=5e-5, eps_end=1e-6, seed=4,
                           **spec.get("cfg", {}))
-    sched = st.linear_schedule(T=10)
-
-    def scores(cls):
-        return (cls(clean.low, 1e-4) if spec.get("low", True) else None,
-                cls(clean.high, 1e-4) if spec.get("high", True) else None)
-
-    want = _old_refine_bands(noisy, *scores(_OldGaussianScore), cfg, sched)
-    for cap in (1, 4):
-        monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
-        out = refine_bands(noisy, *scores(st.AnalyticGaussianScore), cfg, sched)
-        assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want], cap
+    return noisy, clean, cfg, st.linear_schedule(T=10)
 
 
-def test_refine_bands_bytes_hold_under_fast_thread_switching(monkeypatch):
-    # more drawing threads than cores and a tiny switch interval: a band
-    # drawn twice, or not at all, in some step would change the bytes
-    monkeypatch.setattr(corrector, "_cpu_cap", lambda: 4)
-    noisy, clean = _bands_case()
-    cfg = CorrectorConfig(n_steps=60, eps_start=5e-5, eps_end=1e-6, seed=8)
-    sched = st.linear_schedule(T=10)
-    want = _old_refine_bands(noisy, _OldGaussianScore(clean.low, 1e-4),
-                             _OldGaussianScore(clean.high, 1e-4), cfg, sched)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
-                           st.AnalyticGaussianScore(clean.high, 1e-4), cfg, sched)
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+def test_refine_bands_bytes_match_old_loop(case):
+    # a score model that is not an AnalyticGaussianScore takes the step loop
+    spec = _REFINE_CASES[case]
+    noisy, clean, cfg, sched = _case(spec)
+    want = _old_refine_bands(noisy, *_case_scores(spec, clean, _OldGaussianScore),
+                             cfg, sched)
+    out = refine_bands(noisy, *_case_scores(spec, clean, _OldGaussianScore), cfg, sched)
     assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want]
 
 
+def _closed_form_bands(bands, score_low, score_high, cfg, sched):
+    """Reference: each Gaussian branch's n steps as mean + P (x - mean) + S z,
+    with P and S built up step by step and one draw per band."""
+    eps = eps_schedule(cfg, sched)
+    out = [np.array(b, dtype=np.float64) for b in bands.values]
+    for model, lam, idx in ((score_low, cfg.lambda_low, [0]),
+                            (score_high, cfg.lambda_high, [1, 2, 3])):
+        if not isinstance(model, st.AnalyticGaussianScore):
+            continue
+        p, s = 1.0, 0.0
+        for e in (lam * eps).tolist():
+            a = 1.0 - e / model.var
+            p *= a
+            s = math.hypot(a * s, math.sqrt(2.0 * e))
+        means = np.broadcast_to(model.mean, (len(idx),) + out[0].shape)
+        for mean, b in zip(means, idx):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
+            out[b] = ((out[b] - mean) * p + mean) + rng.standard_normal(mean.shape) * s
+    return out
+
+
+_GAUSSIAN_CASES = {**_REFINE_CASES, "mixed": {"high": _OldGaussianScore}}
+
+
+@pytest.mark.parametrize("case", sorted(_GAUSSIAN_CASES))
+def test_refine_bands_gaussian_bytes_match_closed_form(case):
+    spec = _GAUSSIAN_CASES[case]
+    noisy, clean, cfg, sched = _case(spec)
+    scores = _case_scores(spec, clean, st.AnalyticGaussianScore)
+    want = _closed_form_bands(noisy, *scores, cfg, sched)
+    if spec.get("high") is _OldGaussianScore:
+        # the high branch still steps through the loop, byte for byte
+        loop = _old_refine_bands(noisy, None, _OldGaussianScore(clean.high, 1e-4),
+                                 cfg, sched)
+        want[1:] = loop[1:]
+    out = refine_bands(noisy, *scores, cfg, sched)
+    assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want]
+
+
+def _chain_moments(eps, var):
+    """Memory factor P and noise variance S^2 of Langevin steps eps under
+    N(mean, var I), summed term by term."""
+    a = 1.0 - eps / var
+    tails = np.append(np.cumprod(a[::-1])[::-1][1:], 1.0)  # prod_{i>j} a_i
+    return float(np.prod(a)), float(np.sum(2.0 * eps * tails**2))
+
+
+@pytest.mark.parametrize("schedule", ["half-memory", "default"])
+def test_refine_bands_closed_form_and_loop_share_the_chain_distribution(schedule):
+    # per-pixel moments of the low band over 400 seeds against
+    # mean + P (x0 - mean) and S^2; the high bands run the same code per band
+    rng = np.random.default_rng(11)
+    x0 = st.WaveletBands(rng.normal(size=(4, 4, 5)))
+    mean, var, n = rng.normal(size=(4, 5)), 0.05, 400
+    sched = st.linear_schedule()
+    if schedule == "half-memory":
+        base = CorrectorConfig(n_steps=20, eps_start=2e-3, eps_end=1e-3)
+    else:
+        base = CorrectorConfig()
+    p, s2 = _chain_moments(eps_schedule(base, sched), var)
+    if schedule == "half-memory":
+        assert 0.4 < p < 0.6
+    want_mean = mean + p * (x0.low - mean)
+    for cls in (st.AnalyticGaussianScore, _OldGaussianScore):
+        draws = np.stack([refine_bands(x0, cls(mean, var), None,
+                                       replace(base, seed=seed), sched).low
+                          for seed in range(n)])
+        assert np.max(np.abs(draws.mean(0) - want_mean)) <= 5 * math.sqrt(s2 / n), cls
+        assert np.max(np.abs(draws.var(0, ddof=1) - s2)) <= 5 * s2 * math.sqrt(2 / (n - 1)), cls
+
+
 @pytest.mark.parametrize("branch", ["low", "high"])
-@pytest.mark.parametrize("cap", [1, 4])
-def test_refine_bands_abort_keeps_message_and_joins_threads(branch, cap, monkeypatch):
-    monkeypatch.setattr(corrector, "_cpu_cap", lambda: cap)
+def test_refine_bands_closed_form_aborts_on_a_non_finite_band(branch):
+    noisy, clean = _bands_case()
+    noisy.values[0 if branch == "low" else 2, 3, 4] = np.nan
+    cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
+    with pytest.raises(NumericalAbortError, match=f"{branch}-band"):
+        refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
+                     st.AnalyticGaussianScore(clean.high, 1e-4), cfg,
+                     st.linear_schedule(T=10))
+
+
+@pytest.mark.parametrize("branch", ["low", "high"])
+def test_refine_bands_loop_abort_keeps_message(branch):
     noisy, clean = _bands_case()
     cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
     sched = st.linear_schedule(T=10)
-    before = threading.active_count()
-
-    refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
-                 st.AnalyticGaussianScore(clean.high, 1e-4), cfg, sched)
-    assert threading.active_count() == before
 
     def scores():
         bad = {branch: 5}
@@ -399,7 +462,6 @@ def test_refine_bands_abort_keeps_message_and_joins_threads(branch, cap, monkeyp
     with pytest.raises(NumericalAbortError) as new:
         refine_bands(noisy, *scores(), cfg, sched)
     assert str(new.value) == str(old.value)
-    assert threading.active_count() == before
 
 
 # ------------------------------------------------------- Langevin stability

@@ -378,6 +378,27 @@ def test_reconstruct_rejects_overflowing_langevin_up_front(
                   score_high=st.AnalyticGaussianScore(np.zeros(1), 1.0))
     with pytest.raises(_CoarseReached):
         st.stride_reconstruct(masked, m, grid64, cfg, prior_var=prior_var, **scores)
+    # a given Gaussian band score is checked under its own variance
+    for branch in ("score_low", "score_high"):
+        given = {branch: st.AnalyticGaussianScore(np.zeros(1), prior_var)}
+        with pytest.raises(expected):
+            st.stride_reconstruct(masked, m, grid64, cfg, **given)
+
+
+def test_default_reconstruct_never_evaluates_the_gaussian_band_score(monkeypatch):
+    # the default band scores are Gaussian, so refinement runs in closed form
+    calls = []
+    score = st.AnalyticGaussianScore.score
+
+    def counted(self, y, t):
+        calls.append(t)
+        return score(self, y, t)
+
+    monkeypatch.setattr(st.AnalyticGaussianScore, "score", counted)
+    phantom, g, sino, m, masked, grid = _small_problem()
+    res = st.stride_reconstruct(masked, m, grid, PipelineConfig())
+    assert [s.stage for s in res.stages][-3:] == ["refined", "final-dc", "fbp"]
+    assert calls == []
 
 
 def test_reconstruct_flag_combinations_run():
