@@ -1,6 +1,7 @@
 """Alignment fitting, Langevin refinement, and data consistency."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -447,13 +448,17 @@ def test_refine_bands_closed_form_aborts_on_a_non_finite_band(branch):
 
 
 @pytest.mark.parametrize("branch", ["low", "high"])
-def test_refine_bands_loop_abort_keeps_message(branch):
+@pytest.mark.parametrize("finite_calls", [1, 4])
+def test_refine_bands_abort_keeps_message_and_joins_threads(branch, finite_calls):
+    """A score that turns non-finite after `finite_calls` steps aborts the
+    loop with the old message, and the refinement leaves no thread behind."""
     noisy, clean = _bands_case()
     cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
     sched = st.linear_schedule(T=10)
+    before = threading.active_count()
 
     def scores():
-        bad = {branch: 5}
+        bad = {branch: finite_calls}
         return (_OldGaussianScore(clean.low, 1e-4, bad.get("low")),
                 _OldGaussianScore(clean.high, 1e-4, bad.get("high")))
 
@@ -462,6 +467,7 @@ def test_refine_bands_loop_abort_keeps_message(branch):
     with pytest.raises(NumericalAbortError) as new:
         refine_bands(noisy, *scores(), cfg, sched)
     assert str(new.value) == str(old.value)
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------- Langevin stability
