@@ -4,8 +4,12 @@ The aligned coarse sinogram is split into stationary-wavelet bands and each
 band runs annealed Langevin updates under its score model. Under a fixed
 Gaussian score every update is linear, so a branch scored by
 :class:`AnalyticGaussianScore` takes all of its steps at once in closed form;
-other score models step through the chain. Measurements are restored
-afterwards, on the sinogram, by :func:`data_consistency`.
+other score models step through the chain. The low band and the high-band
+stack are independent branches, each under its own score model and band
+streams, and :func:`refine_bands` runs one after the other.
+:func:`check_refinement` rejects, before any chain work, a Gaussian-scored
+branch whose steps must fail. Measurements are restored afterwards, on the
+sinogram, by :func:`data_consistency`.
 """
 
 from __future__ import annotations
@@ -58,14 +62,6 @@ def apply_linear_alignment(y, params: AlignmentParams):
     return params.a * np.asarray(getattr(y, "values", y), dtype=np.float64) + params.b
 
 
-def _score(model, x, t):
-    """model.score(x, t) as float64; a non-finite entry aborts the chain."""
-    s = np.asarray(model.score(x, t), dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise NumericalAbortError(f"non-finite score at t={t}")
-    return s
-
-
 def _langevin_update(x, s, e, z, buf):
     """x <- x + e * s + sqrt(2 e) * z in place, summed in that order.
 
@@ -82,7 +78,9 @@ def langevin_step(x, score_model, t: float, eps_t: float, rng):
     if eps_t < 0:
         raise InvalidArgumentError("eps_t must be >= 0")
     x = np.array(x, dtype=np.float64)
-    s = _score(score_model, x, t)
+    s = np.asarray(score_model.score(x, t), dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise NumericalAbortError(f"non-finite score at t={t}")
     _langevin_update(x, s, eps_t, rng.standard_normal(x.shape), np.empty_like(x))
     return x
 
@@ -133,24 +131,51 @@ def eps_schedule(cfg: CorrectorConfig, sched: NoiseSchedule) -> np.ndarray:
     return start * ratio ** np.arange(cfg.n_steps)
 
 
-def langevin_growth(eps, var: float) -> float:
-    """log10 of the largest factor by which Langevin steps of sizes ``eps``
-    grow a deviation from the mean under the score of N(mean, var I).
+def gaussian_factors(e, var: float) -> tuple[float, float]:
+    """Deviation factor P and noise scale S of Langevin steps of sizes ``e``
+    under the score of N(mean, var I).
 
-    Each step multiplies the deviation by (1 - eps_k / var), so the factor
-    after step k is the product of |1 - eps_j / var| over j <= k. A chain
-    whose factor passes the largest float overflows whatever its start.
+    Each step maps the deviation d = x - mean to a_k d + sqrt(2 e_k) z_k with
+    a_k = 1 - e_k / var, so after the last step d is P d_0 + S z with
+    P = prod_k a_k, S^2 = sum_j 2 e_j prod_{i>j} a_i^2 and z ~ N(0, I).
+
+    Operation order, from P = 1.0 and S = 0.0 as Python floats: for each k,
+    a = 1.0 - e_k / var, P *= a, S = math.hypot(a * S, math.sqrt(2.0 * e_k)).
+    (S is carried rather than S^2 = a^2 S^2 + 2 e_k, which overflows at half
+    the exponent the chain itself reaches.) A var <= 0, or a P or S that is
+    not finite, is rejected: such a chain overflows whatever its start.
     """
     if var <= 0:
-        raise InvalidArgumentError("var must be positive")
-    with np.errstate(divide="ignore"):  # a step of exactly var resets it
-        g = np.cumsum(np.log10(np.abs(1.0 - np.asarray(eps) / var)))
-    return float(g.max()) if g.size else float("-inf")
+        raise InvalidArgumentError(f"Gaussian band score var={var:g} must be positive "
+                                   "(prior_var for the default band scores)")
+    p, s = 1.0, 0.0
+    for ek in e.tolist():
+        a = 1.0 - ek / var
+        p *= a
+        s = math.hypot(a * s, math.sqrt(2.0 * ek))
+    if not (math.isfinite(p) and math.isfinite(s)):
+        raise InvalidArgumentError(
+            f"Langevin steps from eps={e[0]:.3g} scale deviations under a Gaussian "
+            f"band score of var={var:g} by {p:.3g} (noise scale {s:.3g}); lower "
+            "eps_start or raise the var (prior_var for the default band scores)")
+    return p, s
 
 
-def _band_rngs(seed: int, bands) -> list:
+def check_refinement(score_low, score_high, cfg: CorrectorConfig,
+                     sched: NoiseSchedule) -> None:
+    """Reject, before any chain work, a refinement that must fail: each
+    branch scored by an :class:`AnalyticGaussianScore` has its step factors
+    checked by :func:`gaussian_factors`. None marks a branch that is off;
+    other score models are not known until they run."""
+    eps = eps_schedule(cfg, sched)
+    for model, lam in ((score_low, cfg.lambda_low), (score_high, cfg.lambda_high)):
+        if isinstance(model, AnalyticGaussianScore):
+            gaussian_factors(lam * eps, model.var)
+
+
+def _band_rngs(seed: int) -> list:
     """One generator per band, each on its own (seed, band index) stream."""
-    return [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in bands]
+    return [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in range(4)]
 
 
 def refine_bands(bands: WaveletBands, score_low, score_high,
@@ -162,7 +187,8 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     ``values[0]`` uses ``score_low``; the high bands ``values[1:]`` share
     ``score_high`` evaluated on that (3, rows, cols) view. Passing None for
     a score leaves that branch's bands as they are. Each band draws from its
-    own RNG stream derived from (seed, band index).
+    own RNG stream derived from (seed, band index), so the two branches are
+    independent and run one after the other.
 
     A branch whose score is an :class:`AnalyticGaussianScore` takes all
     ``n_steps`` at once in closed form (:func:`_gaussian_steps`): the same
@@ -173,47 +199,33 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     if not cfg.n_steps:
         return WaveletBands(x, bands.wavelet)
     eps = eps_schedule(cfg, sched)
-    looped = {}
-    for name, part, model, lam in (("low", slice(0, 1), score_low, cfg.lambda_low),
-                                   ("high", slice(1, 4), score_high, cfg.lambda_high)):
+    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps)
+    rngs = _band_rngs(cfg.seed)
+    for branch, view, model, lam, streams in (
+            ("low", x[0], score_low, cfg.lambda_low, rngs[:1]),
+            ("high", x[1:], score_high, cfg.lambda_high, rngs[1:])):
         if isinstance(model, AnalyticGaussianScore):
-            _gaussian_steps(x[part], model, lam * eps,
-                            _band_rngs(cfg.seed, range(part.start, part.stop)), name)
+            _gaussian_steps(view, model, lam * eps, streams, branch)
         elif model is not None:
-            looped[name] = model
-    if looped:
-        _langevin_loop(x, looped.get("low"), looped.get("high"), cfg, eps)
+            _langevin_loop(view, model, lam * eps, ts, streams, branch)
     return WaveletBands(x, bands.wavelet)
 
 
 def _gaussian_steps(x, model: AnalyticGaussianScore, e, rngs, branch: str):
     """Apply Langevin steps of sizes ``e`` under the score of N(mean, var I)
-    to the bands x (band axis first) in place, all at once.
+    to the band or band stack x in place, all at once.
 
-    Each step maps the deviation d = x - mean to a_k d + sqrt(2 e_k) z_k with
-    a_k = 1 - e_k / var, so after the last step d is P d_0 + S z with
-    P = prod_k a_k, S^2 = sum_j 2 e_j prod_{i>j} a_i^2 and z ~ N(0, I): the
-    step loop's distribution exactly, but not its bytes.
-
-    Operation order, from P = 1.0 and S = 0.0 as Python floats: for each k,
-    a = 1.0 - e_k / var, P *= a, S = math.hypot(a * S, math.sqrt(2.0 * e_k)).
-    (S is carried rather than S^2 = a^2 S^2 + 2 e_k, which overflows at half
-    the exponent the chain itself reaches.) Then x -= mean, x *= P,
-    x += mean, and band by band in band order, z = rngs[b].standard_normal
-    (band shape), z *= S, x[b] += z. A non-finite result aborts.
+    With P and S from :func:`gaussian_factors`, the deviation from the mean
+    becomes P d_0 + S z: the step loop's distribution exactly, but not its
+    bytes. Operation order: x -= mean, x *= P, x += mean, and band by band
+    in band order, z = rngs[b].standard_normal(band shape), z *= S,
+    x[b] += z. A non-finite result aborts.
     """
-    var = model.var
-    if var <= 0:
-        raise InvalidArgumentError("var must be positive")
-    p, s = 1.0, 0.0
-    for ek in e.tolist():
-        a = 1.0 - ek / var
-        p *= a
-        s = math.hypot(a * s, math.sqrt(2.0 * ek))
+    p, s = gaussian_factors(e, model.var)
     x -= model.mean
     x *= p
     x += model.mean
-    for xb, rng in zip(x, rngs):
+    for xb, rng in zip(x.reshape((-1,) + x.shape[-2:]), rngs):  # band axis first
         z = rng.standard_normal(xb.shape)
         z *= s
         xb += z
@@ -222,25 +234,16 @@ def _gaussian_steps(x, model: AnalyticGaussianScore, e, rngs, branch: str):
                                   f"(deviation factor {p:.3g}, noise scale {s:.3g})")
 
 
-def _langevin_loop(x, score_low, score_high, cfg, eps):
-    """Run the Langevin chain step by step, in place, on the low band x[0]
-    when ``score_low`` is set and on the high-band stack x[1:] when
-    ``score_high`` is set. Each step draws its noise inline, one band at a
-    time in band order, from that band's stream."""
-    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps)
-    first = 0 if score_low is not None else 1
-    stop = 4 if score_high is not None else 1
-    rngs = _band_rngs(cfg.seed, range(first, stop))
-    z = np.empty((4,) + x.shape[1:])
+def _langevin_loop(x, model, e, ts, rngs, branch: str):
+    """Run the Langevin chain on the band or band stack x in place, one step
+    of size e[k] at time ts[k] after another. Each step draws its noise
+    inline, one band at a time in band order, from that band's stream."""
+    z = np.empty(x.shape)
     buf = np.empty(x.shape)
-    for k in range(cfg.n_steps):
-        for b, rng in enumerate(rngs, first):
-            rng.standard_normal(out=z[b])
-        if score_low is not None:
-            s = _score(score_low, x[0], ts[k])
-            _langevin_update(x[0], s, cfg.lambda_low * eps[k], z[0], buf[0])
-        if score_high is not None:
-            s = np.asarray(score_high.score(x[1:], ts[k]), dtype=np.float64)
-            if not np.all(np.isfinite(s)):
-                raise NumericalAbortError(f"non-finite high-band score at step {k}")
-            _langevin_update(x[1:], s, cfg.lambda_high * eps[k], z[1:], buf[1:])
+    for k, (ek, t) in enumerate(zip(e, ts)):
+        for zb, rng in zip(z.reshape((-1,) + z.shape[-2:]), rngs):
+            rng.standard_normal(out=zb)
+        s = np.asarray(model.score(x, t), dtype=np.float64)
+        if not np.all(np.isfinite(s)):
+            raise NumericalAbortError(f"non-finite {branch}-band score at step {k}")
+        _langevin_update(x, s, ek, z, buf)

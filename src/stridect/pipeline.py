@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment,
-                        data_consistency, eps_schedule, fit_linear_alignment,
-                        langevin_growth, refine_bands)
+                        check_refinement, data_consistency, fit_linear_alignment,
+                        refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
                         _ddim_update, _guidance_lambda, _guide_rows,
@@ -214,35 +214,17 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     """Full chain from masked sinogram to reconstructed image.
 
     With model=None an analytic Gaussian surrogate centered on the
-    view-interpolated sinogram stands in for a trained network; the same
-    centering builds default band scores when refinement is enabled but no
-    score model was given. grid supplies the output raster (values unused).
-    A live band branch whose Gaussian score, default or given, must overflow
-    under the corrector's steps is rejected before any work starts.
+    view-interpolated sinogram stands in for a trained network. The same
+    centering gives each live band branch that was given no score model a
+    Gaussian score of variance prior_var; a branch is live when its band
+    flag is set and the corrector takes steps, and an off branch is never
+    scored. The band scores are checked by :func:`check_refinement` before
+    the chain starts. grid supplies the output raster (values unused).
     """
     if m.n_views != y_s.geometry.n_views:
         raise ShapeMismatchError("mask and sinogram view counts differ")
     if sched is None:
         sched = linear_schedule()
-    run_low = cfg.low_band and cfg.corrector.n_steps > 0
-    run_high = cfg.high_band and cfg.corrector.n_steps > 0
-    eps = eps_schedule(cfg.corrector, sched)
-    for name, run, given, lam in (("low", run_low, score_low, cfg.corrector.lambda_low),
-                                  ("high", run_high, score_high, cfg.corrector.lambda_high)):
-        if not run:
-            continue
-        if given is None:
-            var, where = prior_var, "prior_var"
-        elif isinstance(given, AnalyticGaussianScore):
-            var, where = given.var, f"the given {name}-band score's var"
-        else:
-            continue  # only a Gaussian band score's growth is known here
-        growth = langevin_growth(lam * eps, var)
-        if growth > np.log10(np.finfo(np.float64).max):
-            raise InvalidArgumentError(
-                f"Langevin steps from eps={lam * eps[0]:.3g} grow deviations "
-                f"under {where}={var:g} by 10^{growth:.0f}, past the "
-                f"float range; lower eps_start or raise {where}")
     active = m.active
     raw = np.asarray(y_s.values, dtype=np.float64)
     scale = float(np.max(np.abs(raw[active]))) if cfg.normalize else 1.0
@@ -252,6 +234,17 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     ref_arr = np.asarray(reference.values, dtype=np.float64) if reference is not None else None
     ref_n = ref_arr / scale if ref_arr is not None else None
     interp = interpolate_views(ys_n, active)
+    steps = cfg.corrector.n_steps > 0
+    live_low, live_high = steps and cfg.low_band, steps and cfg.high_band
+    if (live_low and score_low is None) or (live_high and score_high is None):
+        prior = swt_decompose(interp, cfg.wavelet)
+        if score_low is None:
+            score_low = AnalyticGaussianScore(prior.low, prior_var)
+        if score_high is None:
+            score_high = AnalyticGaussianScore(prior.high, prior_var)
+    score_low = score_low if live_low else None
+    score_high = score_high if live_high else None
+    check_refinement(score_low, score_high, cfg.corrector, sched)
     if model is None:
         model = AnalyticGaussianDenoiser(interp, prior_var, sched)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
@@ -266,16 +259,8 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         y = apply_linear_alignment(y, align)
         stages.append(_stage("aligned", y * scale, ref_arr, active))
 
-    if run_low or run_high:
-        bands = swt_decompose(y, cfg.wavelet)
-        if (run_low and score_low is None) or (run_high and score_high is None):
-            prior = swt_decompose(interp, cfg.wavelet)
-            if run_low and score_low is None:
-                score_low = AnalyticGaussianScore(prior.low, prior_var)
-            if run_high and score_high is None:
-                score_high = AnalyticGaussianScore(prior.high, prior_var)
-        bands = refine_bands(bands, score_low if run_low else None,
-                             score_high if run_high else None,
+    if score_low is not None or score_high is not None:
+        bands = refine_bands(swt_decompose(y, cfg.wavelet), score_low, score_high,
                              cfg.corrector, sched)
         y = iswt_reconstruct(bands)
         stages.append(_stage("refined", y * scale, ref_arr, active))

@@ -2,10 +2,13 @@
 
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import stridect as st
 from stridect.corrector import (
@@ -14,7 +17,7 @@ from stridect.corrector import (
     data_consistency,
     eps_schedule,
     fit_linear_alignment,
-    langevin_growth,
+    gaussian_factors,
     langevin_step,
     refine_bands,
 )
@@ -306,7 +309,7 @@ def _old_refine_bands(bands, score_low, score_high, cfg, sched):
         if score_low is not None:
             s = np.asarray(score_low.score(low, ts[k]), dtype=np.float64)
             if not np.all(np.isfinite(s)):
-                raise NumericalAbortError(f"non-finite score at t={ts[k]}")
+                raise NumericalAbortError(f"non-finite low-band score at step {k}")
             e = cfg.lambda_low * eps[k]
             low = low + e * s + np.sqrt(2.0 * e) * rngs[0].standard_normal(low.shape)
         if score_high is not None:
@@ -473,16 +476,35 @@ def test_refine_bands_abort_keeps_message_and_joins_threads(branch, finite_calls
 # ------------------------------------------------------- Langevin stability
 
 
-def test_langevin_growth_on_the_default_schedule():
+def test_gaussian_factors_on_the_default_schedule():
     eps = eps_schedule(CorrectorConfig(), st.linear_schedule())
-    growth = {v: langevin_growth(eps, v) for v in (0.05, 1e-3, 1e-4, 1e-5)}
-    assert growth[0.05] == pytest.approx(-0.097, abs=1e-3)
-    assert growth[1e-3] == pytest.approx(73.2, abs=0.1)
-    assert growth[1e-4] == pytest.approx(369.7, abs=0.1)
-    assert growth[1e-5] == pytest.approx(869.1, abs=0.1)
-    assert langevin_growth(np.zeros(0), 1.0) == float("-inf")
-    with pytest.raises(InvalidArgumentError):
-        langevin_growth(eps, 0.0)
+    p, s = gaussian_factors(eps, 0.05)
+    assert p == pytest.approx(1.0295e-8, rel=1e-4)
+    assert s == pytest.approx(0.22394, rel=1e-4)
+    p, s = gaussian_factors(eps, 1e-3)
+    assert p == pytest.approx(7.8467e-20, rel=1e-4)
+    assert s == pytest.approx(0.031747, rel=1e-4)
+    for var in (1e-4, 1e-5):  # P overflows to +inf and to -inf
+        with pytest.raises(InvalidArgumentError, match="var=.*prior_var"):
+            gaussian_factors(eps, var)
+    for var in (0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="must be positive"):
+            gaussian_factors(eps, var)
+    assert gaussian_factors(np.zeros(0), 1.0) == (1.0, 0.0)
     # a step of exactly var zeroes the deviation without a warning
-    with np.errstate(all="raise"):
-        assert langevin_growth(np.array([3.0, 1.0, 0.5]), 1.0) == pytest.approx(np.log10(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, s = gaussian_factors(np.array([3.0, 1.0, 0.5]), 1.0)
+    assert p == 0.0
+    assert s == pytest.approx(math.sqrt(1.5), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.floats(1e-6, 0.2), min_size=1, max_size=40),
+       hst.floats(0.01, 1.0))
+def test_gaussian_factors_match_the_chain_moments(steps, var):
+    e = np.array(steps)
+    want_p, want_s2 = _chain_moments(e, var)
+    p, s = gaussian_factors(e, var)
+    assert p == pytest.approx(want_p, rel=1e-12, abs=1e-300)
+    assert s * s == pytest.approx(want_s2, rel=1e-10)
