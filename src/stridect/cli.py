@@ -83,7 +83,8 @@ def parse_config_file(path) -> dict:
 
 def build_pipeline_config(kv: dict) -> tuple[PipelineConfig, float]:
     """Assemble a PipelineConfig (plus the analytic prior variance) from a
-    flat key=value mapping."""
+    flat key=value mapping. The corrector's seed is the run's ``seed``
+    unless ``corrector_seed`` is given."""
     kv = dict(kv)
     prior_var = kv.pop("prior_var", 0.05)
     guidance = GuidanceConfig(
@@ -99,7 +100,7 @@ def build_pipeline_config(kv: dict) -> tuple[PipelineConfig, float]:
         lambda_high=kv.pop("lambda_high", 1.0),
         t_start=kv.pop("t_start", 1.0),
         t_end=kv.pop("t_end", 0.02),
-        seed=kv.pop("corrector_seed", 0),
+        seed=kv.pop("corrector_seed", kv.get("seed", 0)),
     )
     filt = FilterSpec(kind=kv.pop("filter_kind", "ram-lak"),
                       cutoff=kv.pop("cutoff", 1.0))

@@ -174,8 +174,10 @@ def check_refinement(score_low, score_high, cfg: CorrectorConfig,
 
 
 def _band_rngs(seed: int) -> list:
-    """One generator per band, each on its own (seed, band index) stream."""
-    return [np.random.default_rng(np.random.SeedSequence([seed, b])) for b in range(4)]
+    """One generator per band, each on its own (seed, 1, band index) stream.
+    The coarse stage draws from (seed, 0), so under equal seeds no band
+    shares its stream."""
+    return [np.random.default_rng(np.random.SeedSequence([seed, 1, b])) for b in range(4)]
 
 
 def refine_bands(bands: WaveletBands, score_low, score_high,
@@ -187,7 +189,7 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     ``values[0]`` uses ``score_low``; the high bands ``values[1:]`` share
     ``score_high`` evaluated on that (3, rows, cols) view. Passing None for
     a score leaves that branch's bands as they are. Each band draws from its
-    own RNG stream derived from (seed, band index), so the two branches are
+    own RNG stream derived from (seed, 1, band index), so the two branches are
     independent and run one after the other.
 
     A branch whose score is an :class:`AnalyticGaussianScore` takes all

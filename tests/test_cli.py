@@ -134,6 +134,22 @@ def test_reconstruct_stride_outputs(workdir):
     assert np.all(np.isfinite(img.values))
 
 
+def test_reconstruct_seed_reseeds_the_default_chain(workdir):
+    # the default refinement keeps ~1e-8 of the coarse stage, so --seed
+    # must reach the corrector's band streams to change the image
+    cfg = workdir / "seeded.cfg"
+    cfg.write_text("ddim_steps = 4\n")
+    images = []
+    for seed in ("1", "2"):
+        out = workdir / f"rec{seed}.bin"
+        assert _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                    "--size", "16", "--config", str(cfg), "--seed", seed,
+                    "--out", str(out)) == 0
+        images.append(st.read_image(out).values)
+    a, b = images
+    assert np.max(np.abs(a - b)) > 1e-2 * np.max(np.abs(a))
+
+
 def test_reconstruct_with_trained_net(workdir):
     net = workdir / "net.bin"
     assert _run("train", "--sino", str(workdir / "full.bin"), "--epochs", "1",
@@ -341,3 +357,6 @@ def test_build_pipeline_config_defaults_and_overrides():
     assert cfg2.weighting == "exact"
     assert not cfg2.alignment
     assert pv2 == 0.2
+    # the corrector follows the run's seed unless given its own
+    assert build_pipeline_config({"seed": 5})[0].corrector.seed == 5
+    assert build_pipeline_config({"seed": 5, "corrector_seed": 9})[0].corrector.seed == 9

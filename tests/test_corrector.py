@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 import stridect as st
 from stridect.corrector import (
     AlignmentParams,
+    _band_rngs,
     CorrectorConfig,
     data_consistency,
     eps_schedule,
@@ -275,6 +276,16 @@ def test_refine_bands_disabled_branch_untouched():
     assert any(not np.array_equal(a, b) for a, b in zip(out.high, noisy.high))
 
 
+def test_band_streams_differ_from_the_coarse_stream_under_equal_seeds():
+    # stride_reconstruct draws its coarse stage from (seed, 0); SeedSequence
+    # drops trailing zero words, so (5, 0) and (5,) are one stream
+    coarse = np.random.default_rng(np.random.SeedSequence([5, 0]))
+    assert coarse.standard_normal() == np.random.default_rng(5).standard_normal()
+    coarse = np.random.default_rng(np.random.SeedSequence([5, 0]))
+    firsts = [coarse.standard_normal()] + [r.standard_normal() for r in _band_rngs(5)]
+    assert len(set(firsts)) == 5
+
+
 # ------------------------------------------ refine_bands against its old loop
 
 
@@ -301,7 +312,7 @@ def _old_refine_bands(bands, score_low, score_high, cfg, sched):
     at a time with fresh arrays and noise drawn inline, step by step."""
     eps = eps_schedule(cfg, sched)
     ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps) if cfg.n_steps else np.zeros(0)
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, band]))
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, band]))
             for band in range(4)]
     low = np.array(bands.low, dtype=np.float64)
     highs = [np.array(h, dtype=np.float64) for h in bands.high]
@@ -384,7 +395,7 @@ def _closed_form_bands(bands, score_low, score_high, cfg, sched):
             s = math.hypot(a * s, math.sqrt(2.0 * e))
         means = np.broadcast_to(model.mean, (len(idx),) + out[0].shape)
         for mean, b in zip(means, idx):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, b]))
             out[b] = ((out[b] - mean) * p + mean) + rng.standard_normal(mean.shape) * s
     return out
 
