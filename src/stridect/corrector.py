@@ -142,8 +142,9 @@ def gaussian_factors(e, var: float) -> tuple[float, float]:
     Operation order, from P = 1.0 and S = 0.0 as Python floats: for each k,
     a = 1.0 - e_k / var, P *= a, S = math.hypot(a * S, math.sqrt(2.0 * e_k)).
     (S is carried rather than S^2 = a^2 S^2 + 2 e_k, which overflows at half
-    the exponent the chain itself reaches.) A var <= 0, or a P or S that is
-    not finite, is rejected: such a chain overflows whatever its start.
+    the exponent the chain itself reaches.) A var <= 0, a |P| > 1 or an S
+    that is not finite is rejected: such a chain grows the deviation from
+    the mean that it should shrink, or overflows, whatever its start.
     """
     if var <= 0:
         raise InvalidArgumentError(f"Gaussian band score var={var:g} must be positive "
@@ -153,11 +154,12 @@ def gaussian_factors(e, var: float) -> tuple[float, float]:
         a = 1.0 - ek / var
         p *= a
         s = math.hypot(a * s, math.sqrt(2.0 * ek))
-    if not (math.isfinite(p) and math.isfinite(s)):
+    if not (abs(p) <= 1.0 and math.isfinite(s)):
         raise InvalidArgumentError(
             f"Langevin steps from eps={e[0]:.3g} scale deviations under a Gaussian "
-            f"band score of var={var:g} by {p:.3g} (noise scale {s:.3g}); lower "
-            "eps_start or raise the var (prior_var for the default band scores)")
+            f"band score of var={var:g} by {p:.3g} with noise scale {s:.3g}, not a "
+            "finite shrink: lower eps_start or raise the var (prior_var for the "
+            "default band scores)")
     return p, s
 
 

@@ -495,7 +495,8 @@ def test_gaussian_factors_on_the_default_schedule():
     p, s = gaussian_factors(eps, 1e-3)
     assert p == pytest.approx(7.8467e-20, rel=1e-4)
     assert s == pytest.approx(0.031747, rel=1e-4)
-    for var in (1e-4, 1e-5):  # P overflows to +inf and to -inf
+    # P is 3.2e48, -2.6e110, then overflows to +inf and to -inf
+    for var in (5e-4, 3e-4, 1e-4, 1e-5):
         with pytest.raises(InvalidArgumentError, match="var=.*prior_var"):
             gaussian_factors(eps, var)
     for var in (0.0, -1.0):
@@ -516,6 +517,10 @@ def test_gaussian_factors_on_the_default_schedule():
 def test_gaussian_factors_match_the_chain_moments(steps, var):
     e = np.array(steps)
     want_p, want_s2 = _chain_moments(e, var)
+    if abs(want_p) > 1.0:
+        with pytest.raises(InvalidArgumentError):
+            gaussian_factors(e, var)
+        return
     p, s = gaussian_factors(e, var)
     assert p == pytest.approx(want_p, rel=1e-12, abs=1e-300)
     assert s * s == pytest.approx(want_s2, rel=1e-10)

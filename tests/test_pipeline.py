@@ -355,6 +355,7 @@ class _CoarseReached(Exception):
 
 
 @pytest.mark.parametrize("prior_var,accepted", [(0.05, True), (1e-3, True),
+                                                (5e-4, False), (3e-4, False),
                                                 (1e-4, False), (1e-5, False)])
 def test_reconstruct_rejects_overflowing_langevin_up_front(
         prior_var, accepted, sino180, grid64, monkeypatch):
