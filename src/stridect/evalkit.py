@@ -87,11 +87,15 @@ def mse(ref, test) -> float:
 
 
 def psnr(ref, test, data_range: float | None = None) -> float:
-    """Peak signal-to-noise ratio in dB; +inf for identical inputs."""
+    """Peak signal-to-noise ratio in dB; +inf for identical inputs and -inf
+    when the squared error overflows."""
     a, b = _pair(ref, test)
-    err = float(np.mean((a - b) ** 2))
+    with np.errstate(over="ignore"):
+        err = float(np.mean((a - b) ** 2))
     if err == 0.0:
         return math.inf
+    if err == math.inf:
+        return -math.inf
     if data_range is None:
         data_range = float(a.max() - a.min())
         if data_range == 0.0:

@@ -46,6 +46,8 @@ def test_psnr_reference_points():
     gain = st.psnr(ref, shifted, data_range=2.0) - st.psnr(ref, shifted,
                                                            data_range=1.0)
     assert gain == pytest.approx(20.0 * np.log10(2.0), rel=1e-12)
+    # a squared error past the float range
+    assert st.psnr(np.arange(4.0), np.full(4, 1e200)) == -np.inf
 
 
 def test_psnr_consistent_with_mse():
