@@ -5,11 +5,9 @@ band runs annealed Langevin updates under its score model. Under a fixed
 Gaussian score every update is linear, so a branch scored by
 :class:`AnalyticGaussianScore` takes all of its steps at once in closed form;
 other score models step through the chain. The low band and the high-band
-stack are independent branches, each under its own score model and band
-streams, and :func:`refine_bands` runs one after the other.
-:func:`check_refinement` rejects, before any chain work, a Gaussian-scored
-branch whose steps must fail. Measurements are restored afterwards, on the
-sinogram, by :func:`data_consistency`.
+stack are independent branches; :func:`check_refinement` rejects up front a
+Gaussian-scored one whose steps must fail. Measurements are restored
+afterwards, on the sinogram, by :func:`data_consistency`.
 """
 
 from __future__ import annotations
@@ -156,10 +154,9 @@ def gaussian_factors(e, var: float) -> tuple[float, float]:
         s = math.hypot(a * s, math.sqrt(2.0 * ek))
     if not (abs(p) <= 1.0 and math.isfinite(s)):
         raise InvalidArgumentError(
-            f"Langevin steps from eps={e[0]:.3g} scale deviations under a Gaussian "
-            f"band score of var={var:g} by {p:.3g} with noise scale {s:.3g}, not a "
-            "finite shrink: lower eps_start or raise the var (prior_var for the "
-            "default band scores)")
+            f"Langevin steps from eps={e[0]:.3g} scale deviations under var={var:g} "
+            f"by {p:.3g} (noise scale {s:.3g}), not a finite shrink; lower eps_start "
+            "or raise the var (prior_var for the default band scores)")
     return p, s
 
 
