@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import stridect as st
@@ -517,6 +517,7 @@ def test_gaussian_factors_on_the_default_schedule():
 def test_gaussian_factors_match_the_chain_moments(steps, var):
     e = np.array(steps)
     want_p, want_s2 = _chain_moments(e, var)
+    assume(abs(abs(want_p) - 1.0) > 1e-9)  # the two products may round apart
     if abs(want_p) > 1.0:
         with pytest.raises(InvalidArgumentError):
             gaussian_factors(e, var)
