@@ -12,11 +12,9 @@ from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment
                         langevin_step, refine_bands)
 from .denoiser import (AnalyticGaussianDenoiser, AnalyticGaussianScore,
                        CoupledGaussianDenoiser, ExactNoiseDenoiser,
-                       TinyEpsNet, TinyNetParams,
-                       TinyScoreNet, analytic_gaussian_eps,
-                       analytic_gaussian_score, forward_tiny, grad_check,
-                       init_tiny_net, load_params, save_params, train_epsilon,
-                       train_score)
+                       TinyEpsNet, TinyNetParams, TinyScoreNet, forward_tiny,
+                       grad_check, init_tiny_net, load_params, save_params,
+                       train_epsilon, train_score)
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
                         apply_sparse_guidance, cfg_combine, ddim_step,
                         forward_noising, guidance_weight, lambda_worst_case_bound,

@@ -28,59 +28,34 @@ _OFFSETS = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
 # analytic oracles
 
 
-def _analytic_gaussian_eps(y_t, t: int, sched: NoiseSchedule, prior_mean,
-                           prior_var: float, scratch):
-    """analytic_gaussian_eps with the (1 - ab) mu term computed into scratch,
-    an array of prior_mean's shape; the result is the only allocation."""
-    sched._check_t(t)
-    y_t = np.asarray(y_t, dtype=np.float64)
-    if t == 0:
-        return np.zeros_like(y_t)
-    if prior_var < 0:
-        raise InvalidArgumentError("prior_var must be non-negative")
-    prior_var = max(prior_var, 1e-12)
-    ab = sched.alpha_bar[t]
-    sab = np.sqrt(ab)
-    # (y_t - sab * mean_post) / sqrt(1 - ab), with mean_post as documented,
-    # one operation at a time in the order the formula reads
-    out = np.multiply(y_t, sab * prior_var,
-                      out=np.empty(np.broadcast_shapes(y_t.shape, scratch.shape)))
-    out += np.multiply(prior_mean, 1.0 - ab, out=scratch)
-    out /= ab * prior_var + 1.0 - ab
-    out *= sab
-    np.subtract(y_t, out, out=out)
-    out /= np.sqrt(1.0 - ab)
-    return out
+class _ClosedFormDenoiser:
+    """Noise-prediction contract around a closed-form estimate x0 of y0.
 
-
-def analytic_gaussian_eps(y_t, t: int, sched: NoiseSchedule, prior_mean, prior_var: float):
-    """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I).
-
-    E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab), and the
-    noise estimate re-arranges the forward kernel around it. t = 0 returns
-    zeros (the clean limit has no noise to explain).
+    The noise estimate re-arranges the forward kernel around x0,
+    (y_t - sqrt(ab) x0) / sqrt(1 - ab); t = 0 returns zeros (the clean
+    limit has no noise to explain). Subclasses give only ``_x0``, which
+    returns a fresh array of the broadcast shape that the rule then
+    overwrites.
     """
-    prior_mean = np.asarray(prior_mean)
-    return _analytic_gaussian_eps(y_t, t, sched, prior_mean, prior_var,
-                                  np.empty(prior_mean.shape))
-
-
-def analytic_gaussian_score(y, mean, var: float):
-    """Score of N(mean, var I): -(y - mean) / var."""
-    if var <= 0:
-        raise InvalidArgumentError("var must be positive")
-    # -(y - mean) / var with one allocation; (mean - y) / var would flip
-    # the sign of zeros
-    d = np.asarray(np.asarray(y, dtype=np.float64) - np.asarray(mean))
-    np.negative(d, out=d)
-    d /= var
-    return d
-
-
-class AnalyticGaussianDenoiser:
-    """Noise-prediction contract backed by a Gaussian prior."""
 
     conditional = False
+
+    def predict_eps(self, y_t, t: int, condition=None):
+        self.sched._check_t(t)
+        y_t = np.asarray(y_t, dtype=np.float64)
+        if t == 0:
+            return np.zeros_like(y_t)
+        ab = self.sched.alpha_bar[t]
+        sab = np.sqrt(ab)
+        out = self._x0(y_t, ab, sab)
+        out *= sab
+        np.subtract(y_t, out, out=out)
+        out /= np.sqrt(1.0 - ab)
+        return out
+
+
+class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
+    """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I)."""
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
         self.prior_mean = np.asarray(prior_mean, dtype=np.float64)
@@ -89,12 +64,20 @@ class AnalyticGaussianDenoiser:
         # scratch for the (1 - ab) mu term; one caller at a time
         self._scratch = np.empty_like(self.prior_mean)
 
-    def predict_eps(self, y_t, t: int, condition=None):
-        return _analytic_gaussian_eps(y_t, t, self.sched, self.prior_mean,
-                                      self.prior_var, self._scratch)
+    def _x0(self, y_t, ab, sab):
+        """E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab),
+        one operation at a time in the order the formula reads."""
+        if self.prior_var < 0:
+            raise InvalidArgumentError("prior_var must be non-negative")
+        v = max(self.prior_var, 1e-12)
+        out = np.multiply(y_t, sab * v, out=np.empty(
+            np.broadcast_shapes(y_t.shape, self._scratch.shape)))
+        out += np.multiply(self.prior_mean, 1.0 - ab, out=self._scratch)
+        out /= ab * v + 1.0 - ab
+        return out
 
 
-class CoupledGaussianDenoiser:
+class CoupledGaussianDenoiser(AnalyticGaussianDenoiser):
     """Gaussian posterior followed by neighbor mixing along the view axis.
 
     After the per-pixel posterior mean, each row is blended with the
@@ -104,49 +87,32 @@ class CoupledGaussianDenoiser:
     the next step.
     """
 
-    conditional = False
-
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule,
                  mix: float = 0.5):
         if not 0.0 <= mix <= 1.0:
             raise InvalidArgumentError("mix must lie in [0, 1]")
-        self.prior_mean = np.asarray(prior_mean, dtype=np.float64)
-        self.prior_var = float(prior_var)
-        self.sched = sched
+        super().__init__(prior_mean, prior_var, sched)
         self.mix = float(mix)
 
-    def predict_eps(self, y_t, t: int, condition=None):
-        self.sched._check_t(t)
-        y_t = np.asarray(y_t, dtype=np.float64)
-        if t == 0:
-            return np.zeros_like(y_t)
-        ab = self.sched.alpha_bar[t]
-        sab = np.sqrt(ab)
-        x0 = (sab * self.prior_var * y_t + (1.0 - ab) * self.prior_mean) / (
-            ab * self.prior_var + 1.0 - ab
-        )
+    def _x0(self, y_t, ab, sab):
+        x0 = super()._x0(y_t, ab, sab)
         neighbors = 0.5 * (np.roll(x0, 1, axis=0) + np.roll(x0, -1, axis=0))
-        x0 = (1.0 - self.mix) * x0 + self.mix * neighbors
-        return (y_t - sab * x0) / np.sqrt(1.0 - ab)
+        x0 *= 1.0 - self.mix
+        x0 += self.mix * neighbors
+        return x0
 
 
-class ExactNoiseDenoiser:
+class ExactNoiseDenoiser(_ClosedFormDenoiser):
     """Oracle that knows the clean target and returns the exact residual
     noise for any y_t; useful for trajectory fixed-point tests."""
-
-    conditional = False
 
     def __init__(self, y0, sched: NoiseSchedule):
         self.y0 = np.asarray(y0, dtype=np.float64)
         self.sched = sched
 
-    def predict_eps(self, y_t, t: int, condition=None):
-        self.sched._check_t(t)
-        y_t = np.asarray(y_t, dtype=np.float64)
-        if t == 0:
-            return np.zeros_like(y_t)
-        ab = self.sched.alpha_bar[t]
-        return (y_t - np.sqrt(ab) * self.y0) / np.sqrt(1.0 - ab)
+    def _x0(self, y_t, ab, sab):
+        return np.array(np.broadcast_to(
+            self.y0, np.broadcast_shapes(y_t.shape, self.y0.shape)))
 
 
 class AnalyticGaussianScore:
@@ -157,7 +123,15 @@ class AnalyticGaussianScore:
         self.var = float(var)
 
     def score(self, y, t: float):
-        return analytic_gaussian_score(y, self.mean, self.var)
+        """Score of N(mean, var I): -(y - mean) / var."""
+        if self.var <= 0:
+            raise InvalidArgumentError("var must be positive")
+        # -(y - mean) / var with one allocation; (mean - y) / var would flip
+        # the sign of zeros
+        d = np.asarray(np.asarray(y, dtype=np.float64) - self.mean)
+        np.negative(d, out=d)
+        d /= self.var
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +272,16 @@ def backward_tiny(p: TinyNetParams, cache, dout):
     return [dw1, db1, dtw, dtb, dw2, db2, dw3, db3]
 
 
-def loss_and_grads(p: TinyNetParams, x, s, target):
-    """Mean-squared prediction loss and its parameter gradients."""
+def _mse(p: TinyNetParams, x, s, target):
+    """Forward pass and mean-squared error: (loss, out - target, cache)."""
     out, cache = forward_tiny(p, x, s)
     diff = out - np.asarray(target, dtype=np.float64)
-    loss = float(np.mean(diff * diff))
+    return float(np.mean(diff * diff)), diff, cache
+
+
+def loss_and_grads(p: TinyNetParams, x, s, target):
+    """Mean-squared prediction loss and its parameter gradients."""
+    loss, diff, cache = _mse(p, x, s, target)
     dout = (2.0 / diff.size) * diff
     return loss, backward_tiny(p, cache, dout)
 
@@ -323,21 +302,15 @@ def grad_check(p: TinyNetParams, x, s, target, step: float = 1e-4) -> float:
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            lp, _ = _loss_only(p, x, s, target)
+            lp = _mse(p, x, s, target)[0]
             flat[i] = keep - step
-            lm, _ = _loss_only(p, x, s, target)
+            lm = _mse(p, x, s, target)[0]
             flat[i] = keep
             gn = (lp - lm) / (2.0 * step)
             ga = gflat[i]
             rel = abs(ga - gn) / max(abs(ga) + abs(gn), 1e-4)
             worst = max(worst, rel)
     return worst
-
-
-def _loss_only(p, x, s, target):
-    out, _ = forward_tiny(p, x, s)
-    diff = out - np.asarray(target, dtype=np.float64)
-    return float(np.mean(diff * diff)), None
 
 
 class Adam:
@@ -415,9 +388,31 @@ class TinyScoreNet:
 # training loops
 
 
-def _check_finite_loss(loss, step):
-    if not np.isfinite(loss):
-        raise NumericalAbortError(f"non-finite training loss {loss} at step {step}")
+def _corpus(data):
+    data = [np.asarray(d, dtype=np.float64) for d in data]
+    if not data:
+        raise InvalidArgumentError("empty training corpus")
+    return data
+
+
+def _fit(params: TinyNetParams, lr: float, epochs: int, steps_per_epoch: int,
+         step_loss):
+    """Adam on ``step_loss() -> (loss, grads)``, which draws its own batch;
+    aborts on a non-finite loss. Returns the per-epoch mean loss trace."""
+    opt = Adam(params, lr)
+    trace = []
+    step = 0
+    for _ in range(epochs):
+        losses = []
+        for _ in range(steps_per_epoch):
+            loss, grads = step_loss()
+            step += 1
+            if not np.isfinite(loss):
+                raise NumericalAbortError(f"non-finite training loss {loss} at step {step}")
+            opt.step(params, grads)
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return np.asarray(trace)
 
 
 def train_epsilon(data, sched: NoiseSchedule, *, epochs: int = 50,
@@ -432,43 +427,34 @@ def train_epsilon(data, sched: NoiseSchedule, *, epochs: int = 50,
     the mean-squared noise prediction error. Returns (model, per-epoch mean
     loss trace). Bitwise deterministic for a fixed seed.
     """
-    data = [np.asarray(d, dtype=np.float64) for d in data]
-    if not data:
-        raise InvalidArgumentError("empty training corpus")
+    data = _corpus(data)
     if not (0.0 <= p_cond <= 1.0):
         raise InvalidArgumentError("p_cond must lie in [0, 1]")
     n_views = data[0].shape[0]
     rng = np.random.default_rng(seed)
     if params is None:
         params = init_tiny_net(2, 1, hidden=hidden, seed=seed)
-    opt = Adam(params, lr)
     view_set = tuple(int(v) for v in view_set)
-    trace = []
-    step = 0
-    for _ in range(epochs):
-        losses = []
-        for _ in range(steps_per_epoch):
-            idx = rng.integers(0, len(data), batch_size)
-            t = rng.integers(1, sched.T + 1, batch_size)
-            y0 = np.stack([data[i] for i in idx])
-            eps = rng.standard_normal(y0.shape)
-            ab = sched.alpha_bar[t][:, None, None]
-            y_t = np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
-            use_cond = rng.random(batch_size) < p_cond
-            strides = rng.integers(0, len(view_set), batch_size)
-            cond = np.zeros_like(y0)
-            for b in range(batch_size):
-                if use_cond[b]:
-                    rows = (np.arange(n_views) % view_set[strides[b]]) == 0
-                    cond[b] = np.where(rows[:, None], y0[b], 0.0)
-            x = np.stack([y_t, cond], axis=1)
-            loss, grads = loss_and_grads(params, x, t / sched.T, eps[:, None])
-            step += 1
-            _check_finite_loss(loss, step)
-            opt.step(params, grads)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-    return TinyEpsNet(params, sched), np.asarray(trace)
+
+    def step_loss():
+        idx = rng.integers(0, len(data), batch_size)
+        t = rng.integers(1, sched.T + 1, batch_size)
+        y0 = np.stack([data[i] for i in idx])
+        eps = rng.standard_normal(y0.shape)
+        ab = sched.alpha_bar[t][:, None, None]
+        y_t = np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
+        use_cond = rng.random(batch_size) < p_cond
+        strides = rng.integers(0, len(view_set), batch_size)
+        cond = np.zeros_like(y0)
+        for b in range(batch_size):
+            if use_cond[b]:
+                rows = (np.arange(n_views) % view_set[strides[b]]) == 0
+                cond[b] = np.where(rows[:, None], y0[b], 0.0)
+        x = np.stack([y_t, cond], axis=1)
+        return loss_and_grads(params, x, t / sched.T, eps[:, None])
+
+    trace = _fit(params, lr, epochs, steps_per_epoch, step_loss)
+    return TinyEpsNet(params, sched), trace
 
 
 def train_score(data, sched: NoiseSchedule, *, epochs: int = 50,
@@ -481,36 +467,25 @@ def train_score(data, sched: NoiseSchedule, *, epochs: int = 50,
     mean((sigma s_theta(y + sigma z, t) + z)^2), the sigma^2-weighted
     surrogate. Returns (model, per-epoch mean loss trace).
     """
-    data = [np.asarray(d, dtype=np.float64) for d in data]
-    if not data:
-        raise InvalidArgumentError("empty training corpus")
-    data = [d[None] if d.ndim == 2 else d for d in data]
+    data = [d[None] if d.ndim == 2 else d for d in _corpus(data)]
     channels = data[0].shape[0]
     rng = np.random.default_rng(seed)
     if params is None:
         params = init_tiny_net(channels, channels, hidden=hidden, seed=seed)
-    opt = Adam(params, lr)
-    trace = []
-    step = 0
-    for _ in range(epochs):
-        losses = []
-        for _ in range(steps_per_epoch):
-            idx = rng.integers(0, len(data), batch_size)
-            y = np.stack([data[i] for i in idx])
-            t = t_min + (1.0 - t_min) * rng.random(batch_size)
-            sigma = sched.ve_sigma(t)[:, None, None, None]
-            z = rng.standard_normal(y.shape)
-            out, cache = forward_tiny(params, y + sigma * z, t)
-            resid = sigma * out + z
-            loss = float(np.mean(resid * resid))
-            step += 1
-            _check_finite_loss(loss, step)
-            dout = (2.0 / resid.size) * resid * sigma
-            grads = backward_tiny(params, cache, dout)
-            opt.step(params, grads)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-    return TinyScoreNet(params), np.asarray(trace)
+
+    def step_loss():
+        idx = rng.integers(0, len(data), batch_size)
+        y = np.stack([data[i] for i in idx])
+        t = t_min + (1.0 - t_min) * rng.random(batch_size)
+        sigma = sched.ve_sigma(t)[:, None, None, None]
+        z = rng.standard_normal(y.shape)
+        out, cache = forward_tiny(params, y + sigma * z, t)
+        resid = sigma * out + z
+        dout = (2.0 / resid.size) * resid * sigma
+        return float(np.mean(resid * resid)), backward_tiny(params, cache, dout)
+
+    trace = _fit(params, lr, epochs, steps_per_epoch, step_loss)
+    return TinyScoreNet(params), trace
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +522,7 @@ def load_params(path) -> TinyNetParams:
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
             n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise InvalidArgumentError(f"{path}: truncated model file")
+            buf = _read_exact(fh, 8 * n, path)
             arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
         extra = fh.read(1)
     if extra:

@@ -31,7 +31,7 @@ def test_analytic_eps_unit_prior():
     rng = np.random.default_rng(0)
     y = rng.normal(size=(5, 6))
     for t in (1, 10, 20):
-        out = st.analytic_gaussian_eps(y, t, s, 0.0, 1.0)
+        out = st.AnalyticGaussianDenoiser(0.0, 1.0, s).predict_eps(y, t)
         assert np.allclose(out, np.sqrt(1.0 - s.alpha_bar[t]) * y, rtol=1e-12)
 
 
@@ -42,7 +42,7 @@ def test_analytic_eps_point_prior():
     y = rng.normal(size=(4, 4))
     mu = rng.normal(size=(4, 4))
     ab = s.alpha_bar[10]
-    out = st.analytic_gaussian_eps(y, 10, s, mu, 0.0)
+    out = st.AnalyticGaussianDenoiser(mu, 0.0, s).predict_eps(y, 10)
     expect = (y - np.sqrt(ab) * mu) / np.sqrt(1.0 - ab)
     assert np.allclose(out, expect, atol=1e-9)
 
@@ -51,10 +51,10 @@ def test_analytic_eps_validation_and_t0():
     s = st.linear_schedule(T=5)
     y = np.ones((2, 2))
     with pytest.raises(InvalidArgumentError):
-        st.analytic_gaussian_eps(y, 3, s, 0.0, -0.1)
+        st.AnalyticGaussianDenoiser(0.0, -0.1, s).predict_eps(y, 3)
     with pytest.raises(InvalidArgumentError):
-        st.analytic_gaussian_eps(y, 6, s, 0.0, 1.0)
-    assert not st.analytic_gaussian_eps(y, 0, s, 0.0, 1.0).any()
+        st.AnalyticGaussianDenoiser(0.0, 1.0, s).predict_eps(y, 6)
+    assert not st.AnalyticGaussianDenoiser(0.0, 1.0, s).predict_eps(y, 0).any()
 
 
 def test_analytic_eps_matches_bayes_posterior():
@@ -66,7 +66,7 @@ def test_analytic_eps_matches_bayes_posterior():
         mu = rng.normal(size=(3, 3))
         v = float(rng.uniform(0.01, 4.0))
         y = rng.normal(size=(3, 3))
-        eps_hat = st.analytic_gaussian_eps(y, t, s, mu, v)
+        eps_hat = st.AnalyticGaussianDenoiser(mu, v, s).predict_eps(y, t)
         x0 = st.predict_x0(y, eps_hat, t, s)
         ab = s.alpha_bar[t]
         bayes = (np.sqrt(ab) * v * y + (1 - ab) * mu) / (ab * v + 1 - ab)
@@ -98,7 +98,8 @@ def test_analytic_eps_matches_expression_bytes():
             model = st.AnalyticGaussianDenoiser(prior_mean, v, s)
             for t in (0, 1, 10, 20):
                 expect = _expr_analytic_eps(y, t, s, prior_mean, v).tobytes()
-                assert st.analytic_gaussian_eps(y, t, s, prior_mean, v).tobytes() == expect
+                fresh = st.AnalyticGaussianDenoiser(prior_mean, v, s)
+                assert fresh.predict_eps(y, t).tobytes() == expect
                 # the model reuses its scratch array from call to call
                 assert model.predict_eps(y, t).tobytes() == expect
                 assert model.predict_eps(y, t).tobytes() == expect
@@ -109,10 +110,10 @@ def test_analytic_eps_matches_expression_bytes():
 
 def test_gaussian_score():
     y = np.array([[1.0, 3.0]])
-    out = st.analytic_gaussian_score(y, 1.0, 2.0)
+    out = st.AnalyticGaussianScore(1.0, 2.0).score(y, 0.5)
     assert np.allclose(out, [[0.0, -1.0]])
     with pytest.raises(InvalidArgumentError):
-        st.analytic_gaussian_score(y, 0.0, 0.0)
+        st.AnalyticGaussianScore(0.0, 0.0).score(y, 0.5)
     model = st.AnalyticGaussianScore(np.zeros((1, 2)), 0.5)
     assert np.array_equal(model.score(y, 0.3), model.score(y, 0.9))
 
@@ -150,6 +151,79 @@ def test_exact_noise_denoiser_recovers_noise():
         eps = rng.normal(size=(4, 7))
         y_t = np.sqrt(s.alpha_bar[t]) * y0 + np.sqrt(1 - s.alpha_bar[t]) * eps
         assert np.max(np.abs(model.predict_eps(y_t, t) - eps)) <= 1e-12
+
+
+def _expr_coupled_eps(y_t, t, s, mu, v, mix):
+    """The coupled noise prediction as first written: the posterior mean
+    without the variance floor, mixed with its periodic row neighbors."""
+    y_t = np.asarray(y_t, dtype=np.float64)
+    if t == 0:
+        return np.zeros_like(y_t)
+    ab = s.alpha_bar[t]
+    sab = np.sqrt(ab)
+    x0 = (sab * v * y_t + (1.0 - ab) * np.asarray(mu, dtype=np.float64)) / (
+        ab * v + 1.0 - ab
+    )
+    neighbors = 0.5 * (np.roll(x0, 1, axis=0) + np.roll(x0, -1, axis=0))
+    x0 = (1.0 - mix) * x0 + mix * neighbors
+    return (y_t - sab * x0) / np.sqrt(1.0 - ab)
+
+
+def _expr_exact_eps(y_t, t, s, y0):
+    y_t = np.asarray(y_t, dtype=np.float64)
+    if t == 0:
+        return np.zeros_like(y_t)
+    ab = s.alpha_bar[t]
+    return (y_t - np.sqrt(ab) * np.asarray(y0, dtype=np.float64)) / np.sqrt(1.0 - ab)
+
+
+def _signed_zero_case(seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(6, 5))
+    mu = rng.normal(size=(6, 5))
+    y.flat[::4] = -0.0
+    mu.flat[1::3] = -0.0
+    mu.flat[2::3] = 0.0
+    return y, mu
+
+
+def test_coupled_eps_matches_expression_bytes():
+    s = st.linear_schedule(T=20)
+    y, mu = _signed_zero_case(6)
+    for prior_mean in (mu, 0.0, -0.0, mu[0]):
+        for v in (1e-3, 0.7):
+            for mix in (0.0, 0.3, 1.0):
+                model = st.CoupledGaussianDenoiser(prior_mean, v, s, mix=mix)
+                for t in (0, 1, 10, 20):
+                    expect = _expr_coupled_eps(y, t, s, prior_mean, v, mix).tobytes()
+                    assert model.predict_eps(y, t).tobytes() == expect
+                    assert model.predict_eps(y, t).tobytes() == expect
+
+
+def test_coupled_rejects_negative_prior_var():
+    # the coupled model shares the analytic posterior mean and its check
+    s = st.linear_schedule(T=5)
+    model = st.CoupledGaussianDenoiser(0.0, -0.1, s)
+    with pytest.raises(InvalidArgumentError):
+        model.predict_eps(np.ones((3, 2)), 3)
+    assert not model.predict_eps(np.ones((3, 2)), 0).any()
+
+
+def test_exact_eps_matches_expression_bytes():
+    s = st.linear_schedule(T=20)
+    y, mu = _signed_zero_case(7)
+    for y0 in (mu, 0.0, -0.0, mu[0]):
+        model = st.ExactNoiseDenoiser(y0, s)
+        for t in (0, 1, 10, 20):
+            expect = _expr_exact_eps(y, t, s, y0).tobytes()
+            assert model.predict_eps(y, t).tobytes() == expect
+    # the clean target may have more dimensions than y_t
+    model = st.ExactNoiseDenoiser(np.stack([mu, y]), s)
+    assert model.predict_eps(y[0], 4).tobytes() == _expr_exact_eps(
+        y[0], 4, s, np.stack([mu, y])).tobytes()
+    frozen = y.copy()
+    frozen.setflags(write=False)
+    st.ExactNoiseDenoiser(frozen, s).predict_eps(frozen, 3)  # inputs not written
 
 
 # ----------------------------------------------------------------- tiny net
@@ -308,6 +382,20 @@ def test_train_diverges_to_abort_on_huge_lr():
                              hidden=4, seed=0)
 
 
+def test_train_score_diverges_to_abort_on_huge_lr():
+    s = st.linear_schedule(T=10)
+    data = _toy_corpus(np.random.default_rng(11), n=4)
+    with pytest.raises(NumericalAbortError, match="non-finite training loss"):
+        with np.errstate(all="ignore"):
+            st.train_score(data, s, epochs=1, steps_per_epoch=5, lr=1e160,
+                           hidden=4, seed=0)
+
+
+def test_train_score_rejects_empty_corpus():
+    with pytest.raises(InvalidArgumentError, match="empty training corpus"):
+        st.train_score([], st.linear_schedule(T=10))
+
+
 def test_train_score_learns_gaussian_score():
     # unit-normal corpus: the true score near t=0 is -y, so the cosine
     # between prediction and -y should approach 1 after a short run
@@ -335,6 +423,94 @@ def test_train_score_deterministic():
     assert np.array_equal(ta, tb)
     assert all(np.array_equal(x, y) for x, y in
                zip(a.params.as_list(), b.params.as_list()))
+
+
+def _loop_train_epsilon(data, sched, epochs, steps_per_epoch, lr=1e-4, p_cond=0.2,
+                        view_set=(6, 8, 10, 12), batch_size=4, hidden=4, seed=0):
+    """The noise-predictor training loop as first written, inline."""
+    data = [np.asarray(d, dtype=np.float64) for d in data]
+    n_views = data[0].shape[0]
+    rng = np.random.default_rng(seed)
+    params = init_tiny_net(2, 1, hidden=hidden, seed=seed)
+    opt = Adam(params, lr)
+    trace = []
+    for _ in range(epochs):
+        losses = []
+        for _ in range(steps_per_epoch):
+            idx = rng.integers(0, len(data), batch_size)
+            t = rng.integers(1, sched.T + 1, batch_size)
+            y0 = np.stack([data[i] for i in idx])
+            eps = rng.standard_normal(y0.shape)
+            ab = sched.alpha_bar[t][:, None, None]
+            y_t = np.sqrt(ab) * y0 + np.sqrt(1.0 - ab) * eps
+            use_cond = rng.random(batch_size) < p_cond
+            strides = rng.integers(0, len(view_set), batch_size)
+            cond = np.zeros_like(y0)
+            for b in range(batch_size):
+                if use_cond[b]:
+                    rows = (np.arange(n_views) % view_set[strides[b]]) == 0
+                    cond[b] = np.where(rows[:, None], y0[b], 0.0)
+            x = np.stack([y_t, cond], axis=1)
+            out, cache = forward_tiny(params, x, t / sched.T)
+            diff = out - eps[:, None]
+            loss = float(np.mean(diff * diff))
+            opt.step(params, backward_tiny(params, cache, (2.0 / diff.size) * diff))
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return params, np.asarray(trace)
+
+
+def _loop_train_score(data, sched, epochs, steps_per_epoch, lr=1e-3, batch_size=4,
+                      hidden=4, t_min=0.02, seed=0):
+    """The score-matching training loop as first written, inline."""
+    data = [np.asarray(d, dtype=np.float64) for d in data]
+    data = [d[None] if d.ndim == 2 else d for d in data]
+    channels = data[0].shape[0]
+    rng = np.random.default_rng(seed)
+    params = init_tiny_net(channels, channels, hidden=hidden, seed=seed)
+    opt = Adam(params, lr)
+    trace = []
+    for _ in range(epochs):
+        losses = []
+        for _ in range(steps_per_epoch):
+            idx = rng.integers(0, len(data), batch_size)
+            y = np.stack([data[i] for i in idx])
+            t = t_min + (1.0 - t_min) * rng.random(batch_size)
+            sigma = sched.ve_sigma(t)[:, None, None, None]
+            z = rng.standard_normal(y.shape)
+            out, cache = forward_tiny(params, y + sigma * z, t)
+            resid = sigma * out + z
+            loss = float(np.mean(resid * resid))
+            dout = (2.0 / resid.size) * resid * sigma
+            opt.step(params, backward_tiny(params, cache, dout))
+            losses.append(loss)
+        trace.append(float(np.mean(losses)))
+    return params, np.asarray(trace)
+
+
+def _same_bytes(params, trace, net, net_trace):
+    assert net_trace.tobytes() == trace.tobytes()
+    for a, b in zip(net.params.as_list(), params.as_list()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_train_epsilon_matches_inline_loop_bytes():
+    s = st.linear_schedule(T=10)
+    data = _toy_corpus(np.random.default_rng(14))
+    for p_cond in (0.2, 1.0):
+        net, trace = st.train_epsilon(data, s, epochs=2, steps_per_epoch=3,
+                                      hidden=4, seed=11, p_cond=p_cond)
+        _same_bytes(*_loop_train_epsilon(data, s, 2, 3, hidden=4, seed=11,
+                                         p_cond=p_cond), net, trace)
+
+
+def test_train_score_matches_inline_loop_bytes():
+    s = st.linear_schedule(T=10)
+    rng = np.random.default_rng(15)
+    for data in (_toy_corpus(rng, n=6), [rng.normal(size=(3, 6, 6)) for _ in range(4)]):
+        net, trace = st.train_score(data, s, epochs=2, steps_per_epoch=3,
+                                    hidden=4, seed=5)
+        _same_bytes(*_loop_train_score(data, s, 2, 3, hidden=4, seed=5), net, trace)
 
 
 # ------------------------------------------------------------- serialization
