@@ -88,19 +88,28 @@ def mse(ref, test) -> float:
 
 def psnr(ref, test, data_range: float | None = None) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs and -inf
-    when the squared error overflows."""
+    when the squared error overflows even as a fraction of the range."""
     a, b = _pair(ref, test)
     with np.errstate(over="ignore"):
         err = float(np.mean((a - b) ** 2))
     if err == 0.0:
         return math.inf
-    if err == math.inf:
-        return -math.inf
     if data_range is None:
         data_range = float(a.max() - a.min())
         if data_range == 0.0:
             data_range = 1.0
-    return 10.0 * math.log10(data_range**2 / err)
+    if err == math.inf:
+        # the error measured in units of the range
+        with np.errstate(over="ignore", under="ignore"):
+            return -10.0 * math.log10(float(np.mean(((a - b) / data_range) ** 2)))
+    try:
+        ratio = data_range**2 / err
+    except OverflowError:
+        ratio = math.inf
+    if ratio == math.inf:
+        # the squared range or the ratio overflows; the log domain does not
+        return 20.0 * math.log10(data_range) - 10.0 * math.log10(err)
+    return 10.0 * math.log10(ratio)
 
 
 def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:

@@ -163,8 +163,11 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
         if gcfg.mode in ("temporal", "fixed"):
             lam = guidance_weight(t, gcfg, sched.T)
         else:
-            inp = LambdaInputs.from_vectors((x0 - reference)[active].ravel(),
-                                            (y_s - reference)[active].ravel())
+            # only the norms and the inner product: with the vectors kept,
+            # the oracle would build a (grid, rows x detectors) mix per step
+            inp = replace(LambdaInputs.from_vectors((x0 - reference)[active].ravel(),
+                                                    (y_s - reference)[active].ravel()),
+                          zeta=None, xi=None)
             lam = (optimal_lambda(inp) if gcfg.mode == "optimal-closed-form"
                    else optimal_lambda_oracle(inp))
         _guide_rows(x0, ys_rows, rows, _guidance_lambda(lam), row_buf, row_diff)

@@ -48,6 +48,14 @@ def test_psnr_reference_points():
     assert gain == pytest.approx(20.0 * np.log10(2.0), rel=1e-12)
     # a squared error past the float range
     assert st.psnr(np.arange(4.0), np.full(4, 1e200)) == -np.inf
+    # a squared range past it: 20 log10(1e200) - 10 log10(0.5)
+    big = np.array([0.0, 1e200])
+    assert st.psnr(big, big + 1.0) == pytest.approx(4000.0 + 10.0 * np.log10(2.0),
+                                                    rel=1e-12)
+    # a squared error past it on that range: about 1e190 / 1e200 on one of two
+    # entries (the sum rounds at 1e184)
+    assert st.psnr(big, np.array([0.0, 1e200 + 1e190])) == pytest.approx(
+        200.0 + 10.0 * np.log10(2.0), rel=1e-6)
 
 
 def test_psnr_consistent_with_mse():

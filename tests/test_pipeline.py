@@ -171,6 +171,27 @@ def test_coarse_generate_optimal_modes_run():
         assert np.all(np.isfinite(out))
 
 
+def test_coarse_generate_hands_oracle_scalar_inputs(monkeypatch):
+    # the vector form costs a (grid points x active entries) array per step
+    seen = []
+
+    def record(li, *args, **kwargs):
+        seen.append(li)
+        return optimal_lambda_oracle(li, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "optimal_lambda_oracle", record)
+    rng = np.random.default_rng(3)
+    y_s = rng.normal(size=(6, 5))
+    active = st.make_sparse_mask(6, 2).active
+    sched = st.linear_schedule(T=10)
+    model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
+    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-oracle"))
+    coarse_generate(y_s, active, model, sched, cfg, np.random.default_rng(4),
+                    reference=y_s + 0.1)
+    assert len(seen) == cfg.ddim_steps
+    assert all(li.zeta is None and li.xi is None for li in seen)
+
+
 def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
     """coarse_generate as first written, with the step functions inlined as
     whole-array expressions: a fresh array for every intermediate."""
