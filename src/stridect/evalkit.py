@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .geometry import ImageGrid
@@ -112,27 +111,34 @@ def psnr(ref, test, data_range: float | None = None) -> float:
     return 10.0 * math.log10(ratio)
 
 
-def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
-    """Mean structural similarity with a uniform window.
+def _box_mean(x: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a ``size``-wide box along each axis in turn, reflecting at
+    the border (the edge sample repeats). This is scipy's reflect-mode
+    ``uniform_filter`` step for step: the first window is summed one slice
+    at a time from 0.0, then each step adds the entering slice minus the
+    leaving one and the running sums are divided by ``size``, so the two
+    agree to the last bit."""
+    before = size // 2
+    for _ in range(x.ndim):
+        p = np.pad(x, [(before, size - 1 - before)] + [(0, 0)] * (x.ndim - 1),
+                   mode="symmetric")
+        total = 0.0
+        for k in range(size):
+            total = total + p[k]
+        run = np.cumsum(np.concatenate([total[None], p[size:] - p[:-size]]), axis=0)
+        # the filtered axis moves last, so the next pass filters the next axis
+        x = np.moveaxis(run / size, 0, -1)
+    return x
 
-    Local means/variances come from a ``window`` x ``window`` box filter;
-    the border of width window//2 is cropped before averaging so every
-    retained window is fully supported.
-    """
-    a, b = _pair(ref, test)
-    if min(a.shape) < window:
-        raise InvalidArgumentError("image smaller than the SSIM window")
-    if data_range is None:
-        data_range = float(a.max() - a.min())
-        if data_range == 0.0:
-            data_range = 1.0
+
+def _ssim(a: np.ndarray, b: np.ndarray, data_range: float, window: int) -> float:
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    mu_a = uniform_filter(a, window)
-    mu_b = uniform_filter(b, window)
-    e_aa = uniform_filter(a * a, window)
-    e_bb = uniform_filter(b * b, window)
-    e_ab = uniform_filter(a * b, window)
+    mu_a = _box_mean(a, window)
+    mu_b = _box_mean(b, window)
+    e_aa = _box_mean(a * a, window)
+    e_bb = _box_mean(b * b, window)
+    e_ab = _box_mean(a * b, window)
     var_a = e_aa - mu_a**2
     var_b = e_bb - mu_b**2
     cov = e_ab - mu_a * mu_b
@@ -141,6 +147,35 @@ def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
     )
     pad = window // 2
     return float(s[pad:-pad or None, pad:-pad or None].mean())
+
+
+def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
+    """Mean structural similarity with a uniform window.
+
+    Local means/variances come from a ``window`` x ``window`` box mean that
+    reproduces scipy's reflect-mode ``uniform_filter`` running sum bit for
+    bit; the border of width window//2 is cropped before averaging so every
+    retained window is fully supported. Where a square overflows, or the
+    value is not finite, it is taken on the images divided by the range.
+    """
+    a, b = _pair(ref, test)
+    if window < 1:
+        raise InvalidArgumentError("SSIM window must be positive")
+    if min(a.shape) < window:
+        raise InvalidArgumentError("image smaller than the SSIM window")
+    if data_range is None:
+        data_range = float(a.max() - a.min())
+        if data_range == 0.0:
+            data_range = 1.0
+    try:
+        with np.errstate(over="raise", invalid="ignore", divide="ignore"):
+            value = _ssim(a, b, data_range, window)
+    except (OverflowError, FloatingPointError):
+        value = math.nan
+    if not math.isfinite(value):
+        # SSIM is unchanged when the images and the range scale together
+        value = _ssim(a / data_range, b / data_range, 1.0, window)
+    return value
 
 
 def kl_divergence(p_samples, q_samples, n_bins: int = 64) -> float:

