@@ -15,37 +15,43 @@ import numpy as np
 
 from .errors import GuidanceClampWarning, InvalidArgumentError, ShapeMismatchError
 
-_GUIDANCE_MODES = ("temporal", "fixed", "optimal-closed-form", "optimal-oracle")
+_GUIDANCE_MODES = ("temporal", "fixed", "optimal-closed-form")
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Variance-preserving ladder plus a variance-exploding sigma for the
-    correction branch."""
+    correction branch.
 
-    T: int
+    Only beta is given. The horizon T = beta.size - 1 and the cumulative
+    signal level alpha_bar = cumprod(1 - beta) are derived from it.
+    """
+
     beta: np.ndarray = field(repr=False)
-    alpha: np.ndarray = field(repr=False)
-    alpha_bar: np.ndarray = field(repr=False)
     ve_sigma_min: float = 1e-2
     ve_sigma_max: float = 1.0
+    alpha_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=np.float64)
-        if b.shape != (self.T + 1,) or b[0] != 0.0:
+        b = np.array(self.beta, dtype=np.float64)
+        if b.ndim != 1 or b.size == 0 or b[0] != 0.0:
             raise InvalidArgumentError("beta must have length T+1 with beta[0] = 0")
         core = b[1:]
         if np.any(core <= 0) or np.any(core >= 1) or np.any(np.diff(core) < 0):
             raise InvalidArgumentError("beta_t must be increasing within (0, 1)")
-        ab = np.asarray(self.alpha_bar, dtype=np.float64)
-        if np.any(np.diff(ab) >= 0) or ab[0] != 1.0 or np.any(ab <= 0):
-            raise InvalidArgumentError("alpha_bar must start at 1 and strictly decrease")
+        ab = np.cumprod(1.0 - b)
+        if np.any(np.diff(ab) >= 0) or np.any(ab <= 0):
+            raise InvalidArgumentError("alpha_bar must strictly decrease and stay positive")
         if not (0 < self.ve_sigma_min < self.ve_sigma_max):
             raise InvalidArgumentError("need 0 < ve_sigma_min < ve_sigma_max")
-        for name in ("beta", "alpha", "alpha_bar"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        for name, arr in (("beta", b), ("alpha_bar", ab)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def T(self) -> int:
+        """Number of noising steps; t runs over 0..T."""
+        return self.beta.size - 1
 
     def ve_sigma(self, t):
         """Geometric noise level for continuous t in [0, 1]; increasing."""
@@ -63,10 +69,7 @@ def linear_schedule(T: int = 1000, beta_start: float = 1e-4, beta_end: float = 2
     """Linearly ramped beta_t from beta_start to beta_end over T steps."""
     beta = np.zeros(T + 1)
     beta[1:] = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         ve_sigma_min=ve_sigma_min, ve_sigma_max=ve_sigma_max)
+    return NoiseSchedule(beta, ve_sigma_min=ve_sigma_min, ve_sigma_max=ve_sigma_max)
 
 
 def forward_noising(y0, t: int, sched: NoiseSchedule, rng) -> tuple:

@@ -161,8 +161,9 @@ def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
     a, b = _pair(ref, test)
     if window < 1:
         raise InvalidArgumentError("SSIM window must be positive")
-    if min(a.shape) < window:
-        raise InvalidArgumentError("image smaller than the SSIM window")
+    if min(a.shape) <= 2 * (window // 2):
+        # the crop of window//2 on each side must leave a pixel
+        raise InvalidArgumentError("image too small for the SSIM window")
     if data_range is None:
         data_range = float(a.max() - a.min())
         if data_range == 0.0:

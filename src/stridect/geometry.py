@@ -218,7 +218,7 @@ class SparseMask:
 
     n_views: int
     r: int
-    active: np.ndarray = field(repr=False, default=None)
+    active: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_views < 1:

@@ -21,7 +21,7 @@ from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
                         _ddim_update, _guidance_lambda, _guide_rows,
                         _predict_x0, cfg_combine, guidance_weight,
-                        linear_schedule, optimal_lambda, optimal_lambda_oracle)
+                        linear_schedule, optimal_lambda)
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
@@ -128,15 +128,15 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     """Run the guided DDIM chain from pure noise down to t = 0.
 
     y_s holds the observed rows (zeros elsewhere are fine; only active rows
-    are read). With an optimal guidance mode a reference sinogram is
-    required to build the weight inputs. Conditional models receive the
+    are read). The optimal-closed-form guidance mode needs a reference
+    sinogram to build the weight inputs. Conditional models receive the
     masked observation as their conditioning channel.
     """
     y_s = np.asarray(y_s, dtype=np.float64)
     active = np.asarray(active, bool)
     gcfg = cfg.guidance
-    if gcfg.mode.startswith("optimal") and reference is None:
-        raise InvalidArgumentError("optimal guidance modes need a reference")
+    if gcfg.mode == "optimal-closed-form" and reference is None:
+        raise InvalidArgumentError("optimal guidance needs a reference")
     if active.shape != y_s.shape[:1]:
         raise ShapeMismatchError("row flag length does not match")
     if cfg.sigma_ddim < 0:
@@ -160,16 +160,11 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
             eps_unc = model.predict_eps(y, t, None)
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
-        if gcfg.mode in ("temporal", "fixed"):
-            lam = guidance_weight(t, gcfg, sched.T)
+        if gcfg.mode == "optimal-closed-form":
+            lam = optimal_lambda(LambdaInputs.from_vectors(
+                (x0 - reference)[active].ravel(), (y_s - reference)[active].ravel()))
         else:
-            # only the norms and the inner product: with the vectors kept,
-            # the oracle would build a (grid, rows x detectors) mix per step
-            inp = replace(LambdaInputs.from_vectors((x0 - reference)[active].ravel(),
-                                                    (y_s - reference)[active].ravel()),
-                          zeta=None, xi=None)
-            lam = (optimal_lambda(inp) if gcfg.mode == "optimal-closed-form"
-                   else optimal_lambda_oracle(inp))
+            lam = guidance_weight(t, gcfg, sched.T)
         _guide_rows(x0, ys_rows, rows, _guidance_lambda(lam), row_buf, row_diff)
         if cfg.align_per_step and cfg.alignment:
             x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))

@@ -1,9 +1,11 @@
-"""Ray-driven projection and its exact adjoint.
+"""Ray-driven fan-beam projection and its exact adjoint.
 
-Rays are sampled at half-pixel steps with bilinear interpolation. Both
-directions draw their weights from one generator, so ``adjoint_project``
-scatters exactly the weights ``forward_project`` gathers. Samples that cannot
-touch the grid are dropped: they would contribute exact zeros.
+The package models only the fan beam of :class:`FanBeamGeometry`: every ray
+runs from the source point to one detector element. Rays are sampled at
+half-pixel steps with bilinear interpolation. Both directions draw their
+weights from one generator, so ``adjoint_project`` scatters exactly the
+weights ``forward_project`` gathers. Samples that cannot touch the grid are
+dropped: they would contribute exact zeros.
 """
 
 from __future__ import annotations
@@ -18,40 +20,32 @@ from .geometry import FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_ma
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive measurement noise description."""
+    """Additive Gaussian measurement noise of standard deviation sigma,
+    drawn from ``seed``; sigma 0 means a noiseless measurement."""
 
-    kind: str = "none"
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian"):
-            raise InvalidArgumentError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # also rejects nan
             raise InvalidArgumentError("noise sigma must be >= 0")
 
 
-def _ray_frames(g: FanBeamGeometry, theta: float, beam: str):
-    """Per-detector ray origins and unit directions for one view."""
+def _ray_frames(g: FanBeamGeometry, theta: float):
+    """Per-detector ray origins (the source) and unit directions for one
+    view."""
     ct, st = np.cos(theta), np.sin(theta)
     e_t = np.array([ct, st])
     e_s = np.array([-st, ct])
     tau = g.detector_offsets
-    if beam == "fan":
-        src = -g.source_to_center * e_s
-        det = g.center_to_detector * e_s[None, :] + tau[:, None] * e_t[None, :]
-        d = det - src[None, :]
-        u = d / np.linalg.norm(d, axis=1, keepdims=True)
-        origins = np.broadcast_to(src, u.shape)
-    elif beam == "parallel":
-        origins = tau[:, None] * e_t[None, :]
-        u = np.broadcast_to(e_s, origins.shape)
-    else:
-        raise InvalidArgumentError(f"unknown beam {beam!r}")
-    return origins, u
+    src = -g.source_to_center * e_s
+    det = g.center_to_detector * e_s[None, :] + tau[:, None] * e_t[None, :]
+    d = det - src[None, :]
+    u = d / np.linalg.norm(d, axis=1, keepdims=True)
+    return np.broadcast_to(src, u.shape), u
 
 
-def _view_weights(g: FanBeamGeometry, grid: ImageGrid, beam: str):
+def _view_weights(g: FanBeamGeometry, grid: ImageGrid):
     """Per view: the (detectors, samples) mask of ray samples that can touch
     the grid (-1 < f < n in pixel coordinates f, on both axes) and the four
     bilinear (flat index, weight) corner pairs of the kept samples in C
@@ -64,7 +58,7 @@ def _view_weights(g: FanBeamGeometry, grid: ImageGrid, beam: str):
     n_s = int(np.ceil(2.0 * radius / step))
     offs = (np.arange(n_s) + 0.5) * step - radius
     for theta in g.view_angles:
-        origins, u = _ray_frames(g, theta, beam)
+        origins, u = _ray_frames(g, theta)
         t = -np.einsum("dk,dk->d", origins, u)[:, None] + offs[None, :]
         # in place: at this size a fresh temporary costs more than its op
         fx, fy = t * u[:, 0:1], np.multiply(t, u[:, 1:2], out=t)
@@ -87,20 +81,12 @@ def _view_weights(g: FanBeamGeometry, grid: ImageGrid, beam: str):
         ]
 
 
-def forward_project(x: ImageGrid, g: FanBeamGeometry, beam: str = "fan") -> Sinogram:
-    """Line integrals of ``x`` for every (view, detector) ray.
-
-    Parameters
-    ----------
-    x : ImageGrid
-    g : FanBeamGeometry
-    beam : "fan" or "parallel"; the parallel variant exists for unit tests
-        against analytic projections.
-    """
+def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
+    """Line integrals of ``x`` for every (view, detector) ray."""
     step = x.pixel_size / 2.0
     flat_img = np.pad(x.values, 1).ravel()
     out = np.empty((g.n_views, g.n_detectors))
-    for v, (keep, corners) in enumerate(_view_weights(g, x, beam)):
+    for v, (keep, corners) in enumerate(_view_weights(g, x)):
         acc = np.zeros(np.count_nonzero(keep))
         for flat, w in corners:
             acc += flat_img[flat] * w
@@ -111,8 +97,7 @@ def forward_project(x: ImageGrid, g: FanBeamGeometry, beam: str = "fan") -> Sino
     return Sinogram(out, g)
 
 
-def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid,
-                    beam: str = "fan") -> ImageGrid:
+def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGrid:
     """Exact transpose of :func:`forward_project` onto ``grid``.
 
     Accumulates per-view partial images and reduces them in ascending view
@@ -123,7 +108,7 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid,
     step = grid.pixel_size / 2.0
     n_pix = (grid.nx + 2) * (grid.ny + 2)
     acc = np.zeros(n_pix)
-    for v, (keep, corners) in enumerate(_view_weights(g, grid, beam)):
+    for v, (keep, corners) in enumerate(_view_weights(g, grid)):
         row = np.broadcast_to(s.values[v][:, None], keep.shape)[keep]
         for flat, w in corners:
             acc += np.bincount(flat, weights=w * row * step, minlength=n_pix)
@@ -136,7 +121,7 @@ def simulate_measurement(x: ImageGrid, g: FanBeamGeometry,
     """Project, add noise, then zero the masked-out view rows (m=None keeps
     every view)."""
     y = forward_project(x, g)
-    if noise.kind == "gaussian" and noise.sigma > 0:
+    if noise.sigma > 0:
         rng = np.random.default_rng(noise.seed)
         y = y.with_values(y.values + rng.normal(0.0, noise.sigma, y.values.shape))
     return apply_mask(y, m) if m is not None else y

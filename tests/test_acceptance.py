@@ -242,7 +242,7 @@ def test_10_end_to_end_ordering(acceptance_log, phantom64, sino180, grid64):
 def test_11_guidance_schedule_sweep(acceptance_log, phantom64, geom180, sino180, grid64):
     mask = st.make_sparse_mask(180, 3)
     ys = st.simulate_measurement(phantom64, geom180, mask,
-                                 noise=st.NoiseSpec(kind="gaussian", sigma=0.8, seed=7))
+                                 noise=st.NoiseSpec(sigma=0.8, seed=7))
 
     raw = np.asarray(ys.values, dtype=np.float64)
     scale = float(np.max(np.abs(raw[mask.active])))

@@ -92,6 +92,14 @@ def test_simulate_masks_rows_and_reruns_identically(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_negative_noise_sigma_exit_three(workdir, capsys):
+    out = workdir / "neg.bin"
+    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
+                "--dets", "16", "--noise", "-0.1", "--out", str(out)) == 3
+    assert "noise sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -193,6 +201,15 @@ def test_eval_flag_aliases(workdir, capsys):
     assert "inf" in capsys.readouterr().out
 
 
+def test_eval_size_mismatch_exit_three(workdir, capsys):
+    big = workdir / "big.bin"
+    assert _run("phantom", "--size", "24", "--out", str(big)) == 0
+    capsys.readouterr()
+    assert _run("eval", "--image", str(workdir / "ph.bin"),
+                "--reference", str(big)) == 3
+    assert "shape mismatch" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- ablate
 
 
@@ -286,7 +303,9 @@ def test_unstable_langevin_setting_exit_three(workdir, capsys):
 
 
 @pytest.mark.parametrize("line,word", [("weighting = bogus", "weighting"),
-                                       ("wavelet = sym4", "wavelet")])
+                                       ("wavelet = sym4", "wavelet"),
+                                       ("guidance_mode = optimal-oracle",
+                                        "guidance mode")])
 def test_unknown_weighting_or_wavelet_exit_three_before_chain(workdir, capsys,
                                                                monkeypatch, line,
                                                                word):

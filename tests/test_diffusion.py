@@ -9,16 +9,9 @@ from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
                              ShapeMismatchError)
 
 
-def _sched_from_beta(T, beta, **kw):
-    beta = np.asarray(beta, dtype=np.float64)
-    alpha = 1.0 - beta
-    return st.NoiseSchedule(T=T, beta=beta, alpha=alpha,
-                            alpha_bar=np.cumprod(alpha), **kw)
-
-
 def _mc_schedule():
     # hand-built two-step schedule with cumulative signal level exactly 1/4
-    return _sched_from_beta(2, [0.0, 0.4, 7.0 / 12.0])
+    return st.NoiseSchedule(np.array([0.0, 0.4, 7.0 / 12.0]))
 
 
 def _signed_zero_normal(rng, shape):
@@ -69,15 +62,31 @@ def test_linear_schedule_defaults():
     assert np.all(np.diff(s.alpha_bar) < 0)
 
 
+def test_schedule_derives_horizon_and_alpha_bar_from_beta():
+    beta = np.array([0.0, 0.1, 0.25, 0.3])
+    s = st.NoiseSchedule(beta)
+    assert s.T == 3
+    assert s.alpha_bar.tobytes() == np.cumprod(1.0 - beta).tobytes()
+    for arr in (s.beta, s.alpha_bar):
+        with pytest.raises(ValueError):
+            arr[1] = 0.5
+    with pytest.raises(TypeError):
+        st.NoiseSchedule(beta, alpha_bar=np.cumprod(1.0 - beta))
+
+
 def test_schedule_validation():
     with pytest.raises(InvalidArgumentError):
-        _sched_from_beta(2, [0.1, 0.2, 0.3])  # beta[0] != 0
+        st.NoiseSchedule(np.array([0.1, 0.2, 0.3]))  # beta[0] != 0
     with pytest.raises(InvalidArgumentError):
-        _sched_from_beta(2, [0.0, 0.3, 0.2])  # not increasing
+        st.NoiseSchedule(np.array([0.0, 0.3, 0.2]))  # not increasing
     with pytest.raises(InvalidArgumentError):
-        _sched_from_beta(2, [0.0, 0.5, 1.0])  # beta == 1
+        st.NoiseSchedule(np.array([0.0, 0.5, 1.0]))  # beta == 1
     with pytest.raises(InvalidArgumentError):
-        _sched_from_beta(1, [0.0, 0.1], ve_sigma_min=2.0)
+        st.NoiseSchedule(np.zeros((2, 2)))  # not a ladder
+    with pytest.raises(InvalidArgumentError):
+        st.NoiseSchedule(np.array([0.0, 1e-17]))  # alpha_bar rounds to 1
+    with pytest.raises(InvalidArgumentError):
+        st.NoiseSchedule(np.array([0.0, 0.1]), ve_sigma_min=2.0)
 
 
 def test_ve_sigma_geometric():
@@ -178,6 +187,9 @@ def test_guidance_config_validation():
         st.GuidanceConfig(mode="temporal", nu=1.5)
     with pytest.raises(InvalidArgumentError):
         st.GuidanceConfig(mode="sometimes")
+    # the grid-search oracle checks the closed form; it is no guidance mode
+    with pytest.raises(InvalidArgumentError):
+        st.GuidanceConfig(mode="optimal-oracle")
 
 
 def test_apply_sparse_guidance_blend():

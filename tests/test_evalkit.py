@@ -109,6 +109,11 @@ def test_ssim_window_validation():
         st.ssim(small, small)
     with pytest.raises(InvalidArgumentError, match="positive"):
         st.ssim(small, small, window=0)
+    # an even window's crop leaves nothing when the side equals the window
+    with pytest.raises(InvalidArgumentError, match="too small"):
+        st.ssim(np.zeros((2, 5)), np.ones((2, 5)), window=2)
+    with pytest.raises(InvalidArgumentError, match="too small"):
+        st.ssim(np.zeros((4, 9)), np.ones((4, 9)), window=4)
 
 
 def _scipy_ssim(a, b, data_range, window):

@@ -38,6 +38,8 @@ def test_mask_validation():
         st.make_sparse_mask(10, 11)
     with pytest.raises(InvalidArgumentError):
         st.make_sparse_mask(0, 1)
+    with pytest.raises(TypeError):  # the stride fixes the active rows
+        st.SparseMask(6, 2, active=np.ones(6, bool))
 
 
 def test_mask_count_matches_ceil():

@@ -10,8 +10,7 @@ import pytest
 import stridect as st
 import stridect.pipeline as pipeline
 from stridect.denoiser import AnalyticGaussianDenoiser
-from stridect.diffusion import (LambdaInputs, cfg_combine, optimal_lambda,
-                                optimal_lambda_oracle, predict_x0)
+from stridect.diffusion import LambdaInputs, cfg_combine, optimal_lambda, predict_x0
 from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
                              NumericalAbortError, ShapeMismatchError)
 from stridect.pipeline import (
@@ -165,32 +164,10 @@ def test_coarse_generate_optimal_modes_run():
     active = st.make_sparse_mask(6, 2).active
     sched = st.linear_schedule(T=10)
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
-    for mode in ("optimal-closed-form", "optimal-oracle"):
-        cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode=mode))
-        out = coarse_generate(y_s, active, model, sched, cfg,
-                              np.random.default_rng(4), reference=y_s)
-        assert np.all(np.isfinite(out))
-
-
-def test_coarse_generate_hands_oracle_scalar_inputs(monkeypatch):
-    # the vector form costs a (grid points x active entries) array per step
-    seen = []
-
-    def record(li, *args, **kwargs):
-        seen.append(li)
-        return optimal_lambda_oracle(li, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "optimal_lambda_oracle", record)
-    rng = np.random.default_rng(3)
-    y_s = rng.normal(size=(6, 5))
-    active = st.make_sparse_mask(6, 2).active
-    sched = st.linear_schedule(T=10)
-    model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
-    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-oracle"))
-    coarse_generate(y_s, active, model, sched, cfg, np.random.default_rng(4),
-                    reference=y_s + 0.1)
-    assert len(seen) == cfg.ddim_steps
-    assert all(li.zeta is None and li.xi is None for li in seen)
+    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))
+    out = coarse_generate(y_s, active, model, sched, cfg,
+                          np.random.default_rng(4), reference=y_s)
+    assert np.all(np.isfinite(out))
 
 
 def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
@@ -210,13 +187,11 @@ def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         ab = sched.alpha_bar[t]
         y0_hat = (y - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-        if gcfg.mode in ("temporal", "fixed"):
-            lam = st.guidance_weight(t, gcfg, sched.T)
+        if gcfg.mode == "optimal-closed-form":
+            lam = optimal_lambda(LambdaInputs.from_vectors(
+                (y0_hat - reference)[active].ravel(), (y_s - reference)[active].ravel()))
         else:
-            inp = LambdaInputs.from_vectors((y0_hat - reference)[active].ravel(),
-                                            (y_s - reference)[active].ravel())
-            lam = (optimal_lambda(inp) if gcfg.mode == "optimal-closed-form"
-                   else optimal_lambda_oracle(inp))
+            lam = st.guidance_weight(t, gcfg, sched.T)
         lam = min(1.0, max(0.0, lam))
         rows = active[:, None]
         if lam == 1.0:
@@ -271,7 +246,6 @@ def _coarse_cases():
         ("temporal", plain, cfg()),
         ("closed-form", plain,
          cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))),
-        ("oracle", plain, cfg(guidance=st.GuidanceConfig(mode="optimal-oracle"))),
         ("coupled", st.CoupledGaussianDenoiser(prior, 0.05, sched, mix=0.3), cfg()),
         ("net-omega", net, cfg(omega=0.7)),
         ("net-no-omega", net, cfg()),
