@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,11 +37,18 @@ class _UsageError(Exception):
 _BOOL_KEYS = ("alignment", "align_per_step", "low_band", "high_band",
               "normalize", "pre_weight")
 _INT_KEYS = ("ddim_steps", "n_steps", "seed", "corrector_seed")
-_FLOAT_KEYS = ("sigma_ddim", "omega", "nu", "fixed_lambda", "eps_start",
+_FLOAT_KEYS = ("sigma_ddim", "omega", "nu", "eps_start",
                "eps_end", "lambda_low", "lambda_high", "t_start", "t_end",
                "cutoff", "prior_var")
 _STR_KEYS = ("guidance_mode", "wavelet", "final_dc", "filter_kind", "weighting")
 _CONFIG_KEYS = _BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
+# config key -> field of the nested config it sets; the rest are
+# PipelineConfig fields of the same name, except prior_var
+_GUIDANCE_FIELDS = {"guidance_mode": "mode", "nu": "nu"}
+_CORRECTOR_FIELDS = {**{k: k for k in ("n_steps", "eps_start", "eps_end", "lambda_low",
+                                        "lambda_high", "t_start", "t_end")},
+                     "corrector_seed": "seed"}
+_FILTER_FIELDS = {"filter_kind": "kind", "cutoff": "cutoff"}
 
 
 def _parse_bool(text, key):
@@ -83,28 +89,21 @@ def parse_config_file(path) -> dict:
 
 def build_pipeline_config(kv: dict) -> tuple[PipelineConfig, float]:
     """Assemble a PipelineConfig (plus the analytic prior variance) from a
-    flat key=value mapping. The corrector's seed is the run's ``seed``
+    flat key=value mapping. Keys the mapping leaves out keep the defaults
+    of the config classes. The corrector's seed is the run's ``seed``
     unless ``corrector_seed`` is given."""
     kv = dict(kv)
     prior_var = kv.pop("prior_var", 0.05)
-    guidance = GuidanceConfig(
-        mode=kv.pop("guidance_mode", "temporal"),
-        nu=kv.pop("nu", 1.0),
-        fixed_lambda=kv.pop("fixed_lambda", 1.0),
-    )
-    corrector = CorrectorConfig(
-        n_steps=kv.pop("n_steps", 600),
-        eps_start=kv.pop("eps_start", None),
-        eps_end=kv.pop("eps_end", 1e-5),
-        lambda_low=kv.pop("lambda_low", 1.0),
-        lambda_high=kv.pop("lambda_high", 1.0),
-        t_start=kv.pop("t_start", 1.0),
-        t_end=kv.pop("t_end", 0.02),
-        seed=kv.pop("corrector_seed", kv.get("seed", 0)),
-    )
-    filt = FilterSpec(kind=kv.pop("filter_kind", "ram-lak"),
-                      cutoff=kv.pop("cutoff", 1.0))
-    cfg = PipelineConfig(guidance=guidance, corrector=corrector, filter=filt, **kv)
+
+    def take(fields):
+        return {f: kv.pop(key) for key, f in fields.items() if key in kv}
+
+    corrector = take(_CORRECTOR_FIELDS)
+    if "seed" in kv:
+        corrector.setdefault("seed", kv["seed"])
+    cfg = PipelineConfig(guidance=GuidanceConfig(**take(_GUIDANCE_FIELDS)),
+                         corrector=CorrectorConfig(**corrector),
+                         filter=FilterSpec(**take(_FILTER_FIELDS)), **kv)
     return cfg, float(prior_var)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GuidanceClampWarning, InvalidArgumentError, ShapeMismatchError
 
-_GUIDANCE_MODES = ("temporal", "fixed", "optimal-closed-form")
+_GUIDANCE_MODES = ("temporal", "fixed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,29 +104,28 @@ def predict_x0(y_t, eps_hat, t: int, sched: NoiseSchedule):
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """How the per-step observation-blend weight is chosen."""
+    """How the per-step observation-blend weight is chosen: ``fixed`` uses
+    nu at every step, ``temporal`` scales it by min(1, t/T)."""
 
     mode: str = "temporal"
     nu: float = 1.0
-    fixed_lambda: float | None = None
 
     def __post_init__(self):
         if self.mode not in _GUIDANCE_MODES:
             raise InvalidArgumentError(f"unknown guidance mode {self.mode!r}")
         if not (0.0 <= self.nu <= 1.0):
             raise InvalidArgumentError("nu must lie in [0, 1]")
-        if self.mode == "fixed" and self.fixed_lambda is None:
-            raise InvalidArgumentError("fixed mode requires fixed_lambda")
 
 
 def guidance_weight(t: int, cfg: GuidanceConfig, T: int) -> float:
-    """Scheduled blend weight: temporal mode is min(1, t/T) * nu, with T
-    the horizon of the noise schedule being sampled."""
+    """Blend weight at step t, in [0, 1]: nu in fixed mode and
+    min(1, t/T) * nu in temporal mode, with T the horizon of the noise
+    schedule being sampled."""
     if t < 0:
         raise InvalidArgumentError("t must be >= 0")
     if cfg.mode == "fixed":
-        return float(cfg.fixed_lambda)
-    return min(1.0, t / T) * cfg.nu
+        return float(cfg.nu)
+    return float(min(1.0, t / T) * cfg.nu)
 
 
 def _guidance_lambda(lam: float) -> float:

@@ -73,7 +73,7 @@ def filter_projections(s: Sinogram, spec: FilterSpec = FilterSpec()) -> Sinogram
     approximates the continuous filtered projection.
     """
     g = s.geometry
-    tau = g.virtual_detector_spacing if g is not None else 1.0
+    tau = g.virtual_detector_spacing
     n = s.n_detectors
     h = ramp_kernel(n, tau)
     response = np.fft.rfft(h) * _frequency_window(n, tau, spec)
@@ -84,8 +84,6 @@ def filter_projections(s: Sinogram, spec: FilterSpec = FilterSpec()) -> Sinogram
 def fan_pre_weight(s: Sinogram) -> Sinogram:
     """Scale each sample by D / sqrt(D^2 + r^2), r on the virtual detector."""
     g = s.geometry
-    if g is None:
-        raise InvalidArgumentError("pre-weighting needs sinogram geometry")
     d = g.source_to_center
     r = g.virtual_detector_coords
     w = d / np.sqrt(d * d + r * r)
@@ -112,8 +110,6 @@ def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") ->
     """
     check_weighting(weighting)
     g = q.geometry
-    if g is None:
-        raise InvalidArgumentError("backprojection needs sinogram geometry")
     d = g.source_to_center
     lo, hi = g.angular_range
     dtheta = (hi - lo) / g.n_views
@@ -139,8 +135,6 @@ def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") ->
 def fbp_reconstruct(s: Sinogram, grid: ImageGrid, spec: FilterSpec = FilterSpec(),
                     pre_weight: bool = True, weighting: str = "literal") -> ImageGrid:
     """Full chain: fan pre-weight, ramp filtering, weighted backprojection."""
-    if s.geometry is None:
-        raise InvalidArgumentError("fbp_reconstruct needs sinogram geometry")
     work = fan_pre_weight(s) if pre_weight else s
     return fan_backproject(filter_projections(work, spec), grid, weighting)
 
@@ -152,8 +146,6 @@ def extract_active_views(s: Sinogram, m: SparseMask) -> Sinogram:
     evenly spaced over the same angular range.
     """
     g = s.geometry
-    if g is None:
-        raise InvalidArgumentError("extraction needs sinogram geometry")
     if s.n_views != m.n_views:
         raise ShapeMismatchError("mask and sinogram disagree on n_views")
     if s.n_views % m.r != 0:

@@ -63,8 +63,6 @@ def _geom_path(path) -> str:
 def write_sinogram(path, sino: Sinogram) -> None:
     """Values go to path; the acquisition geometry goes to path + ".geom"."""
     g = sino.geometry
-    if g is None:
-        raise InvalidArgumentError("sinogram has no geometry to serialize")
     with open(path, "wb") as f:
         f.write(_SINO_MAGIC + f" {g.n_views} {g.n_detectors}\n".encode())
         f.write(np.asarray(sino.values, dtype="<f4").tobytes())

@@ -181,23 +181,25 @@ class ImageGrid:
 
 @dataclass(frozen=True, eq=False)
 class Sinogram:
-    """Stack of projection rows, one per view. values[view, detector]."""
+    """Stack of projection rows, one per view, values[view, detector], and
+    the fan-beam geometry that acquired them."""
 
     values: np.ndarray = field(repr=False)
-    geometry: FanBeamGeometry = None
+    geometry: FanBeamGeometry
 
     def __post_init__(self):
+        g = self.geometry
+        if not isinstance(g, FanBeamGeometry):
+            raise InvalidArgumentError("a sinogram needs its FanBeamGeometry")
         v = _readonly(self.values)
         if v.ndim != 2:
             raise ShapeMismatchError("sinogram values must be 2-D")
         if not np.all(np.isfinite(v)):
             raise InvalidArgumentError("sinogram values must be finite")
-        if self.geometry is not None:
-            g = self.geometry
-            if v.shape != (g.n_views, g.n_detectors):
-                raise ShapeMismatchError(
-                    f"sinogram shape {v.shape} != geometry ({g.n_views}, {g.n_detectors})"
-                )
+        if v.shape != (g.n_views, g.n_detectors):
+            raise ShapeMismatchError(
+                f"sinogram shape {v.shape} != geometry ({g.n_views}, {g.n_detectors})"
+            )
         object.__setattr__(self, "values", v)
 
     @property

@@ -18,17 +18,15 @@ from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment
                         check_refinement, data_consistency, fit_linear_alignment,
                         refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
-from .diffusion import (GuidanceConfig, LambdaInputs, NoiseSchedule,
-                        _ddim_update, _guidance_lambda, _guide_rows,
-                        _predict_x0, cfg_combine, guidance_weight,
-                        linear_schedule, optimal_lambda)
+from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows,
+                        _predict_x0, cfg_combine, guidance_weight, linear_schedule)
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .evalkit import kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, check_weighting, extract_active_views, fbp_reconstruct
-from .geometry import ImageGrid, SparseMask, Sinogram, apply_mask, mask_rows
+from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
 
@@ -124,24 +122,23 @@ def interpolate_views(values, active):
 
 
 def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfig,
-                    rng, reference=None) -> np.ndarray:
+                    rng) -> np.ndarray:
     """Run the guided DDIM chain from pure noise down to t = 0.
 
     y_s holds the observed rows (zeros elsewhere are fine; only active rows
-    are read). The optimal-closed-form guidance mode needs a reference
-    sinogram to build the weight inputs. Conditional models receive the
-    masked observation as their conditioning channel.
+    are read). Conditional models receive the masked observation as their
+    conditioning channel; a nonzero omega needs such a model.
     """
     y_s = np.asarray(y_s, dtype=np.float64)
     active = np.asarray(active, bool)
-    gcfg = cfg.guidance
-    if gcfg.mode == "optimal-closed-form" and reference is None:
-        raise InvalidArgumentError("optimal guidance needs a reference")
     if active.shape != y_s.shape[:1]:
         raise ShapeMismatchError("row flag length does not match")
     if cfg.sigma_ddim < 0:
         raise InvalidArgumentError("sigma_t must be >= 0")
-    cond = mask_rows(y_s, active) if getattr(model, "conditional", False) else None
+    conditional = getattr(model, "conditional", False)
+    if cfg.omega != 0.0 and not conditional:
+        raise InvalidArgumentError("omega needs a conditional model; set omega = 0")
+    cond = mask_rows(y_s, active) if conditional else None
     ts = ddim_times(sched.T, cfg.ddim_steps)
     # the loop owns y, x0, prod and the active-row buffers and updates them
     # in place with the operation order of predict_x0, apply_sparse_guidance
@@ -160,12 +157,8 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
             eps_unc = model.predict_eps(y, t, None)
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
-        if gcfg.mode == "optimal-closed-form":
-            lam = optimal_lambda(LambdaInputs.from_vectors(
-                (x0 - reference)[active].ravel(), (y_s - reference)[active].ravel()))
-        else:
-            lam = guidance_weight(t, gcfg, sched.T)
-        _guide_rows(x0, ys_rows, rows, _guidance_lambda(lam), row_buf, row_diff)
+        lam = guidance_weight(t, cfg.guidance, sched.T)
+        _guide_rows(x0, ys_rows, rows, lam, row_buf, row_diff)
         if cfg.align_per_step and cfg.alignment:
             x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))
         _ddim_update(y, x0, eps_hat, sched.alpha_bar[int(t_prev)], cfg.sigma_ddim,
@@ -203,6 +196,16 @@ class ReconstructionResult:
     alignment: AlignmentParams | None
 
 
+def _check_references(y_s: Sinogram, grid: ImageGrid, reference, reference_image):
+    """Reject a reference the chain's output cannot be scored against."""
+    if reference is not None and reference.values.shape != y_s.values.shape:
+        raise ShapeMismatchError(f"reference sinogram shape {reference.values.shape} "
+                                 f"!= measured {y_s.values.shape}")
+    if reference_image is not None and reference_image.values.shape != (grid.ny, grid.nx):
+        raise ShapeMismatchError(f"reference image shape {reference_image.values.shape} "
+                                 f"!= output grid {(grid.ny, grid.nx)}")
+
+
 def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                        cfg: PipelineConfig, model=None, sched=None,
                        score_low=None, score_high=None,
@@ -216,11 +219,13 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     centering gives each live band branch that was given no score model a
     Gaussian score of variance prior_var; a branch is live when its band
     flag is set and the corrector takes steps, and an off branch is never
-    scored. The band scores are checked by :func:`check_refinement` before
-    the chain starts. grid supplies the output raster (values unused).
+    scored. The band scores are checked by :func:`check_refinement`, and
+    the references' shapes against y_s and grid, before the chain starts.
+    grid supplies the output raster (values unused).
     """
     if m.n_views != y_s.geometry.n_views:
         raise ShapeMismatchError("mask and sinogram view counts differ")
+    _check_references(y_s, grid, reference, reference_image)
     if sched is None:
         sched = linear_schedule()
     active = m.active
@@ -230,7 +235,6 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         scale = 1.0
     ys_n = raw / scale
     ref_arr = np.asarray(reference.values, dtype=np.float64) if reference is not None else None
-    ref_n = ref_arr / scale if ref_arr is not None else None
     interp = interpolate_views(ys_n, active)
     steps = cfg.corrector.n_steps > 0
     live_low, live_high = steps and cfg.low_band, steps and cfg.high_band
@@ -248,7 +252,7 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     stages = []
 
-    y = coarse_generate(ys_n, active, model, sched, cfg, rng, reference=ref_n)
+    y = coarse_generate(ys_n, active, model, sched, cfg, rng)
     stages.append(_stage("coarse", y * scale, ref_arr, active))
 
     align = None
@@ -295,7 +299,7 @@ def sparse_fbp_baseline(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
 
 def _ablation_variants(cfg: PipelineConfig):
-    off = GuidanceConfig(mode="fixed", nu=cfg.guidance.nu, fixed_lambda=0.0)
+    off = GuidanceConfig(mode="fixed", nu=0.0)
     return [
         ("full", cfg),
         ("no-guidance", replace(cfg, guidance=off)),
@@ -338,18 +342,16 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     schedule: 12 rows of (label, sinogram MSE, image PSNR, sinogram KL).
 
     Only the table is returned; the chains compute no per-stage metrics."""
+    _check_references(y_s, grid, reference, reference_image)
     ref = np.asarray(reference.values, dtype=np.float64)
     ref_img = (np.asarray(reference_image.values, dtype=np.float64)
                if reference_image is not None else None)
-    configs = [(f"fixed-{k / 10.0:.1f}",
-                GuidanceConfig(mode="fixed", nu=cfg.guidance.nu,
-                               fixed_lambda=k / 10.0))
+    configs = [(f"fixed-{k / 10.0:.1f}", GuidanceConfig(mode="fixed", nu=k / 10.0))
                for k in range(11)]
     configs.append(("temporal", GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
     rows = []
     for name, g in configs:
-        # fixed and temporal weights never read the reference, so the chain
-        # gets none and computes no stage metrics
+        # the chain gets no reference, so it computes no stage metrics
         res = stride_reconstruct(y_s, m, grid, replace(cfg, guidance=g), **kwargs)
         out = np.asarray(res.sinogram.values)
         rows.append((name, mse(ref, out),

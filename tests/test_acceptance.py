@@ -111,7 +111,7 @@ def test_05_guidance_limit_cases(acceptance_log, phantom64):
     pinned = st.stride_reconstruct(
         ys, mask, grid,
         st.PipelineConfig(ddim_steps=20,
-                          guidance=st.GuidanceConfig(mode="fixed", fixed_lambda=1.0),
+                          guidance=st.GuidanceConfig(mode="fixed", nu=1.0),
                           corrector=st.CorrectorConfig(n_steps=5, eps_start=1e-4,
                                                        eps_end=1e-6),
                           final_dc="active"),
@@ -120,7 +120,7 @@ def test_05_guidance_limit_cases(acceptance_log, phantom64):
                                 ys.values[mask.active])
 
     cfg0 = st.PipelineConfig(ddim_steps=20,
-                             guidance=st.GuidanceConfig(mode="fixed", fixed_lambda=0.0),
+                             guidance=st.GuidanceConfig(mode="fixed", nu=0.0),
                              corrector=st.CorrectorConfig(n_steps=0),
                              alignment=False, final_dc="off")
     guided0 = st.stride_reconstruct(ys, mask, grid, cfg0, sched=sched)

@@ -248,12 +248,14 @@ def test_missing_input_exit_two(tmp_path, capsys):
 
 def test_unknown_config_key_exit_two(workdir, capsys):
     bad = workdir / "bad.cfg"
-    bad.write_text("warp_speed = 9\n")
-    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
-                "--size", "16", "--config", str(bad),
-                "--out", str(workdir / "o.bin"))
-    assert code == 2
-    assert "unknown key" in capsys.readouterr().err
+    # fixed mode's weight is nu; fixed_lambda is no longer a key
+    for line in ("warp_speed = 9", "fixed_lambda = 0.4"):
+        bad.write_text(line + "\n")
+        code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                    "--size", "16", "--config", str(bad),
+                    "--out", str(workdir / "o.bin"))
+        assert code == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_corrupt_sidecar_exit_three(workdir, capsys):
@@ -305,6 +307,8 @@ def test_unstable_langevin_setting_exit_three(workdir, capsys):
 @pytest.mark.parametrize("line,word", [("weighting = bogus", "weighting"),
                                        ("wavelet = sym4", "wavelet"),
                                        ("guidance_mode = optimal-oracle",
+                                        "guidance mode"),
+                                       ("guidance_mode = optimal-closed-form",
                                         "guidance mode")])
 def test_unknown_weighting_or_wavelet_exit_three_before_chain(workdir, capsys,
                                                                monkeypatch, line,
@@ -323,6 +327,36 @@ def test_unknown_weighting_or_wavelet_exit_three_before_chain(workdir, capsys,
         assert code == 3
         assert word in capsys.readouterr().err
     assert not (workdir / "o.bin").exists()
+
+
+def test_mismatched_reference_exit_three_before_chain(workdir, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(st.pipeline, "interpolate_views", reached)
+    more_views = workdir / "full24.bin"
+    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "24",
+                "--detectors", "16", "--out", str(more_views)) == 0
+    common = ("--sino", str(workdir / "sino.bin"), "--r", "3", "--size", "16",
+              "--config", str(workdir / "fast.cfg"), "--reference", str(more_views))
+    out = workdir / "o.out"
+    for argv in (("reconstruct",) + common, ("ablate",) + common,
+                 ("ablate", "--lambda-sweep") + common):
+        capsys.readouterr()
+        assert _run(*argv, "--out", str(out)) == 3
+        assert "reference sinogram shape" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_omega_without_conditional_net_exit_three(workdir, capsys):
+    cfg = workdir / "omega.cfg"
+    cfg.write_text("ddim_steps = 4\nn_steps = 0\nomega = 0.7\n")
+    out = workdir / "o.bin"
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg), "--out", str(out))
+    assert code == 3
+    assert "omega" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ config helpers
@@ -360,18 +394,13 @@ def test_parse_config_file(tmp_path):
 
 def test_build_pipeline_config_defaults_and_overrides():
     cfg, prior_var = build_pipeline_config({})
-    ref = st.PipelineConfig()
-    assert (cfg.ddim_steps, cfg.final_dc, cfg.weighting) == \
-        (ref.ddim_steps, ref.final_dc, ref.weighting)
-    assert cfg.guidance.mode == ref.guidance.mode
-    assert cfg.corrector == ref.corrector
-    assert cfg.filter == ref.filter
+    assert cfg == st.PipelineConfig()
     assert prior_var == 0.05
 
     cfg2, pv2 = build_pipeline_config({
         "ddim_steps": 8,
         "guidance_mode": "fixed",
-        "fixed_lambda": 0.4,
+        "nu": 0.4,
         "n_steps": 12,
         "corrector_seed": 9,
         "filter_kind": "hann",
@@ -380,16 +409,22 @@ def test_build_pipeline_config_defaults_and_overrides():
         "alignment": False,
         "prior_var": 0.2,
     })
-    assert cfg2.ddim_steps == 8
-    assert cfg2.guidance.mode == "fixed"
-    assert cfg2.guidance.fixed_lambda == 0.4
-    assert cfg2.corrector.n_steps == 12
-    assert cfg2.corrector.seed == 9
-    assert cfg2.filter.kind == "hann"
-    assert cfg2.filter.cutoff == 0.5
-    assert cfg2.weighting == "exact"
-    assert not cfg2.alignment
+    assert cfg2 == st.PipelineConfig(
+        ddim_steps=8, guidance=st.GuidanceConfig(mode="fixed", nu=0.4),
+        corrector=st.CorrectorConfig(n_steps=12, seed=9),
+        filter=st.FilterSpec(kind="hann", cutoff=0.5), weighting="exact",
+        alignment=False)
     assert pv2 == 0.2
+    every_key, _ = build_pipeline_config({
+        "guidance_mode": "temporal", "nu": 0.7, "n_steps": 3, "eps_start": 1e-3,
+        "eps_end": 1e-6, "lambda_low": 0.5, "lambda_high": 0.25, "t_start": 0.9,
+        "t_end": 0.1, "corrector_seed": 4, "filter_kind": "hann", "cutoff": 0.8})
+    assert every_key == st.PipelineConfig(
+        guidance=st.GuidanceConfig(mode="temporal", nu=0.7),
+        corrector=st.CorrectorConfig(n_steps=3, eps_start=1e-3, eps_end=1e-6,
+                                     lambda_low=0.5, lambda_high=0.25, t_start=0.9,
+                                     t_end=0.1, seed=4),
+        filter=st.FilterSpec(kind="hann", cutoff=0.8))
     # the corrector follows the run's seed unless given its own
     assert build_pipeline_config({"seed": 5})[0].corrector.seed == 5
     assert build_pipeline_config({"seed": 5, "corrector_seed": 9})[0].corrector.seed == 9

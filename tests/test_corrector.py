@@ -110,7 +110,7 @@ def test_apply_alignment_and_inverse():
     assert np.array_equal(out, 2.0 * y - 1.0)
     back = (out - p.b) / p.a
     assert np.max(np.abs(back - y)) <= 1e-10
-    sino = st.Sinogram(y)
+    sino = st.Sinogram(y, st.desk_geometry(2, 2, 16))
     assert np.array_equal(st.apply_linear_alignment(sino, p), out)
 
 

@@ -168,9 +168,10 @@ def test_guidance_weight_values():
     assert st.guidance_weight(0, g, 1000) == 0.0
     g2 = st.GuidanceConfig(mode="temporal", nu=0.8)
     assert st.guidance_weight(500, g2, 1000) == pytest.approx(0.4)
-    gf = st.GuidanceConfig(mode="fixed", fixed_lambda=0.3)
-    assert st.guidance_weight(999, gf, 1000) == 0.3
-    assert st.guidance_weight(1, gf, 1000) == 0.3
+    gf = st.GuidanceConfig(mode="fixed", nu=0.3)
+    weights = [st.guidance_weight(t, gf, 1000) for t in range(1001)]
+    assert all(type(w) is float and w == 0.3 for w in weights)
+    assert type(st.guidance_weight(500, g2, 1000)) is float
 
 
 def test_guidance_weight_monotone_and_bounded():
@@ -181,15 +182,20 @@ def test_guidance_weight_monotone_and_bounded():
 
 
 def test_guidance_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        st.GuidanceConfig(mode="fixed")  # fixed needs a level
-    with pytest.raises(InvalidArgumentError):
-        st.GuidanceConfig(mode="temporal", nu=1.5)
+    assert st.GuidanceConfig(mode="fixed").nu == 1.0
+    for mode in ("temporal", "fixed"):
+        for nu in (1.5, -0.1, float("nan")):
+            with pytest.raises(InvalidArgumentError, match="nu"):
+                st.GuidanceConfig(mode=mode, nu=nu)
     with pytest.raises(InvalidArgumentError):
         st.GuidanceConfig(mode="sometimes")
-    # the grid-search oracle checks the closed form; it is no guidance mode
-    with pytest.raises(InvalidArgumentError):
-        st.GuidanceConfig(mode="optimal-oracle")
+    # the closed-form weight and its grid-search oracle need the reference
+    # sinogram; they are analysis, not guidance modes
+    for mode in ("optimal-oracle", "optimal-closed-form"):
+        with pytest.raises(InvalidArgumentError, match="guidance mode"):
+            st.GuidanceConfig(mode=mode)
+    with pytest.raises(TypeError):
+        st.GuidanceConfig(mode="fixed", fixed_lambda=0.3)
 
 
 def test_apply_sparse_guidance_blend():

@@ -101,10 +101,6 @@ def test_sinogram_errors(tmp_path):
     path = tmp_path / "scan.bin"
     st.write_sinogram(path, sino)
 
-    # no geometry attached
-    with pytest.raises(InvalidArgumentError):
-        st.write_sinogram(tmp_path / "x.bin", st.Sinogram(sino.values))
-
     # missing sidecar
     lone = tmp_path / "lone.bin"
     lone.write_bytes(path.read_bytes())

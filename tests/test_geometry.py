@@ -59,7 +59,10 @@ def test_mask_active_readonly():
 
 
 def _sino(values, geometry=None):
-    return st.Sinogram(np.asarray(values, dtype=np.float64), geometry)
+    values = np.asarray(values, dtype=np.float64)
+    if geometry is None:
+        geometry = st.desk_geometry(*values.shape, 16)
+    return st.Sinogram(values, geometry)
 
 
 def test_apply_mask_small():
@@ -217,11 +220,17 @@ def test_image_grid_values_readonly():
 
 
 def test_sinogram_validation():
-    with pytest.raises(ShapeMismatchError):
-        st.Sinogram(np.zeros(5))
-    with pytest.raises(InvalidArgumentError):
-        st.Sinogram(np.full((2, 2), np.inf))
     g = st.desk_geometry(6, 4, 16)
+    with pytest.raises(ShapeMismatchError):
+        st.Sinogram(np.zeros(5), g)
+    with pytest.raises(InvalidArgumentError):
+        st.Sinogram(np.full((6, 4), np.inf), g)
+    # every sinogram carries the geometry that acquired it
+    for geometry in (None, g.to_kv(), (6, 4)):
+        with pytest.raises(InvalidArgumentError, match="FanBeamGeometry"):
+            st.Sinogram(np.zeros((6, 4)), geometry)
+    with pytest.raises(TypeError):
+        st.Sinogram(np.zeros((6, 4)))
     with pytest.raises(ShapeMismatchError):
         st.Sinogram(np.zeros((5, 4)), g)
     s = st.Sinogram(np.zeros((6, 4)), g)

@@ -10,9 +10,8 @@ import pytest
 import stridect as st
 import stridect.pipeline as pipeline
 from stridect.denoiser import AnalyticGaussianDenoiser
-from stridect.diffusion import LambdaInputs, cfg_combine, optimal_lambda, predict_x0
-from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
-                             NumericalAbortError, ShapeMismatchError)
+from stridect.diffusion import cfg_combine, predict_x0
+from stridect.errors import InvalidArgumentError, NumericalAbortError, ShapeMismatchError
 from stridect.pipeline import (
     PipelineConfig,
     ReconstructionResult,
@@ -141,41 +140,18 @@ def test_coarse_generate_full_clamp_reproduces_input():
     y_s = rng.normal(size=(6, 5)) + 3.0
     active = np.ones(6, bool)
     sched = st.linear_schedule(T=10)
-    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="fixed", fixed_lambda=1.0))
+    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="fixed", nu=1.0))
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
     out = coarse_generate(y_s, active, model, sched, cfg,
                           np.random.default_rng(2))
     assert np.array_equal(out, y_s)
 
 
-def test_coarse_generate_optimal_needs_reference():
-    sched = st.linear_schedule(T=10)
-    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))
-    y_s = np.ones((6, 5))
-    model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
-    with pytest.raises(InvalidArgumentError):
-        coarse_generate(y_s, np.ones(6, bool), model, sched, cfg,
-                        np.random.default_rng(0))
-
-
-def test_coarse_generate_optimal_modes_run():
-    rng = np.random.default_rng(3)
-    y_s = rng.normal(size=(6, 5))
-    active = st.make_sparse_mask(6, 2).active
-    sched = st.linear_schedule(T=10)
-    model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
-    cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))
-    out = coarse_generate(y_s, active, model, sched, cfg,
-                          np.random.default_rng(4), reference=y_s)
-    assert np.all(np.isfinite(out))
-
-
-def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
+def _old_coarse_generate(y_s, active, model, sched, cfg, rng):
     """coarse_generate as first written, with the step functions inlined as
     whole-array expressions: a fresh array for every intermediate."""
     y_s = np.asarray(y_s, dtype=np.float64)
     active = np.asarray(active, bool)
-    gcfg = cfg.guidance
     cond = st.mask_rows(y_s, active) if getattr(model, "conditional", False) else None
     ts = ddim_times(sched.T, cfg.ddim_steps)
     y = rng.standard_normal(y_s.shape)
@@ -187,12 +163,7 @@ def _old_coarse_generate(y_s, active, model, sched, cfg, rng, reference=None):
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         ab = sched.alpha_bar[t]
         y0_hat = (y - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-        if gcfg.mode == "optimal-closed-form":
-            lam = optimal_lambda(LambdaInputs.from_vectors(
-                (y0_hat - reference)[active].ravel(), (y_s - reference)[active].ravel()))
-        else:
-            lam = st.guidance_weight(t, gcfg, sched.T)
-        lam = min(1.0, max(0.0, lam))
+        lam = st.guidance_weight(t, cfg.guidance, sched.T)
         rows = active[:, None]
         if lam == 1.0:
             y0_hat = np.where(rows, y_s, y0_hat)
@@ -226,7 +197,6 @@ def _coarse_cases():
     sched = st.linear_schedule(T=20)
     rng = np.random.default_rng(21)
     y_s = rng.normal(size=(12, 9)) + 1.0
-    reference = y_s + 0.1 * rng.normal(size=y_s.shape)
     active = st.make_sparse_mask(12, 3).active
     prior = interpolate_views(y_s, active)
     plain = AnalyticGaussianDenoiser(prior, 0.05, sched)
@@ -237,15 +207,10 @@ def _coarse_cases():
         base.update(over)
         return PipelineConfig(**base)
 
-    def fixed(lam):
-        return st.GuidanceConfig(mode="fixed", fixed_lambda=lam)
-
-    cases = [(f"fixed-{lam}", plain, cfg(guidance=fixed(lam)))
-             for lam in (0.0, 0.3, 1.0, 1.5)]
+    cases = [(f"fixed-{nu}", plain, cfg(guidance=st.GuidanceConfig(mode="fixed", nu=nu)))
+             for nu in (0.0, 0.3, 1.0)]
     cases += [
         ("temporal", plain, cfg()),
-        ("closed-form", plain,
-         cfg(guidance=st.GuidanceConfig(mode="optimal-closed-form"))),
         ("coupled", st.CoupledGaussianDenoiser(prior, 0.05, sched, mix=0.3), cfg()),
         ("net-omega", net, cfg(omega=0.7)),
         ("net-no-omega", net, cfg()),
@@ -253,31 +218,26 @@ def _coarse_cases():
         ("sigma", plain, cfg(sigma_ddim=0.2)),
         ("one-step", plain, cfg(ddim_steps=1)),
     ]
-    return sched, y_s, active, reference, cases
+    return sched, y_s, active, cases
 
 
 def test_coarse_generate_matches_old_loop_bytes():
-    sched, y_s, active, reference, cases = _coarse_cases()
+    sched, y_s, active, cases = _coarse_cases()
     for name, model, cfg in cases:
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            out = coarse_generate(y_s, active, _ReadOnlyEps(model), sched, cfg,
-                                  np.random.default_rng(8), reference=reference)
+        out = coarse_generate(y_s, active, _ReadOnlyEps(model), sched, cfg,
+                              np.random.default_rng(8))
         expect = _old_coarse_generate(y_s, active, model, sched, cfg,
-                                      np.random.default_rng(8), reference=reference)
+                                      np.random.default_rng(8))
         assert out.tobytes() == expect.tobytes(), name
-        clamped = [w for w in seen if issubclass(w.category, GuidanceClampWarning)]
-        assert len(clamped) == (cfg.ddim_steps if name == "fixed-1.5" else 0), name
 
 
 def test_coarse_generate_rejects_nan_weight_and_bad_mask():
-    sched, y_s, active, _, _ = _coarse_cases()
+    sched, y_s, active, _ = _coarse_cases()
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
-    cfg = PipelineConfig(ddim_steps=3, guidance=st.GuidanceConfig(
-        mode="fixed", fixed_lambda=float("nan")))
-    with pytest.raises(InvalidArgumentError, match="finite"):
-        coarse_generate(y_s, active, model, sched, cfg, np.random.default_rng(0))
-    ok = replace(cfg, guidance=st.GuidanceConfig(mode="temporal"))
+    # a weight is checked once, when its config is built
+    with pytest.raises(InvalidArgumentError, match="nu"):
+        st.GuidanceConfig(mode="fixed", nu=float("nan"))
+    ok = PipelineConfig(ddim_steps=3)
     with pytest.raises(ShapeMismatchError):
         coarse_generate(y_s, active[:-1], model, sched, ok, np.random.default_rng(0))
     with pytest.raises(InvalidArgumentError):
@@ -344,6 +304,44 @@ def test_reconstruct_validation():
     # refinement off never reaches the wavelet code, and is still checked
     with pytest.raises(InvalidArgumentError, match="wavelet"):
         PipelineConfig(wavelet="sym4", corrector=st.CorrectorConfig(n_steps=0))
+
+
+def test_mismatched_references_fail_before_any_chain_work(monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    more_views = st.forward_project(phantom, st.desk_geometry(24, 16, 16))
+    small_image = st.shepp_logan(8, 8)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(pipeline, "interpolate_views", reached)
+    calls = [
+        lambda: st.stride_reconstruct(masked, m, grid, cfg, sched=sched,
+                                      reference=more_views),
+        lambda: st.stride_reconstruct(masked, m, grid, cfg, sched=sched,
+                                      reference_image=small_image),
+        lambda: st.run_component_ablation(masked, m, grid, cfg, more_views,
+                                          sched=sched),
+        lambda: st.run_lambda_sweep(masked, m, grid, cfg, more_views, sched=sched),
+        lambda: st.run_lambda_sweep(masked, m, grid, cfg, sino,
+                                    reference_image=small_image, sched=sched),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatchError, match="reference"):
+            call()
+
+
+def test_omega_needs_a_conditional_model():
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg(omega=0.7)
+    # the default surrogate is unconditional, so omega would change nothing
+    with pytest.raises(InvalidArgumentError, match="omega"):
+        st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
+    y_s = np.ones((6, 5))
+    plain = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
+    with pytest.raises(InvalidArgumentError, match="omega"):
+        coarse_generate(y_s, np.ones(6, bool), plain, sched, cfg, np.random.default_rng(0))
 
 
 class _CoarseReached(Exception):
@@ -527,9 +525,8 @@ def test_lambda_sweep_table_unchanged_without_stage_metrics(monkeypatch):
     cfg, sched = _small_cfg()
     # the table as first computed: each chain run with the references
     ref = np.asarray(sino.values, dtype=np.float64)
-    guides = [(f"fixed-{k / 10.0:.1f}",
-               st.GuidanceConfig(mode="fixed", nu=cfg.guidance.nu,
-                                 fixed_lambda=k / 10.0)) for k in range(11)]
+    guides = [(f"fixed-{k / 10.0:.1f}", st.GuidanceConfig(mode="fixed", nu=k / 10.0))
+              for k in range(11)]
     guides.append(("temporal", st.GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
     expect = []
     for name, guide in guides:

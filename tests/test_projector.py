@@ -97,7 +97,8 @@ def test_adjoint_zero_and_shape_check():
     out = st.adjoint_project(st.Sinogram(np.zeros((6, 8)), g), g, grid)
     assert not out.values.any()
     with pytest.raises(ShapeMismatchError):
-        st.adjoint_project(st.Sinogram(np.zeros((5, 8))), g, grid)
+        st.adjoint_project(st.Sinogram(np.zeros((5, 8)), st.desk_geometry(5, 8, 16)),
+                           g, grid)
 
 
 def test_single_ray_support():

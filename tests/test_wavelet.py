@@ -85,7 +85,7 @@ def test_shift_covariance_bitwise(wavelet):
 
 def test_swt_accepts_sinogram_values():
     rng = np.random.default_rng(11)
-    s = st.Sinogram(rng.normal(size=(10, 8)))
+    s = st.Sinogram(rng.normal(size=(10, 8)), st.desk_geometry(10, 8, 16))
     bands = st.swt_decompose(s, "haar")
     assert bands.shape == (10, 8)
     with pytest.raises(ShapeMismatchError):
@@ -154,8 +154,8 @@ def _tuple_iswt(bands, wavelet):
 @pytest.mark.parametrize("shape", [(16, 16), (13, 7), (18, 40), "sinogram"])
 def test_band_array_bytes_match_band_tuple(wavelet, shape):
     rng = np.random.default_rng(14)
-    x = (st.Sinogram(rng.normal(size=(12, 20))) if shape == "sinogram"
-         else rng.normal(size=shape))
+    x = (st.Sinogram(rng.normal(size=(12, 20)), st.desk_geometry(12, 20, 16))
+         if shape == "sinogram" else rng.normal(size=shape))
     bands = st.swt_decompose(x, wavelet)
     want = _tuple_swt(x, wavelet)
     assert [b.tobytes() for b in bands.values] == [w.tobytes() for w in want]
