@@ -34,8 +34,7 @@ _NUMERIC_EXIT = 4
 class _UsageError(Exception):
     """Problems with how the tool was invoked (flags, config keys, paths)."""
 
-_BOOL_KEYS = ("alignment", "align_per_step", "low_band", "high_band",
-              "normalize", "pre_weight")
+_BOOL_KEYS = ("alignment", "align_per_step", "normalize", "pre_weight")
 _INT_KEYS = ("ddim_steps", "n_steps", "seed", "corrector_seed")
 _FLOAT_KEYS = ("sigma_ddim", "omega", "nu", "eps_start",
                "eps_end", "lambda_low", "lambda_high", "t_start", "t_end",
@@ -43,12 +42,13 @@ _FLOAT_KEYS = ("sigma_ddim", "omega", "nu", "eps_start",
 _STR_KEYS = ("guidance_mode", "wavelet", "final_dc", "filter_kind", "weighting")
 _CONFIG_KEYS = _BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
 # config key -> field of the nested config it sets; the rest are
-# PipelineConfig fields of the same name, except prior_var
+# PipelineConfig fields of the same name
 _GUIDANCE_FIELDS = {"guidance_mode": "mode", "nu": "nu"}
 _CORRECTOR_FIELDS = {**{k: k for k in ("n_steps", "eps_start", "eps_end", "lambda_low",
                                         "lambda_high", "t_start", "t_end")},
                      "corrector_seed": "seed"}
-_FILTER_FIELDS = {"filter_kind": "kind", "cutoff": "cutoff"}
+_FILTER_FIELDS = {"filter_kind": "kind", "cutoff": "cutoff", "pre_weight": "pre_weight",
+                  "weighting": "weighting"}
 
 
 def _parse_bool(text, key):
@@ -87,13 +87,12 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def build_pipeline_config(kv: dict) -> tuple[PipelineConfig, float]:
-    """Assemble a PipelineConfig (plus the analytic prior variance) from a
-    flat key=value mapping. Keys the mapping leaves out keep the defaults
-    of the config classes. The corrector's seed is the run's ``seed``
-    unless ``corrector_seed`` is given."""
+def build_pipeline_config(kv: dict) -> PipelineConfig:
+    """Assemble a PipelineConfig from a flat key=value mapping. Keys the
+    mapping leaves out keep the defaults of the config classes. The
+    corrector's seed is the run's ``seed`` unless ``corrector_seed`` is
+    given."""
     kv = dict(kv)
-    prior_var = kv.pop("prior_var", 0.05)
 
     def take(fields):
         return {f: kv.pop(key) for key, f in fields.items() if key in kv}
@@ -101,10 +100,9 @@ def build_pipeline_config(kv: dict) -> tuple[PipelineConfig, float]:
     corrector = take(_CORRECTOR_FIELDS)
     if "seed" in kv:
         corrector.setdefault("seed", kv["seed"])
-    cfg = PipelineConfig(guidance=GuidanceConfig(**take(_GUIDANCE_FIELDS)),
-                         corrector=CorrectorConfig(**corrector),
-                         filter=FilterSpec(**take(_FILTER_FIELDS)), **kv)
-    return cfg, float(prior_var)
+    return PipelineConfig(guidance=GuidanceConfig(**take(_GUIDANCE_FIELDS)),
+                          corrector=CorrectorConfig(**corrector),
+                          filter=FilterSpec(**take(_FILTER_FIELDS)), **kv)
 
 
 def _cmd_phantom(args) -> int:
@@ -162,12 +160,10 @@ def _cmd_reconstruct(args) -> int:
     for key, val in (("seed", args.seed), ("final_dc", args.final_dc)):
         if val is not None:
             kv[key] = val
-    cfg, prior_var = build_pipeline_config(kv)
+    cfg = build_pipeline_config(kv)
     grid = _output_grid(args.size, args.pixel_size)
     if args.method == "fbp":
-        image = sparse_fbp_baseline(sino, mask, grid, cfg.filter,
-                                    pre_weight=cfg.pre_weight,
-                                    weighting=cfg.weighting)
+        image = sparse_fbp_baseline(sino, mask, grid, cfg.filter)
         write_image(args.out, image)
         if args.pgm:
             write_pgm(args.pgm, image)
@@ -177,7 +173,7 @@ def _cmd_reconstruct(args) -> int:
     model = _load_model(args.net, sched) if args.net else None
     reference = read_sinogram(args.reference) if args.reference else None
     res = stride_reconstruct(sino, mask, grid, cfg, model=model, sched=sched,
-                             reference=reference, prior_var=prior_var)
+                             reference=reference)
     write_image(args.out, res.image)
     if args.sino_out:
         write_sinogram(args.sino_out, res.sinogram)
@@ -205,15 +201,13 @@ def _cmd_ablate(args) -> int:
     mask = make_sparse_mask(sino.geometry.n_views, args.r)
     reference = read_sinogram(args.reference)
     kv = parse_config_file(args.config) if args.config else {}
-    cfg, prior_var = build_pipeline_config(kv)
+    cfg = build_pipeline_config(kv)
     grid = _output_grid(args.size, args.pixel_size)
     if args.lambda_sweep:
-        rows = run_lambda_sweep(sino, mask, grid, cfg, reference,
-                                prior_var=prior_var)
+        rows = run_lambda_sweep(sino, mask, grid, cfg, reference)
         text = lambda_sweep_to_csv(rows)
     else:
-        rows = run_component_ablation(sino, mask, grid, cfg, reference,
-                                      prior_var=prior_var)
+        rows = run_component_ablation(sino, mask, grid, cfg, reference)
         text = ablation_to_csv(rows)
     with open(args.out, "w") as f:
         f.write(text)

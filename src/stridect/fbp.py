@@ -9,28 +9,35 @@ the rotation center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .geometry import FanBeamGeometry, ImageGrid, Sinogram, SparseMask
+from .geometry import ImageGrid, Sinogram, SparseMask
 
 _FILTER_KINDS = ("ram-lak", "hann")
+_WEIGHTINGS = ("literal", "exact")
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Ramp filter choice: base kind plus a fractional frequency cutoff."""
+    """FBP settings: ramp filter kind plus a fractional frequency cutoff,
+    whether rows get the fan pre-weight, and the backprojection weighting
+    (see :func:`fan_backproject`)."""
 
     kind: str = "ram-lak"
     cutoff: float = 1.0
+    pre_weight: bool = True
+    weighting: str = "literal"
 
     def __post_init__(self):
         if self.kind not in _FILTER_KINDS:
             raise InvalidArgumentError(f"unknown filter kind {self.kind!r}")
         if not (0.0 < self.cutoff <= 1.0):
             raise InvalidArgumentError("cutoff must lie in (0, 1]")
+        if self.weighting not in _WEIGHTINGS:
+            raise InvalidArgumentError(f"unknown weighting {self.weighting!r}")
 
 
 def ramp_kernel(n: int, tau: float) -> np.ndarray:
@@ -90,16 +97,10 @@ def fan_pre_weight(s: Sinogram) -> Sinogram:
     return Sinogram(s.values * w[None, :], g)
 
 
-def check_weighting(weighting: str):
-    """Reject a backprojection weighting other than "literal" or "exact"."""
-    if weighting not in ("literal", "exact"):
-        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
+def fan_backproject(q: Sinogram, grid: ImageGrid,
+                    spec: FilterSpec = FilterSpec()) -> ImageGrid:
+    """Backproject filtered rows onto the grid with ``spec.weighting``:
 
-
-def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") -> ImageGrid:
-    """Backproject filtered rows onto the grid.
-
-    weighting:
       "literal" - weight 1/(D^2 + r^2), globally calibrated by D^2/2 so the
                   output carries attenuation units (the calibration is exact
                   in the narrow-fan limit).
@@ -108,7 +109,6 @@ def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") ->
     Pixels whose r falls outside the detector contribute nothing, and the
     view sum is a Riemann sum with step (angular range) / n_views.
     """
-    check_weighting(weighting)
     g = q.geometry
     d = g.source_to_center
     lo, hi = g.angular_range
@@ -123,7 +123,7 @@ def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") ->
         safe = denom > 1e-9 * d
         r = np.where(safe, d * t / np.where(safe, denom, 1.0), np.inf)
         row = np.interp(r, coords, q.values[v], left=0.0, right=0.0)
-        if weighting == "literal":
+        if spec.weighting == "literal":
             w = (d * d / 2.0) / (d * d + r * r)
             w = np.where(np.isfinite(r), w, 0.0)
         else:
@@ -132,11 +132,12 @@ def fan_backproject(q: Sinogram, grid: ImageGrid, weighting: str = "literal") ->
     return grid.with_values(acc * dtheta)
 
 
-def fbp_reconstruct(s: Sinogram, grid: ImageGrid, spec: FilterSpec = FilterSpec(),
-                    pre_weight: bool = True, weighting: str = "literal") -> ImageGrid:
-    """Full chain: fan pre-weight, ramp filtering, weighted backprojection."""
-    work = fan_pre_weight(s) if pre_weight else s
-    return fan_backproject(filter_projections(work, spec), grid, weighting)
+def fbp_reconstruct(s: Sinogram, grid: ImageGrid,
+                    spec: FilterSpec = FilterSpec()) -> ImageGrid:
+    """Full chain: fan pre-weight (if ``spec.pre_weight``), ramp filtering,
+    weighted backprojection."""
+    work = fan_pre_weight(s) if spec.pre_weight else s
+    return fan_backproject(filter_projections(work, spec), grid, spec)
 
 
 def extract_active_views(s: Sinogram, m: SparseMask) -> Sinogram:
@@ -150,12 +151,4 @@ def extract_active_views(s: Sinogram, m: SparseMask) -> Sinogram:
         raise ShapeMismatchError("mask and sinogram disagree on n_views")
     if s.n_views % m.r != 0:
         raise InvalidArgumentError("n_views must be divisible by the mask stride")
-    sub = FanBeamGeometry(
-        source_to_center=g.source_to_center,
-        center_to_detector=g.center_to_detector,
-        n_views=m.n_active,
-        n_detectors=g.n_detectors,
-        detector_width=g.detector_width,
-        angular_range=g.angular_range,
-    )
-    return Sinogram(s.values[m.active], sub)
+    return Sinogram(s.values[m.active], replace(g, n_views=m.n_active))

@@ -32,9 +32,10 @@ def _readonly(a, dtype=np.float64):
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FanBeamGeometry:
-    """Fan-beam scan description with a flat detector.
+    """Fan-beam scan description with a flat detector. Two geometries are
+    equal when every field is.
 
     The source rotates at distance ``source_to_center`` from the rotation
     center; the detector line sits ``center_to_detector`` beyond the center,
@@ -247,10 +248,7 @@ def make_sparse_mask(n_views: int, r: int) -> SparseMask:
 
 def apply_mask(s: Sinogram, m: SparseMask) -> Sinogram:
     """Zero out inactive view rows. Active rows pass through bit-exactly."""
-    if s.n_views != m.n_views:
-        raise ShapeMismatchError(f"mask has {m.n_views} views, sinogram has {s.n_views}")
-    out = np.where(m.active[:, None], s.values, 0.0)
-    return Sinogram(out, s.geometry)
+    return Sinogram(mask_rows(s.values, m.active), s.geometry)
 
 
 def mask_rows(values: np.ndarray, active: np.ndarray) -> np.ndarray:

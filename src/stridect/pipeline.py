@@ -25,7 +25,7 @@ from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .evalkit import kl_divergence, mse, psnr, ssim
-from .fbp import FilterSpec, check_weighting, extract_active_views, fbp_reconstruct
+from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
 from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
@@ -35,8 +35,11 @@ class PipelineConfig:
     """Knobs for the full reconstruction chain.
 
     final_dc selects whether the observed views are overwritten with the
-    measured rows after refinement: "active" or "off". An unknown final_dc,
-    weighting or wavelet is rejected here, before any chain work.
+    measured rows after refinement: "active" or "off". prior_var is the
+    variance of the analytic Gaussian surrogate and of the default band
+    scores, and filter holds every FBP setting. An unknown final_dc or
+    wavelet, or align_per_step without alignment, is rejected here, before
+    any chain work.
     """
 
     ddim_steps: int = 100
@@ -46,14 +49,11 @@ class PipelineConfig:
     corrector: CorrectorConfig = field(default_factory=CorrectorConfig)
     alignment: bool = True
     align_per_step: bool = False
-    low_band: bool = True
-    high_band: bool = True
     wavelet: str = "haar"
     final_dc: str = "active"
     normalize: bool = True
     filter: FilterSpec = field(default_factory=FilterSpec)
-    pre_weight: bool = True
-    weighting: str = "literal"
+    prior_var: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -61,7 +61,8 @@ class PipelineConfig:
             raise InvalidArgumentError("ddim_steps must be >= 1")
         if self.final_dc not in ("active", "off"):
             raise InvalidArgumentError("final_dc must be active or off")
-        check_weighting(self.weighting)
+        if self.align_per_step and not self.alignment:
+            raise InvalidArgumentError("align_per_step needs alignment")
         filter_pair(self.wavelet)
 
 
@@ -127,7 +128,8 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
 
     y_s holds the observed rows (zeros elsewhere are fine; only active rows
     are read). Conditional models receive the masked observation as their
-    conditioning channel; a nonzero omega needs such a model.
+    conditioning channel; a nonzero omega needs such a model. A model that
+    carries a ``sched`` must share the sampler's beta.
     """
     y_s = np.asarray(y_s, dtype=np.float64)
     active = np.asarray(active, bool)
@@ -138,6 +140,10 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     conditional = getattr(model, "conditional", False)
     if cfg.omega != 0.0 and not conditional:
         raise InvalidArgumentError("omega needs a conditional model; set omega = 0")
+    own = getattr(model, "sched", None)
+    if own is not None and not np.array_equal(own.beta, sched.beta):
+        raise InvalidArgumentError(f"model schedule (T={own.T}) differs from the "
+                                   f"sampler's (T={sched.T})")
     cond = mask_rows(y_s, active) if conditional else None
     ts = ddim_times(sched.T, cfg.ddim_steps)
     # the loop owns y, x0, prod and the active-row buffers and updates them
@@ -159,7 +165,7 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
         _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
         lam = guidance_weight(t, cfg.guidance, sched.T)
         _guide_rows(x0, ys_rows, rows, lam, row_buf, row_diff)
-        if cfg.align_per_step and cfg.alignment:
+        if cfg.align_per_step:
             x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))
         _ddim_update(y, x0, eps_hat, sched.alpha_bar[int(t_prev)], cfg.sigma_ddim,
                      rng, prod)
@@ -210,17 +216,17 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                        cfg: PipelineConfig, model=None, sched=None,
                        score_low=None, score_high=None,
                        reference: Sinogram | None = None,
-                       reference_image: ImageGrid | None = None,
-                       prior_var: float = 0.05) -> ReconstructionResult:
+                       reference_image: ImageGrid | None = None) -> ReconstructionResult:
     """Full chain from masked sinogram to reconstructed image.
 
     With model=None an analytic Gaussian surrogate centered on the
     view-interpolated sinogram stands in for a trained network. The same
     centering gives each live band branch that was given no score model a
-    Gaussian score of variance prior_var; a branch is live when its band
-    flag is set and the corrector takes steps, and an off branch is never
-    scored. The band scores are checked by :func:`check_refinement`, and
-    the references' shapes against y_s and grid, before the chain starts.
+    Gaussian score of variance cfg.prior_var; a branch is live when the
+    corrector takes steps and its lambda_low or lambda_high is above 0, and
+    an off branch is never scored. The band scores are checked by
+    :func:`check_refinement`, and the references' shapes against y_s and
+    grid, before the chain starts.
     grid supplies the output raster (values unused).
     """
     if m.n_views != y_s.geometry.n_views:
@@ -236,19 +242,20 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     ys_n = raw / scale
     ref_arr = np.asarray(reference.values, dtype=np.float64) if reference is not None else None
     interp = interpolate_views(ys_n, active)
-    steps = cfg.corrector.n_steps > 0
-    live_low, live_high = steps and cfg.low_band, steps and cfg.high_band
+    cc = cfg.corrector
+    live_low = cc.n_steps > 0 and cc.lambda_low > 0
+    live_high = cc.n_steps > 0 and cc.lambda_high > 0
     if (live_low and score_low is None) or (live_high and score_high is None):
         prior = swt_decompose(interp, cfg.wavelet)
         if score_low is None:
-            score_low = AnalyticGaussianScore(prior.low, prior_var)
+            score_low = AnalyticGaussianScore(prior.low, cfg.prior_var)
         if score_high is None:
-            score_high = AnalyticGaussianScore(prior.high, prior_var)
+            score_high = AnalyticGaussianScore(prior.high, cfg.prior_var)
     score_low = score_low if live_low else None
     score_high = score_high if live_high else None
-    check_refinement(score_low, score_high, cfg.corrector, sched)
+    check_refinement(score_low, score_high, cc, sched)
     if model is None:
-        model = AnalyticGaussianDenoiser(interp, prior_var, sched)
+        model = AnalyticGaussianDenoiser(interp, cfg.prior_var, sched)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     stages = []
 
@@ -263,7 +270,7 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
     if score_low is not None or score_high is not None:
         bands = refine_bands(swt_decompose(y, cfg.wavelet), score_low, score_high,
-                             cfg.corrector, sched)
+                             cc, sched)
         y = iswt_reconstruct(bands)
         stages.append(_stage("refined", y * scale, ref_arr, active))
 
@@ -273,8 +280,7 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     stages.append(_stage("final-dc", y_out, ref_arr, active))
 
     sino_out = Sinogram(y_out, y_s.geometry)
-    image = fbp_reconstruct(sino_out, grid, cfg.filter,
-                            pre_weight=cfg.pre_weight, weighting=cfg.weighting)
+    image = fbp_reconstruct(sino_out, grid, cfg.filter)
     if reference_image is not None:
         rv = np.asarray(reference_image.values, dtype=np.float64)
         stages.append(StageMetrics("fbp", float("nan"),
@@ -289,13 +295,9 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
 
 def sparse_fbp_baseline(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
-                        spec: FilterSpec | None = None,
-                        pre_weight: bool = True,
-                        weighting: str = "literal") -> ImageGrid:
+                        spec: FilterSpec = FilterSpec()) -> ImageGrid:
     """Plain filtered backprojection on the kept views only."""
-    coarse = extract_active_views(y_s, m)
-    return fbp_reconstruct(coarse, grid, spec or FilterSpec(),
-                           pre_weight=pre_weight, weighting=weighting)
+    return fbp_reconstruct(extract_active_views(y_s, m), grid, spec)
 
 
 def _ablation_variants(cfg: PipelineConfig):
@@ -303,9 +305,9 @@ def _ablation_variants(cfg: PipelineConfig):
     return [
         ("full", cfg),
         ("no-guidance", replace(cfg, guidance=off)),
-        ("no-alignment", replace(cfg, alignment=False)),
-        ("no-low-band", replace(cfg, low_band=False)),
-        ("no-high-band", replace(cfg, high_band=False)),
+        ("no-alignment", replace(cfg, alignment=False, align_per_step=False)),
+        ("no-low-band", replace(cfg, corrector=replace(cfg.corrector, lambda_low=0.0))),
+        ("no-high-band", replace(cfg, corrector=replace(cfg.corrector, lambda_high=0.0))),
     ]
 
 

@@ -100,11 +100,12 @@ def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
 def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGrid:
     """Exact transpose of :func:`forward_project` onto ``grid``.
 
-    Accumulates per-view partial images and reduces them in ascending view
-    order, so the result is deterministic.
+    ``g`` must equal the sinogram's own geometry. Accumulates per-view
+    partial images and reduces them in ascending view order, so the result
+    is deterministic.
     """
-    if s.values.shape != (g.n_views, g.n_detectors):
-        raise ShapeMismatchError("sinogram shape does not match geometry")
+    if g != s.geometry:
+        raise ShapeMismatchError("geometry differs from the sinogram's own")
     step = grid.pixel_size / 2.0
     n_pix = (grid.nx + 2) * (grid.ny + 2)
     acc = np.zeros(n_pix)

@@ -37,3 +37,14 @@ def test_traced_run_patches_existing_attributes_and_restores_them(bench_modules)
         assert original.__module__.startswith("stridect."), where
         assert w.__wrapped__ is original, where
         assert _current(owner, attr) is original, where
+
+
+@pytest.mark.parametrize("name", ["recon-desk", "lambda-sweep", "project"])
+def test_each_workload_runs_and_passes_its_check(monkeypatch, name):
+    # the benchmark's untraced calls into the package, with its own checks:
+    # a signature they use that changes fails here, not only in a bench run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    w = workloads.WORKLOADS[name](1)
+    inp = w.prepare(0)
+    assert w.check(inp, w.run(inp)) == []

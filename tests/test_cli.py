@@ -248,8 +248,10 @@ def test_missing_input_exit_two(tmp_path, capsys):
 
 def test_unknown_config_key_exit_two(workdir, capsys):
     bad = workdir / "bad.cfg"
-    # fixed mode's weight is nu; fixed_lambda is no longer a key
-    for line in ("warp_speed = 9", "fixed_lambda = 0.4"):
+    # fixed mode's weight is nu; fixed_lambda is no longer a key, and a band
+    # branch is switched off by its lambda_low or lambda_high, not a flag
+    for line in ("warp_speed = 9", "fixed_lambda = 0.4", "low_band = false",
+                 "high_band = false"):
         bad.write_text(line + "\n")
         code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
                     "--size", "16", "--config", str(bad),
@@ -329,6 +331,37 @@ def test_unknown_weighting_or_wavelet_exit_three_before_chain(workdir, capsys,
     assert not (workdir / "o.bin").exists()
 
 
+def test_align_per_step_without_alignment_exit_three_before_chain(workdir, capsys,
+                                                                  monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    cfg = workdir / "dead.cfg"
+    cfg.write_text("n_steps = 0\nalignment = false\nalign_per_step = true\n")
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg), "--out", str(workdir / "o.bin"))
+    assert code == 3
+    assert "align_per_step needs alignment" in capsys.readouterr().err
+    assert not (workdir / "o.bin").exists()
+
+
+def test_config_prior_var_reaches_pipeline_config(workdir, monkeypatch):
+    seen = []
+
+    def reached(sino, mask, grid, cfg, **kwargs):
+        seen.append(cfg)
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    cfg = workdir / "prior.cfg"
+    cfg.write_text("prior_var = 0.01\n")
+    with pytest.raises(AssertionError, match="chain started"):
+        _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+             "--size", "16", "--config", str(cfg), "--out", str(workdir / "o.bin"))
+    assert [c.prior_var for c in seen] == [0.01]
+
+
 def test_mismatched_reference_exit_three_before_chain(workdir, capsys, monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("chain started")
@@ -393,11 +426,9 @@ def test_parse_config_file(tmp_path):
 
 
 def test_build_pipeline_config_defaults_and_overrides():
-    cfg, prior_var = build_pipeline_config({})
-    assert cfg == st.PipelineConfig()
-    assert prior_var == 0.05
+    assert build_pipeline_config({}) == st.PipelineConfig()
 
-    cfg2, pv2 = build_pipeline_config({
+    cfg2 = build_pipeline_config({
         "ddim_steps": 8,
         "guidance_mode": "fixed",
         "nu": 0.4,
@@ -406,16 +437,17 @@ def test_build_pipeline_config_defaults_and_overrides():
         "filter_kind": "hann",
         "cutoff": 0.5,
         "weighting": "exact",
+        "pre_weight": False,
         "alignment": False,
         "prior_var": 0.2,
     })
     assert cfg2 == st.PipelineConfig(
         ddim_steps=8, guidance=st.GuidanceConfig(mode="fixed", nu=0.4),
         corrector=st.CorrectorConfig(n_steps=12, seed=9),
-        filter=st.FilterSpec(kind="hann", cutoff=0.5), weighting="exact",
-        alignment=False)
-    assert pv2 == 0.2
-    every_key, _ = build_pipeline_config({
+        filter=st.FilterSpec(kind="hann", cutoff=0.5, pre_weight=False,
+                             weighting="exact"),
+        alignment=False, prior_var=0.2)
+    every_key = build_pipeline_config({
         "guidance_mode": "temporal", "nu": 0.7, "n_steps": 3, "eps_start": 1e-3,
         "eps_end": 1e-6, "lambda_low": 0.5, "lambda_high": 0.25, "t_start": 0.9,
         "t_end": 0.1, "corrector_seed": 4, "filter_kind": "hann", "cutoff": 0.8})
@@ -426,5 +458,5 @@ def test_build_pipeline_config_defaults_and_overrides():
                                      t_end=0.1, seed=4),
         filter=st.FilterSpec(kind="hann", cutoff=0.8))
     # the corrector follows the run's seed unless given its own
-    assert build_pipeline_config({"seed": 5})[0].corrector.seed == 5
-    assert build_pipeline_config({"seed": 5, "corrector_seed": 9})[0].corrector.seed == 9
+    assert build_pipeline_config({"seed": 5}).corrector.seed == 5
+    assert build_pipeline_config({"seed": 5, "corrector_seed": 9}).corrector.seed == 9

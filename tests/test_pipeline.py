@@ -298,7 +298,9 @@ def test_reconstruct_validation():
     with pytest.raises(InvalidArgumentError, match="final_dc"):
         PipelineConfig(final_dc="trust")
     with pytest.raises(InvalidArgumentError, match="weighting"):
-        PipelineConfig(weighting="exactt")
+        PipelineConfig(filter=st.FilterSpec(weighting="exactt"))
+    with pytest.raises(InvalidArgumentError, match="align_per_step"):
+        PipelineConfig(alignment=False, align_per_step=True)
     with pytest.raises(InvalidArgumentError, match="wavelet"):
         PipelineConfig(wavelet="sym4")
     # refinement off never reaches the wavelet code, and is still checked
@@ -361,23 +363,23 @@ def test_reconstruct_rejects_overflowing_langevin_up_front(
     monkeypatch.setattr(pipeline, "coarse_generate", reached)
     m = st.make_sparse_mask(180, 3)
     masked = st.apply_mask(sino180, m)
-    cfg = PipelineConfig()
+    cfg = PipelineConfig(prior_var=prior_var)
     expected = _CoarseReached if accepted else InvalidArgumentError
     with pytest.raises(expected):
-        st.stride_reconstruct(masked, m, grid64, cfg, prior_var=prior_var)
+        st.stride_reconstruct(masked, m, grid64, cfg)
     # only the branches that would run under a default Gaussian score count
-    off = replace(cfg, low_band=False, high_band=False)
+    off = replace(cfg, corrector=st.CorrectorConfig(lambda_low=0.0, lambda_high=0.0))
     with pytest.raises(_CoarseReached):
-        st.stride_reconstruct(masked, m, grid64, off, prior_var=prior_var)
+        st.stride_reconstruct(masked, m, grid64, off)
     scores = dict(score_low=st.AnalyticGaussianScore(np.zeros(1), 1.0),
                   score_high=st.AnalyticGaussianScore(np.zeros(1), 1.0))
     with pytest.raises(_CoarseReached):
-        st.stride_reconstruct(masked, m, grid64, cfg, prior_var=prior_var, **scores)
+        st.stride_reconstruct(masked, m, grid64, cfg, **scores)
     # a given Gaussian band score is checked under its own variance
     for branch in ("score_low", "score_high"):
         given = {branch: st.AnalyticGaussianScore(np.zeros(1), prior_var)}
         with pytest.raises(expected):
-            st.stride_reconstruct(masked, m, grid64, cfg, **given)
+            st.stride_reconstruct(masked, m, grid64, PipelineConfig(), **given)
 
 
 def test_default_reconstruct_never_evaluates_the_gaussian_band_score(monkeypatch):
@@ -400,11 +402,75 @@ def test_reconstruct_flag_combinations_run():
     phantom, g, sino, m, masked, grid = _small_problem()
     for over in (dict(align_per_step=True),
                  dict(normalize=False),
-                 dict(low_band=False, high_band=False),
+                 dict(corrector=st.CorrectorConfig(n_steps=5, lambda_low=0.0,
+                                                   lambda_high=0.0)),
                  dict(final_dc="off", alignment=False)):
         cfg, sched = _small_cfg(**over)
         res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
         assert np.all(np.isfinite(res.image.values))
+
+
+def test_zero_branch_weights_switch_the_branches_off(monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    steps = cfg.corrector
+    none = st.stride_reconstruct(masked, m, grid,
+                                 replace(cfg, corrector=replace(steps, n_steps=0)),
+                                 sched=sched, reference=sino)
+    off = st.stride_reconstruct(
+        masked, m, grid,
+        replace(cfg, corrector=replace(steps, lambda_low=0.0, lambda_high=0.0)),
+        sched=sched, reference=sino)
+    assert "refined" not in [s.stage for s in off.stages]
+    assert off.sinogram.values.tobytes() == none.sinogram.values.tobytes()
+    assert off.image.values.tobytes() == none.image.values.tobytes()
+
+    seen = []
+    refine = pipeline.refine_bands
+
+    def spy(bands, score_low, score_high, *args):
+        seen.append((score_low, score_high))
+        return refine(bands, score_low, score_high, *args)
+
+    monkeypatch.setattr(pipeline, "refine_bands", spy)
+    st.stride_reconstruct(masked, m, grid,
+                          replace(cfg, corrector=replace(steps, lambda_low=0.0)),
+                          sched=sched)
+    [(low, high)] = seen
+    assert low is None and high is not None
+
+
+@pytest.mark.parametrize("kind", ["net", "gaussian"])
+def test_model_on_another_schedule_is_rejected_before_the_first_step(kind, monkeypatch):
+    # a model built on T=10 handed to a chain on the default T=1000 schedule
+    phantom, g, sino, m, masked, grid = _small_problem()
+    own = st.linear_schedule(T=10)
+    if kind == "net":
+        model = st.TinyEpsNet(st.init_tiny_net(2, 1, hidden=4, seed=0), own)
+    else:
+        model = AnalyticGaussianDenoiser(np.zeros(masked.values.shape), 0.05, own)
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(type(model), "predict_eps", stepped)
+    cfg = PipelineConfig(ddim_steps=5, corrector=st.CorrectorConfig(n_steps=0))
+    with pytest.raises(InvalidArgumentError, match="schedule"):
+        st.stride_reconstruct(masked, m, grid, cfg, model=model)
+    with pytest.raises(InvalidArgumentError, match="schedule"):
+        coarse_generate(masked.values, m.active, model, st.linear_schedule(), cfg,
+                        np.random.default_rng(0))
+
+
+def test_ablation_no_alignment_clears_align_per_step():
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg(align_per_step=True)
+    rows = {name: res for name, _, res in
+            st.run_component_ablation(masked, m, grid, cfg, sino, sched=sched)}
+    plain = st.stride_reconstruct(masked, m, grid, replace(cfg, alignment=False,
+                                                          align_per_step=False),
+                                  sched=sched, reference=sino)
+    assert np.array_equal(rows["no-alignment"].sinogram.values, plain.sinogram.values)
 
 
 class _NanScore:
@@ -439,15 +505,13 @@ def test_unguided_chain_matches_manual_loop():
         final_dc="off",
         seed=3,
     )
-    prior_var = 0.05
-    res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched,
-                                prior_var=prior_var)
+    res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
 
     raw = masked.values.astype(np.float64)
     scale = float(np.max(np.abs(raw[m.active])))
     ys_n = raw / scale
     interp = interpolate_views(ys_n, m.active)
-    model = AnalyticGaussianDenoiser(interp, prior_var, sched)
+    model = AnalyticGaussianDenoiser(interp, cfg.prior_var, sched)
     rng = np.random.default_rng(np.random.SeedSequence([3, 0]))
     y = rng.standard_normal(ys_n.shape)
     ts = ddim_times(10, 5)
@@ -456,8 +520,7 @@ def test_unguided_chain_matches_manual_loop():
         y0_hat = predict_x0(y, eps_hat, int(t), sched)
         y = st.ddim_step(y, y0_hat, eps_hat, int(t), int(t_prev), sched)
     manual_sino = st.Sinogram(y * scale, masked.geometry)
-    manual_img = st.fbp_reconstruct(manual_sino, grid, cfg.filter,
-                                    pre_weight=True, weighting="literal")
+    manual_img = st.fbp_reconstruct(manual_sino, grid, st.FilterSpec())
     assert np.array_equal(res.sinogram.values, manual_sino.values)
     assert np.array_equal(res.image.values, manual_img.values)
 

@@ -101,6 +101,19 @@ def test_adjoint_zero_and_shape_check():
                            g, grid)
 
 
+def test_adjoint_rejects_a_geometry_other_than_the_sinograms():
+    # an equal-shaped geometry with other rays would backproject the rows
+    # along the wrong lines
+    g = st.desk_geometry(6, 8, 16)
+    grid = st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
+    s = st.Sinogram(np.ones((6, 8)), g)
+    with pytest.raises(ShapeMismatchError, match="geometry"):
+        st.adjoint_project(s, st.FanBeamGeometry(50, 50, 6, 8, 60), grid)
+    # an equal geometry built apart is the same geometry
+    same = st.adjoint_project(s, st.desk_geometry(6, 8, 16), grid)
+    assert np.array_equal(same.values, st.adjoint_project(s, g, grid).values)
+
+
 def test_single_ray_support():
     g = st.desk_geometry(8, 17, 16)
     grid = st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
