@@ -9,16 +9,16 @@ error or a rejected setting, 4 numerical abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 
 import numpy as np
 
-from .corrector import CorrectorConfig
 from .denoiser import TinyEpsNet, load_params, save_params, train_epsilon
-from .diffusion import GuidanceConfig, linear_schedule
+from .diffusion import linear_schedule
 from .errors import InvalidArgumentError, NumericalAbortError
 from .evalkit import kl_divergence, mse, psnr, shepp_logan, ssim
-from .fbp import FilterSpec
 from .fileio import read_image, read_sinogram, write_image, write_pgm, write_sinogram
 from .geometry import ImageGrid, desk_geometry, make_sparse_mask
 from .pipeline import (PipelineConfig, ablation_to_csv, lambda_sweep_to_csv,
@@ -34,34 +34,44 @@ _NUMERIC_EXIT = 4
 class _UsageError(Exception):
     """Problems with how the tool was invoked (flags, config keys, paths)."""
 
-_BOOL_KEYS = ("alignment", "align_per_step", "normalize", "pre_weight")
-_INT_KEYS = ("ddim_steps", "n_steps", "seed", "corrector_seed")
-_FLOAT_KEYS = ("sigma_ddim", "omega", "nu", "eps_start",
-               "eps_end", "lambda_low", "lambda_high", "t_start", "t_end",
-               "cutoff", "prior_var")
-_STR_KEYS = ("guidance_mode", "wavelet", "final_dc", "filter_kind", "weighting")
-_CONFIG_KEYS = _BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
-# config key -> field of the nested config it sets; the rest are
-# PipelineConfig fields of the same name
-_GUIDANCE_FIELDS = {"guidance_mode": "mode", "nu": "nu"}
-_CORRECTOR_FIELDS = {**{k: k for k in ("n_steps", "eps_start", "eps_end", "lambda_low",
-                                        "lambda_high", "t_start", "t_end")},
-                     "corrector_seed": "seed"}
-_FILTER_FIELDS = {"filter_kind": "kind", "cutoff": "cutoff", "pre_weight": "pre_weight",
-                  "weighting": "weighting"}
+
+# config keys that are not their field's name: ``mode`` and ``kind`` would be
+# ambiguous at the top level, and PipelineConfig has a ``seed`` of its own
+_RENAMED = {("guidance", "mode"): "guidance_mode", ("filter", "kind"): "filter_kind",
+            ("corrector", "seed"): "corrector_seed"}
 
 
-def _parse_bool(text, key):
-    low = text.strip().lower()
+def _config_schema(cls=PipelineConfig, sec=None) -> dict:
+    """Every scalar setting of a config class and of the configs nested in
+    it, as config key -> (nested field or None, field name, type); a field
+    typed ``X | None`` is parsed as X."""
+    schema = {}
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        tp = next(a for a in (*typing.get_args(hints[f.name]), hints[f.name])
+                  if a is not type(None))
+        if dataclasses.is_dataclass(tp):
+            schema.update(_config_schema(tp, f.name))
+        else:
+            schema[_RENAMED.get((sec, f.name), f.name)] = (sec, f.name, tp)
+    return schema
+
+
+CONFIG_SCHEMA = _config_schema()
+
+
+def _parse_bool(text):
+    low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise _UsageError(f"bad boolean for {key}: {text}")
+    raise ValueError(f"bad boolean: {text}")
 
 
 def parse_config_file(path) -> dict:
-    """key=value lines; # starts a comment; unknown keys are rejected."""
+    """key=value lines; # starts a comment; unknown keys are rejected. Each
+    value is parsed by the type of the config field its key sets."""
     out = {}
     with open(path) as f:
         for ln, line in enumerate(f, 1):
@@ -71,19 +81,13 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise _UsageError(f"{path}:{ln}: expected key=value")
             key, val = (p.strip() for p in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_SCHEMA:
                 raise _UsageError(f"{path}:{ln}: unknown key {key!r}")
+            tp = CONFIG_SCHEMA[key][2]
             try:
-                if key in _BOOL_KEYS:
-                    out[key] = _parse_bool(val, key)
-                elif key in _INT_KEYS:
-                    out[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    out[key] = float(val)
-                else:
-                    out[key] = val
+                out[key] = _parse_bool(val) if tp is bool else tp(val)
             except ValueError as e:
-                raise _UsageError(f"{path}:{ln}: {e}") from e
+                raise _UsageError(f"{path}:{ln}: {key}: {e}") from e
     return out
 
 
@@ -92,17 +96,15 @@ def build_pipeline_config(kv: dict) -> PipelineConfig:
     mapping leaves out keep the defaults of the config classes. The
     corrector's seed is the run's ``seed`` unless ``corrector_seed`` is
     given."""
-    kv = dict(kv)
-
-    def take(fields):
-        return {f: kv.pop(key) for key, f in fields.items() if key in kv}
-
-    corrector = take(_CORRECTOR_FIELDS)
+    parts = {None: {}}
+    for key, val in kv.items():
+        sec, name, _ = CONFIG_SCHEMA[key]
+        parts.setdefault(sec, {})[name] = val
     if "seed" in kv:
-        corrector.setdefault("seed", kv["seed"])
-    return PipelineConfig(guidance=GuidanceConfig(**take(_GUIDANCE_FIELDS)),
-                          corrector=CorrectorConfig(**corrector),
-                          filter=FilterSpec(**take(_FILTER_FIELDS)), **kv)
+        parts.setdefault("corrector", {}).setdefault("seed", kv["seed"])
+    base = PipelineConfig()
+    return dataclasses.replace(base, **parts.pop(None), **{
+        sec: dataclasses.replace(getattr(base, sec), **v) for sec, v in parts.items()})
 
 
 def _cmd_phantom(args) -> int:
@@ -131,8 +133,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    sino = read_sinogram(args.sino)
-    vals = np.asarray(sino.values, dtype=np.float64)
+    vals = read_sinogram(args.sino).values
     peak = float(np.max(np.abs(vals)))
     data = [vals / peak if peak > 0 else vals]
     sched = linear_schedule()
@@ -144,44 +145,36 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path, sched):
-    params = load_params(path)
-    return TinyEpsNet(params, sched)
-
-
-def _output_grid(size: int, pixel_size: float) -> ImageGrid:
-    return ImageGrid(size, size, pixel_size, np.zeros((size, size)))
-
-
-def _cmd_reconstruct(args) -> int:
+def _chain_inputs(args, **flags):
+    """The measured sinogram, its view mask, the chain config (the config
+    file's keys, then each flag given) and the output grid."""
     sino = read_sinogram(args.sino)
     mask = make_sparse_mask(sino.geometry.n_views, args.r)
     kv = parse_config_file(args.config) if args.config else {}
-    for key, val in (("seed", args.seed), ("final_dc", args.final_dc)):
-        if val is not None:
-            kv[key] = val
-    cfg = build_pipeline_config(kv)
-    grid = _output_grid(args.size, args.pixel_size)
+    kv.update((key, val) for key, val in flags.items() if val is not None)
+    grid = ImageGrid(args.size, args.size, args.pixel_size, np.zeros((args.size,) * 2))
+    return sino, mask, build_pipeline_config(kv), grid
+
+
+def _cmd_reconstruct(args) -> int:
+    sino, mask, cfg, grid = _chain_inputs(args, seed=args.seed, final_dc=args.final_dc)
     if args.method == "fbp":
         image = sparse_fbp_baseline(sino, mask, grid, cfg.filter)
-        write_image(args.out, image)
-        if args.pgm:
-            write_pgm(args.pgm, image)
-        print(f"wrote {args.out}")
-        return 0
-    sched = linear_schedule()
-    model = _load_model(args.net, sched) if args.net else None
-    reference = read_sinogram(args.reference) if args.reference else None
-    res = stride_reconstruct(sino, mask, grid, cfg, model=model, sched=sched,
-                             reference=reference)
-    write_image(args.out, res.image)
-    if args.sino_out:
-        write_sinogram(args.sino_out, res.sinogram)
+    else:
+        sched = linear_schedule()
+        model = TinyEpsNet(load_params(args.net), sched) if args.net else None
+        reference = read_sinogram(args.reference) if args.reference else None
+        res = stride_reconstruct(sino, mask, grid, cfg, model=model, sched=sched,
+                                 reference=reference)
+        image = res.image
+        if args.sino_out:
+            write_sinogram(args.sino_out, res.sinogram)
+        if args.report:
+            with open(args.report, "w") as f:
+                f.write(report_to_csv(res.stages))
+    write_image(args.out, image)
     if args.pgm:
-        write_pgm(args.pgm, res.image)
-    if args.report:
-        with open(args.report, "w") as f:
-            f.write(report_to_csv(res.stages))
+        write_pgm(args.pgm, image)
     print(f"wrote {args.out}")
     return 0
 
@@ -197,12 +190,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    sino = read_sinogram(args.sino)
-    mask = make_sparse_mask(sino.geometry.n_views, args.r)
+    sino, mask, cfg, grid = _chain_inputs(args)
     reference = read_sinogram(args.reference)
-    kv = parse_config_file(args.config) if args.config else {}
-    cfg = build_pipeline_config(kv)
-    grid = _output_grid(args.size, args.pixel_size)
     if args.lambda_sweep:
         rows = run_lambda_sweep(sino, mask, grid, cfg, reference)
         text = lambda_sweep_to_csv(rows)
@@ -300,7 +289,7 @@ def main(argv=None) -> int:
     except (InvalidArgumentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _DATA_EXIT
-    except (_UsageError, TypeError, ValueError) as e:
+    except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return _USAGE_EXIT
 

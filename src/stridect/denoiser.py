@@ -180,6 +180,8 @@ class TinyNetParams:
 
 def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0,
                   last_scale: float = 0.05) -> TinyNetParams:
+    if hidden < 1:
+        raise InvalidArgumentError("hidden must be >= 1")
     rng = np.random.default_rng(seed)
     p = TinyNetParams(
         w1=rng.normal(0.0, 1.0 / np.sqrt(9.0 * in_ch), (hidden, in_ch, 3, 3)),
@@ -197,11 +199,15 @@ def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0,
 
 
 def _stack_taps(x, sign: int):
-    """Rolled copies of x (B,C,H,W) -> (B, C*9, H*W); sign=-1 for forward
-    taps (x[i+da, j+db]), +1 for the transposed direction."""
+    """Periodically shifted copies of x (B,C,H,W) -> (B, C*9, H*W); sign=-1
+    for forward taps (x[i+da, j+db]), +1 for the transposed direction."""
     b, c, h, w = x.shape
-    cols = [np.roll(x, (sign * da, sign * db), axis=(2, 3)) for da, db in _OFFSETS]
-    return np.stack(cols, axis=2).reshape(b, c * 9, h * w)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="wrap")
+    out = np.empty((b, c, 9, h, w), dtype=x.dtype)
+    for k, (da, db) in enumerate(_OFFSETS):
+        i, j = 1 - sign * da, 1 - sign * db
+        out[:, :, k] = xp[:, :, i:i + h, j:j + w]
+    return out.reshape(b, c * 9, h * w)
 
 
 def _conv(x, w):

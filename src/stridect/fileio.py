@@ -71,7 +71,8 @@ def write_sinogram(path, sino: Sinogram) -> None:
 
 
 def read_sinogram(path) -> Sinogram:
-    with open(_geom_path(path)) as f:
+    # undecodable bytes become U+FFFD, which from_kv rejects as data
+    with open(_geom_path(path), errors="replace") as f:
         geom = FanBeamGeometry.from_kv(f.read())
     with open(path, "rb") as f:
         n_views, n_det = _read_header(f, _SINO_MAGIC, 2)

@@ -119,14 +119,15 @@ class FanBeamGeometry:
         unknown = [k for k in kv if k not in _GEOM_KEYS]
         if unknown:
             raise InvalidArgumentError(f"geometry block has unknown keys: {unknown}")
-        return cls(
-            source_to_center=float(kv["sod_mm"]),
-            center_to_detector=float(kv["cdd_mm"]),
-            n_views=int(kv["n_views"]),
-            n_detectors=int(kv["n_detectors"]),
-            detector_width=float(kv["det_width_mm"]),
-            angular_range=(float(kv["angle_start_rad"]), float(kv["angle_end_rad"])),
-        )
+        # _GEOM_KEYS lists the constructor's arguments in order
+        vals = []
+        for k in _GEOM_KEYS:
+            try:
+                vals.append((int if k.startswith("n_") else float)(kv[k]))
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"geometry key {k} is not a number: {kv[k]!r}") from None
+        return cls(*vals[:5], angular_range=tuple(vals[5:]))
 
 
 def desk_geometry(n_views, n_detectors, nx, pixel_size=1.0, margin=1.02):

@@ -31,18 +31,20 @@ class NoiseSpec:
             raise InvalidArgumentError("noise sigma must be >= 0")
 
 
-def _ray_frames(g: FanBeamGeometry, theta: float):
-    """Per-detector ray origins (the source) and unit directions for one
-    view."""
+def _ray_frames(g: FanBeamGeometry):
+    """Source points (views, 2) and unit ray directions (views, detectors, 2)
+    of every view."""
+    theta = g.view_angles
     ct, st = np.cos(theta), np.sin(theta)
-    e_t = np.array([ct, st])
-    e_s = np.array([-st, ct])
-    tau = g.detector_offsets
+    e_t = np.stack([ct, st], axis=1)[:, None, :]
+    e_s = np.stack([-st, ct], axis=1)
     src = -g.source_to_center * e_s
-    det = g.center_to_detector * e_s[None, :] + tau[:, None] * e_t[None, :]
-    d = det - src[None, :]
-    u = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return np.broadcast_to(src, u.shape), u
+    # in place: one (views, detectors, 2) array holds detector, ray and direction
+    d = g.detector_offsets[:, None] * e_t
+    d += g.center_to_detector * e_s[:, None, :]
+    d -= src[:, None, :]
+    d /= np.linalg.norm(d, axis=2, keepdims=True)
+    return src, d
 
 
 def _view_weights(g: FanBeamGeometry, grid: ImageGrid):
@@ -57,13 +59,12 @@ def _view_weights(g: FanBeamGeometry, grid: ImageGrid):
     radius = 0.5 * px * float(np.hypot(nx, ny)) + px
     n_s = int(np.ceil(2.0 * radius / step))
     offs = (np.arange(n_s) + 0.5) * step - radius
-    for theta in g.view_angles:
-        origins, u = _ray_frames(g, theta)
-        t = -np.einsum("dk,dk->d", origins, u)[:, None] + offs[None, :]
+    for src, u in zip(*_ray_frames(g)):
+        t = -(u[:, 0] * src[0] + u[:, 1] * src[1])[:, None] + offs[None, :]
         # in place: at this size a fresh temporary costs more than its op
         fx, fy = t * u[:, 0:1], np.multiply(t, u[:, 1:2], out=t)
-        for f, k, n in ((fx, 0, nx), (fy, 1, ny)):
-            f += origins[:, k:k + 1]
+        for f, o, n in ((fx, src[0], nx), (fy, src[1], ny)):
+            f += o
             f /= px
             f += (n - 1) / 2.0
         keep = (fx > -1) & (fx < nx) & (fy > -1) & (fy < ny)

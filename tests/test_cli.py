@@ -1,5 +1,6 @@
 """Command-line workflow, config parsing, and exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -119,6 +120,13 @@ def test_train_numeric_abort_exit_code(workdir, capsys):
                     "--lr", "1e200", "--out", str(workdir / "x.bin"))
     assert code == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_train_without_hidden_units_exit_three(workdir, capsys):
+    assert _run("train", "--sino", str(workdir / "full.bin"), "--epochs", "1",
+                "--steps", "1", "--hidden", "0", "--out", str(workdir / "x.bin")) == 3
+    assert "hidden" in capsys.readouterr().err
+    assert not (workdir / "x.bin").exists()
 
 
 # -------------------------------------------------------------- reconstruct
@@ -268,6 +276,21 @@ def test_corrupt_sidecar_exit_three(workdir, capsys):
                 "--size", "16", "--out", str(workdir / "o.bin"))
     assert code == 3
     capsys.readouterr()
+
+
+def test_unreadable_sidecar_value_exit_three(workdir, capsys):
+    geom = workdir / "sino.bin.geom"
+    text = geom.read_text()
+    out = workdir / "o.bin"
+    for raw, word in ((text.replace("sod_mm=", "sod_mm=abc"), "sod_mm"),
+                      (text.replace("n_views=12", "n_views=twelve"), "n_views"),
+                      ("\udcff" + text, "sod_mm")):
+        geom.write_bytes(raw.encode(errors="surrogateescape"))
+        code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                    "--size", "16", "--method", "fbp", "--out", str(out))
+        assert code == 3
+        assert word in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_flag_exit_two(capsys):
@@ -460,3 +483,80 @@ def test_build_pipeline_config_defaults_and_overrides():
     # the corrector follows the run's seed unless given its own
     assert build_pipeline_config({"seed": 5}).corrector.seed == 5
     assert build_pipeline_config({"seed": 5, "corrector_seed": 9}).corrector.seed == 9
+
+
+
+# each config key: a value as a file writes it, the type it parses to, and
+# the config it builds on its own
+ONE_KEY = {
+    "ddim_steps": ("7", int, st.PipelineConfig(ddim_steps=7)),
+    "sigma_ddim": ("0.5", float, st.PipelineConfig(sigma_ddim=0.5)),
+    "omega": ("0.7", float, st.PipelineConfig(omega=0.7)),
+    "alignment": ("off", bool, st.PipelineConfig(alignment=False)),
+    "align_per_step": ("yes", bool, st.PipelineConfig(align_per_step=True)),
+    "wavelet": ("db2", str, st.PipelineConfig(wavelet="db2")),
+    "final_dc": ("off", str, st.PipelineConfig(final_dc="off")),
+    "normalize": ("false", bool, st.PipelineConfig(normalize=False)),
+    "prior_var": ("0.01", float, st.PipelineConfig(prior_var=0.01)),
+    "seed": ("5", int, st.PipelineConfig(seed=5, corrector=st.CorrectorConfig(seed=5))),
+    "guidance_mode": ("fixed", str,
+                      st.PipelineConfig(guidance=st.GuidanceConfig(mode="fixed"))),
+    "nu": ("0.25", float, st.PipelineConfig(guidance=st.GuidanceConfig(nu=0.25))),
+    "n_steps": ("12", int, st.PipelineConfig(corrector=st.CorrectorConfig(n_steps=12))),
+    "eps_start": ("1e-3", float,
+                  st.PipelineConfig(corrector=st.CorrectorConfig(eps_start=1e-3))),
+    "eps_end": ("1e-6", float,
+                st.PipelineConfig(corrector=st.CorrectorConfig(eps_end=1e-6))),
+    "lambda_low": ("0.5", float,
+                   st.PipelineConfig(corrector=st.CorrectorConfig(lambda_low=0.5))),
+    "lambda_high": ("0", float,
+                    st.PipelineConfig(corrector=st.CorrectorConfig(lambda_high=0.0))),
+    "t_start": ("0.9", float, st.PipelineConfig(corrector=st.CorrectorConfig(t_start=0.9))),
+    "t_end": ("0.1", float, st.PipelineConfig(corrector=st.CorrectorConfig(t_end=0.1))),
+    "corrector_seed": ("9", int, st.PipelineConfig(corrector=st.CorrectorConfig(seed=9))),
+    "filter_kind": ("hann", str, st.PipelineConfig(filter=st.FilterSpec(kind="hann"))),
+    "cutoff": ("0.5", float, st.PipelineConfig(filter=st.FilterSpec(cutoff=0.5))),
+    "pre_weight": ("0", bool, st.PipelineConfig(filter=st.FilterSpec(pre_weight=False))),
+    "weighting": ("exact", str,
+                  st.PipelineConfig(filter=st.FilterSpec(weighting="exact"))),
+}
+
+
+def test_config_keys_are_every_scalar_field_once():
+    nested = (st.GuidanceConfig, st.CorrectorConfig, st.FilterSpec)
+    n_fields = (len(dataclasses.fields(st.PipelineConfig)) - len(nested)
+                + sum(len(dataclasses.fields(c)) for c in nested))
+    assert set(cli.CONFIG_SCHEMA) == set(ONE_KEY)
+    assert len(cli.CONFIG_SCHEMA) == n_fields == 24
+
+
+@pytest.mark.parametrize("key", list(ONE_KEY))
+def test_one_key_config_file_builds_its_config(tmp_path, key):
+    text, tp, expect = ONE_KEY[key]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    kv = parse_config_file(cfg)
+    assert list(kv) == [key] and type(kv[key]) is tp
+    assert build_pipeline_config(kv) == expect
+
+
+# a value each type cannot take, and the exit code it gives: a text that
+# does not parse is a usage error, a string no setting accepts is rejected
+_BAD_VALUE = {bool: ("maybe", 2), int: ("4.5", 2), float: ("abc", 2), str: ("bogus", 3)}
+
+
+@pytest.mark.parametrize("key", list(ONE_KEY))
+def test_one_key_bad_value_exits_before_chain(workdir, capsys, monkeypatch, key):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    text, code = _BAD_VALUE[ONE_KEY[key][1]]
+    cfg = workdir / "bad.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg),
+                "--out", str(workdir / "o.bin")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (code == 3 or f"{key}: " in err)
+    assert not (workdir / "o.bin").exists()

@@ -9,6 +9,7 @@ from stridect.denoiser import (
     TinyEpsNet,
     TinyNetParams,
     TinyScoreNet,
+    _stack_taps,
     backward_tiny,
     forward_tiny,
     grad_check,
@@ -243,6 +244,9 @@ def test_param_budget():
     assert init_tiny_net(2, 1).n_params < 10_000
     with pytest.raises(InvalidArgumentError):
         init_tiny_net(2, 1, hidden=32)
+    for hidden in (0, -1):
+        with pytest.raises(InvalidArgumentError, match="hidden"):
+            init_tiny_net(2, 1, hidden=hidden)
 
 
 def test_forward_shape_validation():
@@ -252,6 +256,18 @@ def test_forward_shape_validation():
     with pytest.raises(ShapeMismatchError):
         forward_tiny(p, np.zeros((1, 3, 4, 4)), np.zeros(1))
 
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 2, 1, 4), (1, 1, 1, 1)])
+def test_tap_stack_matches_rolled_copies(shape):
+    # reference: each tap a periodic np.roll of the input; one-pixel axes wrap
+    # onto themselves
+    x = np.random.default_rng(0).normal(size=shape)
+    b, c, h, w = shape
+    for sign in (-1, 1):
+        ref = np.stack([np.roll(x, (sign * da, sign * db), axis=(2, 3))
+                        for da in (-1, 0, 1) for db in (-1, 0, 1)], axis=2)
+        assert np.array_equal(_stack_taps(x, sign), ref.reshape(b, c * 9, h * w))
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)

@@ -148,6 +148,16 @@ def test_geometry_kv_errors():
         st.FanBeamGeometry.from_kv(missing)
 
 
+@pytest.mark.parametrize("key,value", [("sod_mm", "abc46.17"), ("n_views", "6.5"),
+                                       ("angle_end_rad", "")])
+def test_geometry_kv_non_numeric_value_names_key(key, value):
+    text = st.desk_geometry(6, 4, 16).to_kv()
+    lines = [f"{key}={value}" if ln.startswith(key + "=") else ln
+             for ln in text.splitlines()]
+    with pytest.raises(InvalidArgumentError, match=key):
+        st.FanBeamGeometry.from_kv("\n".join(lines))
+
+
 def test_geometry_validation():
     with pytest.raises(InvalidArgumentError):
         st.FanBeamGeometry(-1.0, 1.0, 4, 4, 1.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import stridect as st
-import stridect.projector as projector
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
 
 
@@ -167,11 +166,25 @@ def _reference_adjoint(y, g, grid):
     return acc.reshape(grid.ny, grid.nx)
 
 
+def _reference_frames(g, theta):
+    # per-detector ray origins (the source) and unit directions for one view,
+    # kept here so the reference does not run the frames under test
+    c, s = np.cos(theta), np.sin(theta)
+    e_t = np.array([c, s])
+    e_s = np.array([-s, c])
+    tau = g.detector_offsets
+    src = -g.source_to_center * e_s
+    det = g.center_to_detector * e_s[None, :] + tau[:, None] * e_t[None, :]
+    d = det - src[None, :]
+    u = d / np.linalg.norm(d, axis=1, keepdims=True)
+    return np.broadcast_to(src, u.shape), u
+
+
 def _reference_parts(grid, g, theta):
     px = grid.pixel_size
     radius = 0.5 * px * float(np.hypot(grid.nx, grid.ny)) + px
     step = px / 2.0
-    origins, u = projector._ray_frames(g, theta)
+    origins, u = _reference_frames(g, theta)
     n_s = int(np.ceil(2.0 * radius / step))
     offs = (np.arange(n_s) + 0.5) * step - radius
     t = -np.einsum("dk,dk->d", origins, u)[:, None] + offs[None, :]
