@@ -124,11 +124,10 @@ def _cmd_simulate(args) -> int:
     geom = desk_geometry(args.views, args.detectors, img.nx,
                          pixel_size=img.pixel_size)
     noise = NoiseSpec(sigma=args.noise_sigma, seed=args.noise_seed)
-    mask = make_sparse_mask(args.views, args.r) if args.r > 1 else None
+    mask = make_sparse_mask(args.views, args.r)
     sino = simulate_measurement(img, geom, m=mask, noise=noise)
     write_sinogram(args.out, sino)
-    kept = mask.n_active if mask else args.views
-    print(f"wrote {args.out} ({args.views} views, {kept} kept)")
+    print(f"wrote {args.out} ({args.views} views, {mask.n_active} kept)")
     return 0
 
 

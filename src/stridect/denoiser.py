@@ -405,6 +405,8 @@ def _fit(params: TinyNetParams, lr: float, epochs: int, steps_per_epoch: int,
          step_loss):
     """Adam on ``step_loss() -> (loss, grads)``, which draws its own batch;
     aborts on a non-finite loss. Returns the per-epoch mean loss trace."""
+    if epochs < 1 or steps_per_epoch < 1:
+        raise InvalidArgumentError("epochs and steps_per_epoch must be >= 1")
     opt = Adam(params, lr)
     trace = []
     step = 0

@@ -6,10 +6,20 @@ half-pixel steps with bilinear interpolation. Both directions draw their
 weights from one generator, so ``adjoint_project`` scatters exactly the
 weights ``forward_project`` gathers. Samples that cannot touch the grid are
 dropped: they would contribute exact zeros.
+
+Quarter-turn rule: on a square grid (``nx == ny``) scanned over exactly 2π
+with a view count divisible by 4, view v + k·V/4 is view v applied to the
+grid turned by k quarter turns (``np.rot90``), since pixel centres map onto
+pixel centres and the zero border onto itself. Weights are then generated
+for the first V/4 views only and each serves four views; on any other
+geometry every view has its own. A turned view's rays come from its base
+view's angle, so they differ from rays traced at its own angle by rounding
+only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +41,17 @@ class NoiseSpec:
             raise InvalidArgumentError("noise sigma must be >= 0")
 
 
-def _ray_frames(g: FanBeamGeometry):
+def _quarter_turns(g: FanBeamGeometry, grid: ImageGrid) -> int:
+    """Views one set of weights serves: 4 under the quarter-turn rule, else 1."""
+    lo, hi = g.angular_range
+    square_full_scan = grid.nx == grid.ny and hi - lo == 2.0 * math.pi
+    return 4 if square_full_scan and g.n_views % 4 == 0 else 1
+
+
+def _ray_frames(g: FanBeamGeometry, n_views: int):
     """Source points (views, 2) and unit ray directions (views, detectors, 2)
-    of every view."""
-    theta = g.view_angles
+    of the first ``n_views`` views."""
+    theta = g.view_angles[:n_views]
     ct, st = np.cos(theta), np.sin(theta)
     e_t = np.stack([ct, st], axis=1)[:, None, :]
     e_s = np.stack([-st, ct], axis=1)
@@ -47,19 +64,20 @@ def _ray_frames(g: FanBeamGeometry):
     return src, d
 
 
-def _view_weights(g: FanBeamGeometry, grid: ImageGrid):
-    """Per view: the (detectors, samples) mask of ray samples that can touch
-    the grid (-1 < f < n in pixel coordinates f, on both axes) and the four
-    bilinear (flat index, weight) corner pairs of the kept samples in C
-    order. Indices address the grid padded by a one-pixel border of zeros,
-    which holds every corner of a kept sample that lies off the grid.
+def _view_weights(g: FanBeamGeometry, grid: ImageGrid, n_views: int):
+    """Per view of the first ``n_views``: the (detectors, samples) mask of ray
+    samples that can touch the grid (-1 < f < n in pixel coordinates f, on
+    both axes) and the four bilinear (flat index, weight) corner pairs of the
+    kept samples in C order. Indices address the grid padded by a one-pixel
+    border of zeros, which holds every corner of a kept sample that lies off
+    the grid.
     """
     px, nx, ny = grid.pixel_size, grid.nx, grid.ny
     step = px / 2.0
     radius = 0.5 * px * float(np.hypot(nx, ny)) + px
     n_s = int(np.ceil(2.0 * radius / step))
     offs = (np.arange(n_s) + 0.5) * step - radius
-    for src, u in zip(*_ray_frames(g)):
+    for src, u in zip(*_ray_frames(g, n_views)):
         t = -(u[:, 0] * src[0] + u[:, 1] * src[1])[:, None] + offs[None, :]
         # in place: at this size a fresh temporary costs more than its op
         fx, fy = t * u[:, 0:1], np.multiply(t, u[:, 1:2], out=t)
@@ -83,38 +101,56 @@ def _view_weights(g: FanBeamGeometry, grid: ImageGrid):
 
 
 def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
-    """Line integrals of ``x`` for every (view, detector) ray."""
+    """Line integrals of ``x`` for every (view, detector) ray.
+
+    Under the module's quarter-turn rule, view v + k·V/4 gathers view v's
+    weights from the padded image turned k times.
+    """
     step = x.pixel_size / 2.0
-    flat_img = np.pad(x.values, 1).ravel()
+    q = _quarter_turns(g, x)
+    n_base = g.n_views // q
+    pad = np.pad(x.values, 1)
+    turned = [np.rot90(pad, k).ravel() for k in range(q)]
     out = np.empty((g.n_views, g.n_detectors))
-    for v, (keep, corners) in enumerate(_view_weights(g, x)):
-        acc = np.zeros(np.count_nonzero(keep))
-        for flat, w in corners:
-            acc += flat_img[flat] * w
+    for v, (keep, corners) in enumerate(_view_weights(g, x, n_base)):
         samples = np.zeros(keep.shape)
-        samples[keep] = acc
-        # summing whole rows keeps numpy's pairwise order over all samples
-        out[v] = samples.sum(axis=1) * step
+        for k, flat_img in enumerate(turned):
+            acc = np.zeros(np.count_nonzero(keep))
+            for flat, w in corners:
+                acc += flat_img[flat] * w
+            samples[keep] = acc
+            # summing whole rows keeps numpy's pairwise order over all samples
+            out[v + k * n_base] = samples.sum(axis=1) * step
     return Sinogram(out, g)
 
 
 def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGrid:
     """Exact transpose of :func:`forward_project` onto ``grid``.
 
-    ``g`` must equal the sinogram's own geometry. Accumulates per-view
-    partial images and reduces them in ascending view order, so the result
-    is deterministic.
+    ``g`` must equal the sinogram's own geometry. Under the module's
+    quarter-turn rule, view v + k·V/4 scatters view v's weights into the k-th
+    of four padded accumulators; each accumulator sums its views in ascending
+    order, and the accumulators are added turned back, k ascending. The
+    result is deterministic.
     """
     if g != s.geometry:
         raise ShapeMismatchError("geometry differs from the sinogram's own")
     step = grid.pixel_size / 2.0
-    n_pix = (grid.nx + 2) * (grid.ny + 2)
-    acc = np.zeros(n_pix)
-    for v, (keep, corners) in enumerate(_view_weights(g, grid)):
-        row = np.broadcast_to(s.values[v][:, None], keep.shape)[keep]
-        for flat, w in corners:
-            acc += np.bincount(flat, weights=w * row * step, minlength=n_pix)
-    return grid.with_values(acc.reshape(grid.ny + 2, grid.nx + 2)[1:-1, 1:-1])
+    q = _quarter_turns(g, grid)
+    n_base = g.n_views // q
+    shape = (grid.ny + 2, grid.nx + 2)
+    n_pix = shape[0] * shape[1]
+    acc = np.zeros((q, n_pix))
+    for v, (keep, corners) in enumerate(_view_weights(g, grid, n_base)):
+        counts = keep.sum(axis=1)
+        for k in range(q):
+            row = np.repeat(s.values[v + k * n_base], counts)
+            for flat, w in corners:
+                acc[k] += np.bincount(flat, weights=w * row * step, minlength=n_pix)
+    out = acc[0].reshape(shape)
+    for k in range(1, q):
+        out += np.rot90(acc[k].reshape(shape), -k)
+    return grid.with_values(out[1:-1, 1:-1])
 
 
 def simulate_measurement(x: ImageGrid, g: FanBeamGeometry,

@@ -1,8 +1,9 @@
 """Shared fixtures: phantoms and projected sinograms reused across modules.
 
-The 256-view-scale projection is expensive, so it is computed once per
-session. The acceptance tests collect one summary line per criterion; the
-terminal-summary hook prints them after the run.
+The fixture-scale projection (720 views x 384 detectors of a 256 x 256
+phantom) is expensive, so it is computed once per session. The acceptance
+tests collect one summary line per criterion; the terminal-summary hook
+prints them after the run.
 """
 
 import numpy as np

@@ -101,6 +101,23 @@ def test_simulate_negative_noise_sigma_exit_three(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r", ["0", "13"])
+def test_simulate_stride_out_of_range_exit_three(workdir, capsys, r):
+    out = workdir / "bad_r.bin"
+    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
+                "--dets", "16", "--r", r, "--out", str(out)) == 3
+    assert "stride r" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_stride_one_keeps_every_view(workdir, capsys):
+    out = workdir / "r1.bin"
+    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
+                "--dets", "16", "--r", "1", "--out", str(out)) == 0
+    assert "12 views, 12 kept" in capsys.readouterr().out
+    assert st.read_sinogram(out).values.any(axis=1).all()
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -126,6 +143,16 @@ def test_train_without_hidden_units_exit_three(workdir, capsys):
     assert _run("train", "--sino", str(workdir / "full.bin"), "--epochs", "1",
                 "--steps", "1", "--hidden", "0", "--out", str(workdir / "x.bin")) == 3
     assert "hidden" in capsys.readouterr().err
+    assert not (workdir / "x.bin").exists()
+
+
+@pytest.mark.parametrize("flag", ["--epochs", "--steps"])
+def test_train_zero_count_exit_three(workdir, capsys, flag):
+    counts = {"--epochs": "1", "--steps": "1", flag: "0"}
+    argv = [a for kv in counts.items() for a in kv]
+    assert _run("train", "--sino", str(workdir / "full.bin"), *argv,
+                "--hidden", "4", "--out", str(workdir / "x.bin")) == 3
+    assert "epochs and steps_per_epoch must be >= 1" in capsys.readouterr().err
     assert not (workdir / "x.bin").exists()
 
 

@@ -1,11 +1,13 @@
 """Ray-driven projector: analytic oracles, adjointness, noise statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import stridect as st
+import stridect.projector as projector
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
 
 
@@ -138,14 +140,20 @@ def test_single_ray_support():
 # byte equality with the plain per-view ray loop
 
 
-def _reference_forward(x, g):
+def _reference_forward(x, g, turns=1):
     """Per-view loop sampling every ray point with bounds-checked bilinear
-    corners; the projector must reproduce it bit for bit."""
+    corners; the projector must reproduce it bit for bit.
+
+    With ``turns`` 4, view v + k·V/4 is traced at view v's angle through the
+    image turned k quarter turns, as the projector's quarter-turn rule does;
+    ``turns`` 1 traces every view at its own angle."""
     step = x.pixel_size / 2.0
-    flat_img = x.values.ravel()
+    n_base = g.n_views // turns
     out = np.empty((g.n_views, g.n_detectors))
-    for v, theta in enumerate(g.view_angles):
-        parts, shape = _reference_parts(x, g, theta)
+    for v in range(g.n_views):
+        k, base = divmod(v, n_base)
+        flat_img = np.rot90(x.values, k).ravel()
+        parts, shape = _reference_parts(x, g, g.view_angles[base])
         acc = np.zeros(shape)
         for flat, w in parts:
             acc += flat_img[flat] * w
@@ -153,17 +161,29 @@ def _reference_forward(x, g):
     return out
 
 
-def _reference_adjoint(y, g, grid):
+def _reference_adjoint(y, g, grid, turns=1):
+    """Transpose of :func:`_reference_forward`: turned view k scatters into
+    its own accumulator, and the accumulators are added turned back."""
     step = grid.pixel_size / 2.0
+    n_base = g.n_views // turns
     n_pix = grid.nx * grid.ny
-    acc = np.zeros(n_pix)
-    for v, theta in enumerate(g.view_angles):
-        parts, _ = _reference_parts(grid, g, theta)
+    accs = np.zeros((turns, n_pix))
+    for v in range(g.n_views):
+        k, base = divmod(v, n_base)
+        parts, _ = _reference_parts(grid, g, g.view_angles[base])
         row = y[v][:, None]
         for flat, w in parts:
             contrib = (w * row).ravel() * step
-            acc += np.bincount(flat.ravel(), weights=contrib, minlength=n_pix)
-    return acc.reshape(grid.ny, grid.nx)
+            accs[k] += np.bincount(flat.ravel(), weights=contrib, minlength=n_pix)
+    out = accs[0].reshape(grid.ny, grid.nx)
+    for k in range(1, turns):
+        out += np.rot90(accs[k].reshape(grid.ny, grid.nx), -k)
+    return out
+
+
+def _turns(nx, ny, views):
+    # every desk geometry scans the full circle
+    return 4 if nx == ny and views % 4 == 0 else 1
 
 
 def _reference_frames(g, theta):
@@ -204,15 +224,22 @@ def _reference_parts(grid, g, theta):
     return parts, fx.shape
 
 
-# (nx, ny, pixel_size, views, detectors, nx the detector row is sized for)
+# (nx, ny, pixel_size, views, detectors, nx the detector row is sized for);
+# the square cases with a view count divisible by 4 take the quarter-turn rule
 BYTE_CASES = [
     (24, 24, 1.0, 6, 8, 24),
     (33, 33, 1.0, 17, 40, 33),     # odd grid
     (21, 21, 0.7, 9, 50, 21),      # pixel_size < 1
-    (20, 20, 1.9, 12, 30, 20),     # pixel_size > 1
-    (16, 16, 1.0, 12, 64, 48),     # detector row three times wider than the grid
+    (20, 20, 1.9, 12, 30, 20),     # pixel_size > 1, quarter turns
+    (16, 16, 1.0, 12, 64, 48),     # detector row three times wider, quarter turns
     (15, 9, 1.3, 10, 36, 15),      # rectangular grid
 ]
+
+
+def _assert_per_angle_close(out, ref):
+    # turned views take their rays from the base view's cos/sin, so they
+    # differ from rays at their own angle by rounding only
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("nx,ny,px,views,dets,span", BYTE_CASES)
@@ -221,10 +248,14 @@ def test_projection_bytes_match_reference_loop(nx, ny, px, views, dets, span):
     g = st.desk_geometry(views, dets, span, pixel_size=px)
     x = st.ImageGrid(nx, ny, px, rng.normal(size=(ny, nx)))
     y = rng.normal(size=(views, dets))
+    turns = _turns(nx, ny, views)
     fwd = st.forward_project(x, g).values
-    assert fwd.tobytes() == _reference_forward(x, g).tobytes()
+    assert fwd.tobytes() == _reference_forward(x, g, turns).tobytes()
     adj = st.adjoint_project(st.Sinogram(y, g), g, x).values
-    assert adj.tobytes() == _reference_adjoint(y, g, x).tobytes()
+    assert adj.tobytes() == _reference_adjoint(y, g, x, turns).tobytes()
+    if turns > 1:
+        _assert_per_angle_close(fwd, _reference_forward(x, g))
+        _assert_per_angle_close(adj, _reference_adjoint(y, g, x))
 
 
 def test_edge_pixel_projection_bytes_match_reference_loop():
@@ -239,7 +270,54 @@ def test_edge_pixel_projection_bytes_match_reference_loop():
         x = st.ImageGrid(n, n, 1.0, v)
         fwd = st.forward_project(x, g).values
         assert fwd.any()
-        assert fwd.tobytes() == _reference_forward(x, g).tobytes()
+        assert fwd.tobytes() == _reference_forward(x, g, _turns(n, n, 24)).tobytes()
+        _assert_per_angle_close(fwd, _reference_forward(x, g))
+
+
+# ---------------------------------------------------------------------------
+# the quarter-turn rule
+
+
+def test_turned_image_projects_to_view_rolled_sinogram():
+    rng = np.random.default_rng(7)
+    n, views = 20, 16
+    g = st.desk_geometry(views, 30, n)
+    x = st.ImageGrid(n, n, 1.0, rng.normal(size=(n, n)))
+    turned = x.with_values(np.rot90(x.values))
+    # the turned image at view v is the image at view v + V/4
+    rolled = np.roll(st.forward_project(x, g).values, -(views // 4), axis=0)
+    assert st.forward_project(turned, g).values.tobytes() == rolled.tobytes()
+
+
+def test_adjoint_identity_with_quarter_turns(geom180, grid64):
+    rng = np.random.default_rng(8)
+    assert projector._quarter_turns(geom180, grid64) == 4
+    x = rng.normal(size=(64, 64))
+    s = rng.normal(size=(180, 256))
+    ax = st.forward_project(grid64.with_values(x), geom180).values
+    aty = st.adjoint_project(st.Sinogram(s, geom180), geom180, grid64).values
+    defect = abs(np.sum(ax * s) - np.sum(x * aty))
+    defect /= np.linalg.norm(ax) * np.linalg.norm(s)
+    assert defect <= 1e-10
+
+
+@pytest.mark.parametrize("nx,ny,views,span", [
+    (16, 12, 12, (0.0, 2.0 * math.pi)),   # rectangular grid
+    (16, 16, 10, (0.0, 2.0 * math.pi)),   # views not divisible by 4
+    (16, 16, 12, (0.0, math.pi)),         # half scan
+])
+def test_quarter_turns_fall_back_to_one(nx, ny, views, span):
+    base = st.desk_geometry(views, 24, 16)
+    g = dataclasses.replace(base, angular_range=span)
+    grid = st.ImageGrid(nx, ny, 1.0, np.zeros((ny, nx)))
+    assert projector._quarter_turns(g, grid) == 1
+    # with one turn every view is traced at its own angle, bit for bit
+    rng = np.random.default_rng(9)
+    x = grid.with_values(rng.normal(size=(ny, nx)))
+    y = rng.normal(size=(views, 24))
+    assert st.forward_project(x, g).values.tobytes() == _reference_forward(x, g).tobytes()
+    adj = st.adjoint_project(st.Sinogram(y, g), g, grid).values
+    assert adj.tobytes() == _reference_adjoint(y, g, grid).tobytes()
 
 
 # ---------------------------------------------------------------------------
