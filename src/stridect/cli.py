@@ -19,7 +19,8 @@ from .denoiser import TinyEpsNet, load_params, save_params, train_epsilon
 from .diffusion import linear_schedule
 from .errors import InvalidArgumentError, NumericalAbortError
 from .evalkit import kl_divergence, mse, psnr, shepp_logan, ssim
-from .fileio import read_image, read_sinogram, write_image, write_pgm, write_sinogram
+from .fileio import (read_image, read_sinogram, to_csv, write_image, write_pgm,
+                     write_sinogram)
 from .geometry import ImageGrid, desk_geometry, make_sparse_mask
 from .pipeline import (PipelineConfig, ablation_to_csv, lambda_sweep_to_csv,
                        report_to_csv, run_component_ablation, run_lambda_sweep,
@@ -179,12 +180,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    a = read_image(args.image)
-    b = read_image(args.reference)
-    va, vb = a.values, b.values
-    print("mse,psnr,ssim,kl")
-    print(f"{mse(vb, va):.10g},{psnr(vb, va):.10g},"
-          f"{ssim(vb, va):.10g},{kl_divergence(vb, va):.10g}")
+    va, vb = read_image(args.image).values, read_image(args.reference).values
+    row = (mse(vb, va), psnr(vb, va), ssim(vb, va), kl_divergence(vb, va))
+    print(to_csv(("mse", "psnr", "ssim", "kl"), [row]), end="")
     return 0
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalAbortError, ShapeMismatchError
+from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
+                     require_finite)
 from .denoiser import AnalyticGaussianScore
 from .diffusion import NoiseSchedule
 from .wavelet import WaveletBands
@@ -98,7 +99,8 @@ def data_consistency(x, observed, rows):
 @dataclass(frozen=True)
 class CorrectorConfig:
     """Annealed Langevin settings. eps_start defaults to 1e-2 * sigma_max^2
-    of the schedule's variance-exploding branch."""
+    of the schedule's variance-exploding branch. A float setting that is nan
+    or infinite is rejected."""
 
     n_steps: int = 600
     eps_start: float | None = None
@@ -112,6 +114,8 @@ class CorrectorConfig:
     def __post_init__(self):
         if self.n_steps < 0:
             raise InvalidArgumentError("n_steps must be >= 0")
+        require_finite(self, ("eps_start", "eps_end", "lambda_low", "lambda_high",
+                              "t_start", "t_end"))
         if self.eps_end <= 0 or (self.eps_start is not None and self.eps_start <= 0):
             raise InvalidArgumentError("eps bounds must be positive")
         if self.lambda_low < 0 or self.lambda_high < 0:

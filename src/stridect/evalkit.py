@@ -22,9 +22,6 @@ class Ellipse:
     angle_deg: float
     density: float
 
-    def mirrored(self) -> "Ellipse":
-        return Ellipse(-self.x0, self.y0, self.a, self.b, -self.angle_deg, self.density)
-
 
 # Modified head phantom: ten ellipses, densities chosen so the summed image
 # stays inside [0, 1].

@@ -1,4 +1,5 @@
-"""On-disk formats: raster images, sinograms with geometry sidecars, PGM.
+"""On-disk formats: raster images, sinograms with geometry sidecars, PGM,
+and the CSV text of reports and tables.
 
 Binary layouts are little-endian float32 with a one-line ASCII header, so
 files round-trip across platforms. PGM export is lossy (8-bit, range
@@ -95,3 +96,11 @@ def write_pgm(path, values) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode())
         f.write(quant.astype(np.uint8).tobytes())
+
+
+def to_csv(header, rows) -> str:
+    """One comma-separated line for the header, then one per row: a text
+    cell as it is, a number as %.10g."""
+    lines = [",".join(header)]
+    lines += (",".join(c if isinstance(c, str) else f"{c:.10g}" for c in row) for row in rows)
+    return "".join(line + "\n" for line in lines)

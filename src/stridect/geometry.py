@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -15,15 +15,17 @@ _REF_SOD_MM = 400.0
 _REF_CDD_MM = 400.0
 _REF_DET_WIDTH_MM = 413.0
 
-_GEOM_KEYS = (
-    "sod_mm",
-    "cdd_mm",
-    "n_views",
-    "n_detectors",
-    "det_width_mm",
-    "angle_start_rad",
-    "angle_end_rad",
-)
+# the .geom sidecar's keys and value types, in the order of
+# FanBeamGeometry's arguments
+_GEOM_KEYS = {
+    "sod_mm": float,
+    "cdd_mm": float,
+    "n_views": int,
+    "n_detectors": int,
+    "det_width_mm": float,
+    "angle_start_rad": float,
+    "angle_end_rad": float,
+}
 
 
 def _readonly(a, dtype=np.float64):
@@ -90,17 +92,9 @@ class FanBeamGeometry:
         return self.detector_spacing / self.magnification
 
     def to_kv(self) -> str:
-        lo, hi = self.angular_range
-        vals = {
-            "sod_mm": repr(self.source_to_center),
-            "cdd_mm": repr(self.center_to_detector),
-            "n_views": str(self.n_views),
-            "n_detectors": str(self.n_detectors),
-            "det_width_mm": repr(self.detector_width),
-            "angle_start_rad": repr(lo),
-            "angle_end_rad": repr(hi),
-        }
-        return "".join(f"{k}={vals[k]}\n" for k in _GEOM_KEYS)
+        *head, (lo, hi) = (getattr(self, f.name) for f in fields(self))
+        return "".join(f"{k}={tp(v)!r}\n"
+                       for (k, tp), v in zip(_GEOM_KEYS.items(), (*head, lo, hi)))
 
     @classmethod
     def from_kv(cls, text: str) -> "FanBeamGeometry":
@@ -119,11 +113,10 @@ class FanBeamGeometry:
         unknown = [k for k in kv if k not in _GEOM_KEYS]
         if unknown:
             raise InvalidArgumentError(f"geometry block has unknown keys: {unknown}")
-        # _GEOM_KEYS lists the constructor's arguments in order
         vals = []
-        for k in _GEOM_KEYS:
+        for k, tp in _GEOM_KEYS.items():
             try:
-                vals.append((int if k.startswith("n_") else float)(kv[k]))
+                vals.append(tp(kv[k]))
             except ValueError:
                 raise InvalidArgumentError(
                     f"geometry key {k} is not a number: {kv[k]!r}") from None
@@ -236,10 +229,6 @@ class SparseMask:
     @property
     def n_active(self):
         return int(self.active.sum())
-
-    @property
-    def active_indices(self):
-        return np.flatnonzero(self.active)
 
 
 def make_sparse_mask(n_views: int, r: int) -> SparseMask:

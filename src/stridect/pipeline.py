@@ -9,8 +9,7 @@ scored so component contributions can be reported and ablated.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,9 +22,10 @@ from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
-from .errors import InvalidArgumentError, ShapeMismatchError
+from .errors import InvalidArgumentError, ShapeMismatchError, require_finite
 from .evalkit import kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
+from .fileio import to_csv
 from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
@@ -38,8 +38,9 @@ class PipelineConfig:
     measured rows after refinement: "active" or "off". prior_var is the
     variance of the analytic Gaussian surrogate and of the default band
     scores, and filter holds every FBP setting. An unknown final_dc or
-    wavelet, or align_per_step without alignment, is rejected here, before
-    any chain work.
+    wavelet, align_per_step without alignment, a negative sigma_ddim, or a
+    sigma_ddim, omega or prior_var that is nan or infinite, is rejected
+    here, before any chain work.
     """
 
     ddim_steps: int = 100
@@ -59,6 +60,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.ddim_steps < 1:
             raise InvalidArgumentError("ddim_steps must be >= 1")
+        require_finite(self, ("sigma_ddim", "omega", "prior_var"))
+        if self.sigma_ddim < 0:
+            raise InvalidArgumentError("sigma_ddim must be >= 0")
         if self.final_dc not in ("active", "off"):
             raise InvalidArgumentError("final_dc must be active or off")
         if self.align_per_step and not self.alignment:
@@ -135,8 +139,6 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     active = np.asarray(active, bool)
     if active.shape != y_s.shape[:1]:
         raise ShapeMismatchError("row flag length does not match")
-    if cfg.sigma_ddim < 0:
-        raise InvalidArgumentError("sigma_t must be >= 0")
     conditional = getattr(model, "conditional", False)
     if cfg.omega != 0.0 and not conditional:
         raise InvalidArgumentError("omega needs a conditional model; set omega = 0")
@@ -172,13 +174,15 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     return y
 
 
-def _stage(name, values, reference, active):
+def _stage(name, values, reference, active=None):
+    """Score one stage's output; every field is nan without a reference,
+    and mse_masked is nan without observed rows (active=None)."""
+    nan = float("nan")
     if reference is None:
-        return StageMetrics(name, float("nan"), float("nan"),
-                            float("nan"), float("nan"))
+        return StageMetrics(name, nan, nan, nan, nan)
     return StageMetrics(
         stage=name,
-        mse_masked=mse(reference[active], values[active]),
+        mse_masked=nan if active is None else mse(reference[active], values[active]),
         mse_full=mse(reference, values),
         psnr=psnr(reference, values),
         ssim=ssim(reference, values),
@@ -186,12 +190,7 @@ def _stage(name, values, reference, active):
 
 
 def report_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("stage,mse_masked,mse_full,psnr,ssim\n")
-    for r in rows:
-        buf.write(f"{r.stage},{r.mse_masked:.10g},{r.mse_full:.10g},"
-                  f"{r.psnr:.10g},{r.ssim:.10g}\n")
-    return buf.getvalue()
+    return to_csv([f.name for f in fields(StageMetrics)], map(astuple, rows))
 
 
 @dataclass(frozen=True)
@@ -281,15 +280,8 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
     sino_out = Sinogram(y_out, y_s.geometry)
     image = fbp_reconstruct(sino_out, grid, cfg.filter)
-    if reference_image is not None:
-        rv = np.asarray(reference_image.values, dtype=np.float64)
-        stages.append(StageMetrics("fbp", float("nan"),
-                                   mse(rv, image.values),
-                                   psnr(rv, image.values),
-                                   ssim(rv, image.values)))
-    else:
-        stages.append(StageMetrics("fbp", float("nan"), float("nan"),
-                                   float("nan"), float("nan")))
+    stages.append(_stage("fbp", image.values,
+                         None if reference_image is None else reference_image.values))
     return ReconstructionResult(image=image, sinogram=sino_out,
                                 stages=tuple(stages), alignment=align)
 
@@ -330,11 +322,7 @@ def run_component_ablation(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
 
 def ablation_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("variant,mse_full\n")
-    for name, err, _ in rows:
-        buf.write(f"{name},{err:.10g}\n")
-    return buf.getvalue()
+    return to_csv(("variant", "mse_full"), (row[:2] for row in rows))
 
 
 def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
@@ -346,8 +334,7 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     Only the table is returned; the chains compute no per-stage metrics."""
     _check_references(y_s, grid, reference, reference_image)
     ref = np.asarray(reference.values, dtype=np.float64)
-    ref_img = (np.asarray(reference_image.values, dtype=np.float64)
-               if reference_image is not None else None)
+    ref_img = None if reference_image is None else reference_image.values
     configs = [(f"fixed-{k / 10.0:.1f}", GuidanceConfig(mode="fixed", nu=k / 10.0))
                for k in range(11)]
     configs.append(("temporal", GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
@@ -364,8 +351,4 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
 
 
 def lambda_sweep_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("guidance,mse_full,psnr,kl\n")
-    for name, err, pk, kl in rows:
-        buf.write(f"{name},{err:.10g},{pk:.10g},{kl:.10g}\n")
-    return buf.getvalue()
+    return to_csv(("guidance", "mse_full", "psnr", "kl"), rows)

@@ -230,6 +230,20 @@ def test_eval_identical_images(workdir, capsys):
     assert fields == ["0", "inf", "1", "0"]
 
 
+def test_eval_text_matches_the_metrics(workdir, capsys):
+    ph = workdir / "ph.bin"
+    other = workdir / "shift.bin"
+    img = st.read_image(ph)
+    st.write_image(other, img.with_values(np.roll(img.values, 1, axis=0)))
+    assert _run("eval", "--image", str(other), "--reference", str(ph)) == 0
+    va, vb = st.read_image(other).values, img.values
+    # the line as it was formatted before one CSV writer served every table
+    assert capsys.readouterr().out == (
+        "mse,psnr,ssim,kl\n"
+        f"{st.mse(vb, va):.10g},{st.psnr(vb, va):.10g},"
+        f"{st.ssim(vb, va):.10g},{st.kl_divergence(vb, va):.10g}\n")
+
+
 def test_eval_flag_aliases(workdir, capsys):
     ph = str(workdir / "ph.bin")
     assert _run("eval", "--test", ph, "--ref", ph) == 0
@@ -586,4 +600,25 @@ def test_one_key_bad_value_exits_before_chain(workdir, capsys, monkeypatch, key)
                 "--out", str(workdir / "o.bin")) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and (code == 3 or f"{key}: " in err)
+    assert not (workdir / "o.bin").exists()
+
+
+_FLOAT_KEYS = [key for key, (_, _, tp) in cli.CONFIG_SCHEMA.items() if tp is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_setting_exits_three_before_chain(workdir, capsys, monkeypatch,
+                                                           key, value):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    cfg = workdir / "nonfinite.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg),
+                "--out", str(workdir / "o.bin")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not (workdir / "o.bin").exists()

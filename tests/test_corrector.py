@@ -202,6 +202,16 @@ def test_corrector_config_validation():
         CorrectorConfig(lambda_low=-0.5)
 
 
+
+@pytest.mark.parametrize("key", ["eps_start", "eps_end", "lambda_low", "lambda_high",
+                                 "t_start", "t_end"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_corrector_setting_rejected(key, value):
+    # nan passes every comparison test: lambda_low = nan silently ran as 0
+    with pytest.raises(InvalidArgumentError, match=f"{key} must be finite"):
+        CorrectorConfig(**{key: value})
+
+
 # ------------------------------------------------------------- refine_bands
 
 

@@ -22,7 +22,8 @@ def test_phantom_value_range_and_landmarks():
 
 def test_phantom_mirror_symmetry():
     ph = st.shepp_logan(32, 32).values
-    mirrored = [e.mirrored() for e in SHEPP_LOGAN_ELLIPSES]
+    mirrored = [st.Ellipse(-e.x0, e.y0, e.a, e.b, -e.angle_deg, e.density)
+                for e in SHEPP_LOGAN_ELLIPSES]
     expect = np.clip(rasterize_ellipses(mirrored, 32, 32), 0.0, 1.0)
     assert np.array_equal(np.fliplr(ph), expect)
 

@@ -85,6 +85,17 @@ def test_sinogram_roundtrip(tmp_path):
     assert g1.angular_range == g0.angular_range
 
 
+def test_numpy_scalar_geometry_sidecar_round_trips(tmp_path):
+    # a numpy scalar once went to the sidecar as its repr, np.float64(...)
+    g = st.desk_geometry(np.int64(12), 16, 16, pixel_size=np.float64(0.5))
+    assert type(g.source_to_center) is np.float64
+    sino = st.Sinogram(np.zeros((12, 16)), g)
+    path = tmp_path / "scan.bin"
+    st.write_sinogram(path, sino)
+    assert "np." not in (tmp_path / "scan.bin.geom").read_text()
+    assert st.read_sinogram(path).geometry == g
+
+
 def test_sinogram_write_read_write_stable(tmp_path):
     sino = _small_sino(seed=3)
     p1 = tmp_path / "a.bin"

@@ -16,7 +16,7 @@ from stridect.errors import InvalidArgumentError, ShapeMismatchError
 def test_mask_every_twelfth_of_720():
     m = st.make_sparse_mask(720, 12)
     assert m.n_active == 60
-    assert np.array_equal(m.active_indices, np.arange(0, 720, 12))
+    assert np.array_equal(np.flatnonzero(m.active), np.arange(0, 720, 12))
 
 
 def test_mask_full():
@@ -27,7 +27,7 @@ def test_mask_full():
 
 def test_mask_eight_views_stride_two():
     m = st.make_sparse_mask(8, 2)
-    assert np.array_equal(m.active_indices, [0, 2, 4, 6])
+    assert np.array_equal(np.flatnonzero(m.active), [0, 2, 4, 6])
     assert not m.active[[1, 3, 5, 7]].any()
 
 
@@ -132,6 +132,27 @@ def test_geometry_kv_roundtrip():
     assert g2.detector_width == g.detector_width
     assert g2.angular_range == g.angular_range
     assert (g2.n_views, g2.n_detectors) == (g.n_views, g.n_detectors)
+
+
+def _old_to_kv(g):
+    """The sidecar text as written when each key was spelled out here."""
+    lo, hi = g.angular_range
+    return (f"sod_mm={g.source_to_center!r}\ncdd_mm={g.center_to_detector!r}\n"
+            f"n_views={g.n_views}\nn_detectors={g.n_detectors}\n"
+            f"det_width_mm={g.detector_width!r}\n"
+            f"angle_start_rad={lo!r}\nangle_end_rad={hi!r}\n")
+
+
+@pytest.mark.parametrize("g", [
+    st.desk_geometry(12, 16, 16),
+    st.desk_geometry(180, 256, 64, pixel_size=0.5),
+    st.desk_geometry(7, 5, 33, 1.3, 1.1),
+    st.FanBeamGeometry(3.25, 4.0, 5, 6, 7.5, angular_range=(-1.0, 2.0)),
+    st.FanBeamGeometry(1e-3, 1e5, 1, 1, 0.1, angular_range=(0.0, math.pi)),
+])
+def test_to_kv_text_unchanged_for_python_number_geometries(g):
+    assert g.to_kv() == _old_to_kv(g)
+    assert st.FanBeamGeometry.from_kv(g.to_kv()) == g
 
 
 def test_geometry_kv_errors():

@@ -2,7 +2,7 @@
 
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -240,9 +240,6 @@ def test_coarse_generate_rejects_nan_weight_and_bad_mask():
     ok = PipelineConfig(ddim_steps=3)
     with pytest.raises(ShapeMismatchError):
         coarse_generate(y_s, active[:-1], model, sched, ok, np.random.default_rng(0))
-    with pytest.raises(InvalidArgumentError):
-        coarse_generate(y_s, active, model, sched, replace(ok, sigma_ddim=-0.1),
-                        np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ full pipeline
@@ -306,6 +303,17 @@ def test_reconstruct_validation():
     # refinement off never reaches the wavelet code, and is still checked
     with pytest.raises(InvalidArgumentError, match="wavelet"):
         PipelineConfig(wavelet="sym4", corrector=st.CorrectorConfig(n_steps=0))
+    # the sampler's noise scale is checked with its config, not by the sampler
+    with pytest.raises(InvalidArgumentError, match="sigma_ddim must be >= 0"):
+        PipelineConfig(sigma_ddim=-0.1)
+
+
+@pytest.mark.parametrize("key", ["sigma_ddim", "omega", "prior_var"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_pipeline_setting_rejected(key, value):
+    # nan passes every comparison test, so each would otherwise run
+    with pytest.raises(InvalidArgumentError, match=f"{key} must be finite"):
+        PipelineConfig(**{key: value})
 
 
 def test_mismatched_references_fail_before_any_chain_work(monkeypatch):
@@ -551,6 +559,60 @@ def test_stage_report_csv():
     assert lines[0] == "stage,mse_masked,mse_full,psnr,ssim"
     assert len(lines) == 1 + len(res.stages)
     assert lines[1].startswith("coarse,")
+    assert lines[0] == ",".join(f.name for f in fields(st.StageMetrics))
+
+
+@pytest.mark.parametrize("with_image", [False, True])
+def test_fbp_stage_scores_the_image_directly(with_image):
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched, reference=sino,
+                                reference_image=phantom if with_image else None)
+    fbp = res.stages[-1]
+    assert fbp.stage == "fbp" and np.isnan(fbp.mse_masked)
+    got = (fbp.mse_full, fbp.psnr, fbp.ssim)
+    if with_image:
+        ref, img = phantom.values, res.image.values
+        assert got == (st.mse(ref, img), st.psnr(ref, img), st.ssim(ref, img))
+    else:
+        assert np.isnan(got).all()
+
+
+# the writers as they were before they shared one CSV formatter
+def _old_report_to_csv(rows):
+    out = "stage,mse_masked,mse_full,psnr,ssim\n"
+    for r in rows:
+        out += (f"{r.stage},{r.mse_masked:.10g},{r.mse_full:.10g},"
+                f"{r.psnr:.10g},{r.ssim:.10g}\n")
+    return out
+
+
+def _old_ablation_to_csv(rows):
+    return "variant,mse_full\n" + "".join(f"{name},{err:.10g}\n" for name, err, _ in rows)
+
+
+def _old_lambda_sweep_to_csv(rows):
+    return "guidance,mse_full,psnr,kl\n" + "".join(
+        f"{name},{err:.10g},{pk:.10g},{kl:.10g}\n" for name, err, pk, kl in rows)
+
+
+def test_csv_writers_byte_equal_to_their_old_form():
+    cells = [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1.0 / 3, 1e-300, 2.5e17,
+             np.float64(0.1), np.float64(-7.25e-8), 12345678901.5]
+    stages = [st.StageMetrics(f"s{k}", *np.roll(cells, k)[:4].tolist())
+              for k in range(len(cells))]
+    assert report_to_csv(stages) == _old_report_to_csv(stages)
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    for ref_img in (None, phantom):
+        res = st.stride_reconstruct(masked, m, grid, cfg, sched=sched, reference=sino,
+                                    reference_image=ref_img)
+        assert report_to_csv(res.stages) == _old_report_to_csv(res.stages)
+    ablation = [(f"v{k}", c, None) for k, c in enumerate(cells)]
+    assert st.ablation_to_csv(ablation) == _old_ablation_to_csv(ablation)
+    sweep = [(f"g{k}", *np.roll(cells, k)[:3]) for k in range(len(cells))]
+    assert st.lambda_sweep_to_csv(sweep) == _old_lambda_sweep_to_csv(sweep)
+    assert st.ablation_to_csv([]) == "variant,mse_full\n"
 
 
 def test_component_ablation_rows():
