@@ -44,13 +44,11 @@ _RENAMED = {("guidance", "mode"): "guidance_mode", ("filter", "kind"): "filter_k
 
 def _config_schema(cls=PipelineConfig, sec=None) -> dict:
     """Every scalar setting of a config class and of the configs nested in
-    it, as config key -> (nested field or None, field name, type); a field
-    typed ``X | None`` is parsed as X."""
+    it, as config key -> (nested field or None, field name, type)."""
     schema = {}
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        tp = next(a for a in (*typing.get_args(hints[f.name]), hints[f.name])
-                  if a is not type(None))
+        tp = hints[f.name]
         if dataclasses.is_dataclass(tp):
             schema.update(_config_schema(tp, f.name))
         else:

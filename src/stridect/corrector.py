@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
                      require_finite)
-from .denoiser import AnalyticGaussianScore
-from .diffusion import NoiseSchedule
+from .denoiser import SCORE_T_MIN, AnalyticGaussianScore
 from .wavelet import WaveletBands
 
 
@@ -98,39 +97,35 @@ def data_consistency(x, observed, rows):
 
 @dataclass(frozen=True)
 class CorrectorConfig:
-    """Annealed Langevin settings. eps_start defaults to 1e-2 * sigma_max^2
-    of the schedule's variance-exploding branch. A float setting that is nan
-    or infinite is rejected."""
+    """Annealed Langevin settings. eps_start is 1e-2 * sigma_max^2 of the
+    variance-exploding noise range (sigma_max = 1). A float setting that is
+    nan or infinite is rejected."""
 
     n_steps: int = 600
-    eps_start: float | None = None
+    eps_start: float = 1e-2
     eps_end: float = 1e-5
     lambda_low: float = 1.0
     lambda_high: float = 1.0
-    t_start: float = 1.0
-    t_end: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 0:
             raise InvalidArgumentError("n_steps must be >= 0")
-        require_finite(self, ("eps_start", "eps_end", "lambda_low", "lambda_high",
-                              "t_start", "t_end"))
-        if self.eps_end <= 0 or (self.eps_start is not None and self.eps_start <= 0):
+        require_finite(self, ("eps_start", "eps_end", "lambda_low", "lambda_high"))
+        if self.eps_end <= 0 or self.eps_start <= 0:
             raise InvalidArgumentError("eps bounds must be positive")
         if self.lambda_low < 0 or self.lambda_high < 0:
             raise InvalidArgumentError("branch scales must be >= 0")
 
 
-def eps_schedule(cfg: CorrectorConfig, sched: NoiseSchedule) -> np.ndarray:
+def eps_schedule(cfg: CorrectorConfig) -> np.ndarray:
     """Geometric step-size decay over n_steps."""
     if cfg.n_steps == 0:
         return np.zeros(0)
-    start = cfg.eps_start if cfg.eps_start is not None else 1e-2 * sched.ve_sigma_max**2
     if cfg.n_steps == 1:
-        return np.array([start])
-    ratio = (cfg.eps_end / start) ** (1.0 / (cfg.n_steps - 1))
-    return start * ratio ** np.arange(cfg.n_steps)
+        return np.array([cfg.eps_start])
+    ratio = (cfg.eps_end / cfg.eps_start) ** (1.0 / (cfg.n_steps - 1))
+    return cfg.eps_start * ratio ** np.arange(cfg.n_steps)
 
 
 def gaussian_factors(e, var: float) -> tuple[float, float]:
@@ -164,13 +159,12 @@ def gaussian_factors(e, var: float) -> tuple[float, float]:
     return p, s
 
 
-def check_refinement(score_low, score_high, cfg: CorrectorConfig,
-                     sched: NoiseSchedule) -> None:
+def check_refinement(score_low, score_high, cfg: CorrectorConfig) -> None:
     """Reject, before any chain work, a refinement that must fail: each
     branch scored by an :class:`AnalyticGaussianScore` has its step factors
     checked by :func:`gaussian_factors`. None marks a branch that is off;
     other score models are not known until they run."""
-    eps = eps_schedule(cfg, sched)
+    eps = eps_schedule(cfg)
     for model, lam in ((score_low, cfg.lambda_low), (score_high, cfg.lambda_high)):
         if isinstance(model, AnalyticGaussianScore):
             gaussian_factors(lam * eps, model.var)
@@ -184,7 +178,7 @@ def _band_rngs(seed: int) -> list:
 
 
 def refine_bands(bands: WaveletBands, score_low, score_high,
-                 cfg: CorrectorConfig, sched: NoiseSchedule) -> WaveletBands:
+                 cfg: CorrectorConfig) -> WaveletBands:
     """Langevin-refine the four bands under their score models.
 
     The chain runs on one copy of ``bands.values``, so the caller's bands
@@ -198,13 +192,14 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     A branch whose score is an :class:`AnalyticGaussianScore` takes all
     ``n_steps`` at once in closed form (:func:`_gaussian_steps`): the same
     distribution as the step loop, with one noise draw per band instead of
-    one per step. Any other score model runs the step loop.
+    one per step. Any other score model runs the step loop, annealing t
+    from 1 down to SCORE_T_MIN, the range the score nets train on.
     """
     x = np.array(bands.values, dtype=np.float64)
     if not cfg.n_steps:
         return WaveletBands(x, bands.wavelet)
-    eps = eps_schedule(cfg, sched)
-    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps)
+    eps = eps_schedule(cfg)
+    ts = np.linspace(1.0, SCORE_T_MIN, cfg.n_steps)
     rngs = _band_rngs(cfg.seed)
     for branch, view, model, lam, streams in (
             ("low", x[0], score_low, cfg.lambda_low, rngs[:1]),

@@ -20,6 +20,8 @@ from .diffusion import NoiseSchedule
 
 MAGIC = b"STRDNET1"
 MAX_PARAMS = 10_000
+# score nets train on t ~ U(SCORE_T_MIN, 1], and the corrector anneals over it
+SCORE_T_MIN = 0.02
 
 _OFFSETS = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
 
@@ -113,6 +115,12 @@ class ExactNoiseDenoiser(_ClosedFormDenoiser):
     def _x0(self, y_t, ab, sab):
         return np.array(np.broadcast_to(
             self.y0, np.broadcast_shapes(y_t.shape, self.y0.shape)))
+
+
+def ve_sigma(t):
+    """Variance-exploding noise level, geometric from 0.01 at t = 0 to 1 at t = 1."""
+    out = 1e-2 * (1.0 / 1e-2) ** np.asarray(t, dtype=np.float64)
+    return float(out) if out.ndim == 0 else out
 
 
 class AnalyticGaussianScore:
@@ -407,6 +415,8 @@ def _fit(params: TinyNetParams, lr: float, epochs: int, steps_per_epoch: int,
     aborts on a non-finite loss. Returns the per-epoch mean loss trace."""
     if epochs < 1 or steps_per_epoch < 1:
         raise InvalidArgumentError("epochs and steps_per_epoch must be >= 1")
+    if not (np.isfinite(lr) and lr > 0):
+        raise InvalidArgumentError(f"lr must be finite and > 0, got {lr}")
     opt = Adam(params, lr)
     trace = []
     step = 0
@@ -465,13 +475,12 @@ def train_epsilon(data, sched: NoiseSchedule, *, epochs: int = 50,
     return TinyEpsNet(params, sched), trace
 
 
-def train_score(data, sched: NoiseSchedule, *, epochs: int = 50,
-                steps_per_epoch: int = 10, lr: float = 1e-3, batch_size: int = 4,
-                hidden: int = 16, t_min: float = 0.02, seed: int = 0,
-                params: TinyNetParams | None = None):
+def train_score(data, *, epochs: int = 50, steps_per_epoch: int = 10,
+                lr: float = 1e-3, batch_size: int = 4, hidden: int = 16,
+                seed: int = 0, params: TinyNetParams | None = None):
     """Denoising score matching with the variance-exploding sigma.
 
-    Per sample: t ~ U(t_min, 1], corrupt y with sigma(t) z, minimize
+    Per sample: t ~ U(SCORE_T_MIN, 1], corrupt y with sigma(t) z, minimize
     mean((sigma s_theta(y + sigma z, t) + z)^2), the sigma^2-weighted
     surrogate. Returns (model, per-epoch mean loss trace).
     """
@@ -484,8 +493,8 @@ def train_score(data, sched: NoiseSchedule, *, epochs: int = 50,
     def step_loss():
         idx = rng.integers(0, len(data), batch_size)
         y = np.stack([data[i] for i in idx])
-        t = t_min + (1.0 - t_min) * rng.random(batch_size)
-        sigma = sched.ve_sigma(t)[:, None, None, None]
+        t = SCORE_T_MIN + (1.0 - SCORE_T_MIN) * rng.random(batch_size)
+        sigma = ve_sigma(t)[:, None, None, None]
         z = rng.standard_normal(y.shape)
         out, cache = forward_tiny(params, y + sigma * z, t)
         resid = sigma * out + z

@@ -20,16 +20,13 @@ _GUIDANCE_MODES = ("temporal", "fixed")
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Variance-preserving ladder plus a variance-exploding sigma for the
-    correction branch.
+    """Variance-preserving noise ladder.
 
     Only beta is given. The horizon T = beta.size - 1 and the cumulative
     signal level alpha_bar = cumprod(1 - beta) are derived from it.
     """
 
     beta: np.ndarray = field(repr=False)
-    ve_sigma_min: float = 1e-2
-    ve_sigma_max: float = 1.0
     alpha_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -42,8 +39,6 @@ class NoiseSchedule:
         ab = np.cumprod(1.0 - b)
         if np.any(np.diff(ab) >= 0) or np.any(ab <= 0):
             raise InvalidArgumentError("alpha_bar must strictly decrease and stay positive")
-        if not (0 < self.ve_sigma_min < self.ve_sigma_max):
-            raise InvalidArgumentError("need 0 < ve_sigma_min < ve_sigma_max")
         for name, arr in (("beta", b), ("alpha_bar", ab)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -53,23 +48,17 @@ class NoiseSchedule:
         """Number of noising steps; t runs over 0..T."""
         return self.beta.size - 1
 
-    def ve_sigma(self, t):
-        """Geometric noise level for continuous t in [0, 1]; increasing."""
-        t = np.asarray(t, dtype=np.float64)
-        out = self.ve_sigma_min * (self.ve_sigma_max / self.ve_sigma_min) ** t
-        return float(out) if out.ndim == 0 else out
-
     def _check_t(self, t, lowest=0):
         if not (lowest <= t <= self.T):
             raise InvalidArgumentError(f"t={t} outside [{lowest}, {self.T}]")
 
 
-def linear_schedule(T: int = 1000, beta_start: float = 1e-4, beta_end: float = 2e-2,
-                    ve_sigma_min: float = 1e-2, ve_sigma_max: float = 1.0) -> NoiseSchedule:
+def linear_schedule(T: int = 1000, beta_start: float = 1e-4,
+                    beta_end: float = 2e-2) -> NoiseSchedule:
     """Linearly ramped beta_t from beta_start to beta_end over T steps."""
     beta = np.zeros(T + 1)
     beta[1:] = np.linspace(beta_start, beta_end, T)
-    return NoiseSchedule(beta, ve_sigma_min=ve_sigma_min, ve_sigma_max=ve_sigma_max)
+    return NoiseSchedule(beta)
 
 
 def forward_noising(y0, t: int, sched: NoiseSchedule, rng) -> tuple:

@@ -8,10 +8,10 @@ class InvalidArgumentError(ValueError):
 
 
 def require_finite(cfg, names) -> None:
-    """Reject a config whose named settings, None aside, are nan or infinite."""
+    """Reject a config whose named settings are nan or infinite."""
     for name in names:
         value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise InvalidArgumentError(f"{name} must be finite, got {value}")
 
 

@@ -153,8 +153,10 @@ class ImageGrid:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1 or self.pixel_size <= 0:
+        if self.nx < 1 or self.ny < 1:
             raise InvalidArgumentError("bad image dimensions")
+        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
+            raise InvalidArgumentError(f"pixel_size {self.pixel_size} must be finite and > 0")
         v = _readonly(self.values)
         if v.shape != (self.ny, self.nx):
             raise ShapeMismatchError(f"values shape {v.shape} != (ny, nx)=({self.ny}, {self.nx})")

@@ -252,7 +252,7 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
             score_high = AnalyticGaussianScore(prior.high, cfg.prior_var)
     score_low = score_low if live_low else None
     score_high = score_high if live_high else None
-    check_refinement(score_low, score_high, cc, sched)
+    check_refinement(score_low, score_high, cc)
     if model is None:
         model = AnalyticGaussianDenoiser(interp, cfg.prior_var, sched)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
@@ -268,8 +268,7 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
         stages.append(_stage("aligned", y * scale, ref_arr, active))
 
     if score_low is not None or score_high is not None:
-        bands = refine_bands(swt_decompose(y, cfg.wavelet), score_low, score_high,
-                             cc, sched)
+        bands = refine_bands(swt_decompose(y, cfg.wavelet), score_low, score_high, cc)
         y = iswt_reconstruct(bands)
         stages.append(_stage("refined", y * scale, ref_arr, active))
 

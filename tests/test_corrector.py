@@ -178,17 +178,17 @@ def test_data_consistency_validation():
 
 
 def test_eps_schedule_shapes_and_endpoints():
-    sched = st.linear_schedule(T=10)
-    assert eps_schedule(CorrectorConfig(n_steps=0), sched).size == 0
-    one = eps_schedule(CorrectorConfig(n_steps=1, eps_start=0.3), sched)
+    assert eps_schedule(CorrectorConfig(n_steps=0)).size == 0
+    one = eps_schedule(CorrectorConfig(n_steps=1, eps_start=0.3))
     assert np.array_equal(one, [0.3])
-    e = eps_schedule(CorrectorConfig(n_steps=50, eps_start=0.1, eps_end=1e-4), sched)
+    e = eps_schedule(CorrectorConfig(n_steps=50, eps_start=0.1, eps_end=1e-4))
     assert e[0] == pytest.approx(0.1, rel=1e-12)
     assert e[-1] == pytest.approx(1e-4, rel=1e-12)
     assert np.all(np.diff(e) < 0)
-    # default start ties to the schedule's exploding-variance ceiling
-    d = eps_schedule(CorrectorConfig(n_steps=2), sched)
-    assert d[0] == pytest.approx(1e-2 * sched.ve_sigma_max**2, rel=1e-12)
+    # default start is 1e-2 * sigma_max^2 of the exploding-variance range,
+    # whose sigma_max is 1
+    d = eps_schedule(CorrectorConfig(n_steps=2))
+    assert d[0] == 1e-2 * st.denoiser.ve_sigma(1.0) ** 2
 
 
 def test_corrector_config_validation():
@@ -203,8 +203,7 @@ def test_corrector_config_validation():
 
 
 
-@pytest.mark.parametrize("key", ["eps_start", "eps_end", "lambda_low", "lambda_high",
-                                 "t_start", "t_end"])
+@pytest.mark.parametrize("key", ["eps_start", "eps_end", "lambda_low", "lambda_high"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_corrector_setting_rejected(key, value):
     # nan passes every comparison test: lambda_low = nan silently ran as 0
@@ -227,19 +226,17 @@ def _band_fixture(seed=3, shape=(12, 16)):
 
 def test_refine_bands_zero_steps_is_identity():
     tb, noisy, _ = _band_fixture()
-    sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=0)
     out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
-                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
+                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg)
     assert np.array_equal(out.values, noisy.values)
 
 
 def test_refine_bands_deterministic():
     tb, noisy, _ = _band_fixture()
-    sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=20, eps_start=5e-5, eps_end=1e-6, seed=9)
     args = (noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
-            st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
+            st.AnalyticGaussianScore(tb.high, 1e-4), cfg)
     a = refine_bands(*args)
     b = refine_bands(*args)
     assert np.array_equal(a.values, b.values)
@@ -248,12 +245,11 @@ def test_refine_bands_deterministic():
 def test_refine_bands_leaves_caller_bands_unwritten():
     tb, noisy, _ = _band_fixture()
     before = noisy.values.copy()
-    sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=20, eps_start=5e-5, eps_end=1e-6, seed=9)
     for low, high in ((True, True), (False, True), (True, False)):
         out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4) if low else None,
                            st.AnalyticGaussianScore(tb.high, 1e-4) if high else None,
-                           cfg, sched)
+                           cfg)
         assert noisy.values.tobytes() == before.tobytes()
         assert not np.shares_memory(out.values, noisy.values)
         assert out.wavelet == noisy.wavelet
@@ -261,10 +257,9 @@ def test_refine_bands_leaves_caller_bands_unwritten():
 
 def test_refine_bands_improves_unobserved_rows():
     tb, noisy, active = _band_fixture()
-    sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=200, eps_start=5e-5, eps_end=1e-6, seed=0)
     out = refine_bands(noisy, st.AnalyticGaussianScore(tb.low, 1e-4),
-                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
+                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg)
     m = ~active
 
     def err(b):
@@ -277,10 +272,9 @@ def test_refine_bands_improves_unobserved_rows():
 
 def test_refine_bands_disabled_branch_untouched():
     tb, noisy, _ = _band_fixture()
-    sched = st.linear_schedule(T=10)
     cfg = CorrectorConfig(n_steps=10, eps_start=5e-5, eps_end=1e-6)
     out = refine_bands(noisy, None,
-                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg, sched)
+                       st.AnalyticGaussianScore(tb.high, 1e-4), cfg)
     assert np.array_equal(out.low, noisy.low)
     assert any(not np.array_equal(a, b) for a, b in zip(out.high, noisy.high))
 
@@ -316,11 +310,11 @@ class _OldGaussianScore:
         return s
 
 
-def _old_refine_bands(bands, score_low, score_high, cfg, sched):
+def _old_refine_bands(bands, score_low, score_high, cfg):
     """Reference: the refinement loop before the bands were stacked, one band
     at a time with fresh arrays and noise drawn inline, step by step."""
-    eps = eps_schedule(cfg, sched)
-    ts = np.linspace(cfg.t_start, cfg.t_end, cfg.n_steps) if cfg.n_steps else np.zeros(0)
+    eps = eps_schedule(cfg)
+    ts = np.linspace(1.0, 0.02, cfg.n_steps) if cfg.n_steps else np.zeros(0)
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, band]))
             for band in range(4)]
     low = np.array(bands.low, dtype=np.float64)
@@ -374,24 +368,23 @@ def _case(spec):
     noisy, clean = _bands_case(spec.get("wavelet", "haar"), spec.get("shape", (12, 16)))
     cfg = CorrectorConfig(n_steps=25, eps_start=5e-5, eps_end=1e-6, seed=4,
                           **spec.get("cfg", {}))
-    return noisy, clean, cfg, st.linear_schedule(T=10)
+    return noisy, clean, cfg
 
 
 @pytest.mark.parametrize("case", sorted(_REFINE_CASES))
 def test_refine_bands_bytes_match_old_loop(case):
     # a score model that is not an AnalyticGaussianScore takes the step loop
     spec = _REFINE_CASES[case]
-    noisy, clean, cfg, sched = _case(spec)
-    want = _old_refine_bands(noisy, *_case_scores(spec, clean, _OldGaussianScore),
-                             cfg, sched)
-    out = refine_bands(noisy, *_case_scores(spec, clean, _OldGaussianScore), cfg, sched)
+    noisy, clean, cfg = _case(spec)
+    want = _old_refine_bands(noisy, *_case_scores(spec, clean, _OldGaussianScore), cfg)
+    out = refine_bands(noisy, *_case_scores(spec, clean, _OldGaussianScore), cfg)
     assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want]
 
 
-def _closed_form_bands(bands, score_low, score_high, cfg, sched):
+def _closed_form_bands(bands, score_low, score_high, cfg):
     """Reference: each Gaussian branch's n steps as mean + P (x - mean) + S z,
     with P and S built up step by step and one draw per band."""
-    eps = eps_schedule(cfg, sched)
+    eps = eps_schedule(cfg)
     out = [np.array(b, dtype=np.float64) for b in bands.values]
     for model, lam, idx in ((score_low, cfg.lambda_low, [0]),
                             (score_high, cfg.lambda_high, [1, 2, 3])):
@@ -415,15 +408,14 @@ _GAUSSIAN_CASES = {**_REFINE_CASES, "mixed": {"high": _OldGaussianScore}}
 @pytest.mark.parametrize("case", sorted(_GAUSSIAN_CASES))
 def test_refine_bands_gaussian_bytes_match_closed_form(case):
     spec = _GAUSSIAN_CASES[case]
-    noisy, clean, cfg, sched = _case(spec)
+    noisy, clean, cfg = _case(spec)
     scores = _case_scores(spec, clean, st.AnalyticGaussianScore)
-    want = _closed_form_bands(noisy, *scores, cfg, sched)
+    want = _closed_form_bands(noisy, *scores, cfg)
     if spec.get("high") is _OldGaussianScore:
         # the high branch still steps through the loop, byte for byte
-        loop = _old_refine_bands(noisy, None, _OldGaussianScore(clean.high, 1e-4),
-                                 cfg, sched)
+        loop = _old_refine_bands(noisy, None, _OldGaussianScore(clean.high, 1e-4), cfg)
         want[1:] = loop[1:]
-    out = refine_bands(noisy, *scores, cfg, sched)
+    out = refine_bands(noisy, *scores, cfg)
     assert [g.tobytes() for g in out.values] == [w.tobytes() for w in want]
 
 
@@ -442,18 +434,17 @@ def test_refine_bands_closed_form_and_loop_share_the_chain_distribution(schedule
     rng = np.random.default_rng(11)
     x0 = st.WaveletBands(rng.normal(size=(4, 4, 5)))
     mean, var, n = rng.normal(size=(4, 5)), 0.05, 400
-    sched = st.linear_schedule()
     if schedule == "half-memory":
         base = CorrectorConfig(n_steps=20, eps_start=2e-3, eps_end=1e-3)
     else:
         base = CorrectorConfig()
-    p, s2 = _chain_moments(eps_schedule(base, sched), var)
+    p, s2 = _chain_moments(eps_schedule(base), var)
     if schedule == "half-memory":
         assert 0.4 < p < 0.6
     want_mean = mean + p * (x0.low - mean)
     for cls in (st.AnalyticGaussianScore, _OldGaussianScore):
         draws = np.stack([refine_bands(x0, cls(mean, var), None,
-                                       replace(base, seed=seed), sched).low
+                                       replace(base, seed=seed)).low
                           for seed in range(n)])
         assert np.max(np.abs(draws.mean(0) - want_mean)) <= 5 * math.sqrt(s2 / n), cls
         assert np.max(np.abs(draws.var(0, ddof=1) - s2)) <= 5 * s2 * math.sqrt(2 / (n - 1)), cls
@@ -466,8 +457,7 @@ def test_refine_bands_closed_form_aborts_on_a_non_finite_band(branch):
     cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
     with pytest.raises(NumericalAbortError, match=f"{branch}-band"):
         refine_bands(noisy, st.AnalyticGaussianScore(clean.low, 1e-4),
-                     st.AnalyticGaussianScore(clean.high, 1e-4), cfg,
-                     st.linear_schedule(T=10))
+                     st.AnalyticGaussianScore(clean.high, 1e-4), cfg)
 
 
 @pytest.mark.parametrize("branch", ["low", "high"])
@@ -477,7 +467,6 @@ def test_refine_bands_abort_keeps_message(branch, finite_calls):
     loop with the old message."""
     noisy, clean = _bands_case()
     cfg = CorrectorConfig(n_steps=12, eps_start=5e-5, eps_end=1e-6)
-    sched = st.linear_schedule(T=10)
 
     def scores():
         bad = {branch: finite_calls}
@@ -485,9 +474,9 @@ def test_refine_bands_abort_keeps_message(branch, finite_calls):
                 _OldGaussianScore(clean.high, 1e-4, bad.get("high")))
 
     with pytest.raises(NumericalAbortError) as old:
-        _old_refine_bands(noisy, *scores(), cfg, sched)
+        _old_refine_bands(noisy, *scores(), cfg)
     with pytest.raises(NumericalAbortError) as new:
-        refine_bands(noisy, *scores(), cfg, sched)
+        refine_bands(noisy, *scores(), cfg)
     assert str(new.value) == str(old.value)
 
 
@@ -495,7 +484,7 @@ def test_refine_bands_abort_keeps_message(branch, finite_calls):
 
 
 def test_gaussian_factors_on_the_default_schedule():
-    eps = eps_schedule(CorrectorConfig(), st.linear_schedule())
+    eps = eps_schedule(CorrectorConfig())
     p, s = gaussian_factors(eps, 0.05)
     assert p == pytest.approx(1.0295e-8, rel=1e-4)
     assert s == pytest.approx(0.22394, rel=1e-4)

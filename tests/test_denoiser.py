@@ -15,6 +15,7 @@ from stridect.denoiser import (
     grad_check,
     init_tiny_net,
     loss_and_grads,
+    ve_sigma,
 )
 from stridect.errors import (
     InvalidArgumentError,
@@ -399,17 +400,38 @@ def test_train_diverges_to_abort_on_huge_lr():
 
 
 def test_train_score_diverges_to_abort_on_huge_lr():
-    s = st.linear_schedule(T=10)
     data = _toy_corpus(np.random.default_rng(11), n=4)
     with pytest.raises(NumericalAbortError, match="non-finite training loss"):
         with np.errstate(all="ignore"):
-            st.train_score(data, s, epochs=1, steps_per_epoch=5, lr=1e160,
-                           hidden=4, seed=0)
+            st.train_score(data, epochs=1, steps_per_epoch=5, lr=1e160, hidden=4, seed=0)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_trainers_reject_a_bad_learning_rate_before_any_step(lr):
+    # nan or inf used to train every parameter to nan, and -1 to step uphill
+    data = _toy_corpus(np.random.default_rng(11), n=4)
+    eps_params, score_params = init_tiny_net(2, 1, hidden=4), init_tiny_net(1, 1, hidden=4)
+    kept = [a.copy() for a in eps_params.as_list() + score_params.as_list()]
+    with pytest.raises(InvalidArgumentError, match="lr must be finite and > 0"):
+        st.train_epsilon(data, st.linear_schedule(T=10), lr=lr, params=eps_params)
+    with pytest.raises(InvalidArgumentError, match="lr must be finite and > 0"):
+        st.train_score(data, lr=lr, params=score_params)
+    now = eps_params.as_list() + score_params.as_list()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(now, kept))
 
 
 def test_train_score_rejects_empty_corpus():
     with pytest.raises(InvalidArgumentError, match="empty training corpus"):
-        st.train_score([], st.linear_schedule(T=10))
+        st.train_score([])
+
+
+def test_ve_sigma_geometric():
+    sig = ve_sigma(np.array([0.0, 0.5, 1.0]))
+    assert sig[0] == pytest.approx(1e-2)
+    assert sig[2] == pytest.approx(1.0)
+    assert sig[1] == pytest.approx(np.sqrt(1e-2 * 1.0))
+    assert np.all(np.diff(ve_sigma(np.linspace(0, 1, 64))) > 0)
+    assert type(ve_sigma(0.5)) is float
 
 
 def test_train_score_learns_gaussian_score():
@@ -417,9 +439,8 @@ def test_train_score_learns_gaussian_score():
     # between prediction and -y should approach 1 after a short run
     rng = np.random.default_rng(12)
     data = _toy_corpus(rng, n=16)
-    s = st.linear_schedule(T=10)
-    net, trace = st.train_score(data, s, epochs=40, steps_per_epoch=10,
-                                lr=1e-3, hidden=8, seed=3)
+    net, trace = st.train_score(data, epochs=40, steps_per_epoch=10, lr=1e-3, hidden=8,
+                                seed=3)
     assert trace[-1] < trace[0]
     eval_rng = np.random.default_rng(123)
     cosines = []
@@ -432,10 +453,9 @@ def test_train_score_learns_gaussian_score():
 
 
 def test_train_score_deterministic():
-    s = st.linear_schedule(T=10)
     data = _toy_corpus(np.random.default_rng(13), n=6)
-    a, ta = st.train_score(data, s, epochs=2, steps_per_epoch=3, hidden=4, seed=5)
-    b, tb = st.train_score(data, s, epochs=2, steps_per_epoch=3, hidden=4, seed=5)
+    a, ta = st.train_score(data, epochs=2, steps_per_epoch=3, hidden=4, seed=5)
+    b, tb = st.train_score(data, epochs=2, steps_per_epoch=3, hidden=4, seed=5)
     assert np.array_equal(ta, tb)
     assert all(np.array_equal(x, y) for x, y in
                zip(a.params.as_list(), b.params.as_list()))
@@ -476,8 +496,8 @@ def _loop_train_epsilon(data, sched, epochs, steps_per_epoch, lr=1e-4, p_cond=0.
     return params, np.asarray(trace)
 
 
-def _loop_train_score(data, sched, epochs, steps_per_epoch, lr=1e-3, batch_size=4,
-                      hidden=4, t_min=0.02, seed=0):
+def _loop_train_score(data, epochs, steps_per_epoch, lr=1e-3, batch_size=4, hidden=4,
+                      seed=0):
     """The score-matching training loop as first written, inline."""
     data = [np.asarray(d, dtype=np.float64) for d in data]
     data = [d[None] if d.ndim == 2 else d for d in data]
@@ -491,8 +511,8 @@ def _loop_train_score(data, sched, epochs, steps_per_epoch, lr=1e-3, batch_size=
         for _ in range(steps_per_epoch):
             idx = rng.integers(0, len(data), batch_size)
             y = np.stack([data[i] for i in idx])
-            t = t_min + (1.0 - t_min) * rng.random(batch_size)
-            sigma = sched.ve_sigma(t)[:, None, None, None]
+            t = 0.02 + (1.0 - 0.02) * rng.random(batch_size)
+            sigma = ve_sigma(t)[:, None, None, None]
             z = rng.standard_normal(y.shape)
             out, cache = forward_tiny(params, y + sigma * z, t)
             resid = sigma * out + z
@@ -521,12 +541,10 @@ def test_train_epsilon_matches_inline_loop_bytes():
 
 
 def test_train_score_matches_inline_loop_bytes():
-    s = st.linear_schedule(T=10)
     rng = np.random.default_rng(15)
     for data in (_toy_corpus(rng, n=6), [rng.normal(size=(3, 6, 6)) for _ in range(4)]):
-        net, trace = st.train_score(data, s, epochs=2, steps_per_epoch=3,
-                                    hidden=4, seed=5)
-        _same_bytes(*_loop_train_score(data, s, 2, 3, hidden=4, seed=5), net, trace)
+        net, trace = st.train_score(data, epochs=2, steps_per_epoch=3, hidden=4, seed=5)
+        _same_bytes(*_loop_train_score(data, 2, 3, hidden=4, seed=5), net, trace)
 
 
 # ------------------------------------------------------------- serialization

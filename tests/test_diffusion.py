@@ -85,18 +85,6 @@ def test_schedule_validation():
         st.NoiseSchedule(np.zeros((2, 2)))  # not a ladder
     with pytest.raises(InvalidArgumentError):
         st.NoiseSchedule(np.array([0.0, 1e-17]))  # alpha_bar rounds to 1
-    with pytest.raises(InvalidArgumentError):
-        st.NoiseSchedule(np.array([0.0, 0.1]), ve_sigma_min=2.0)
-
-
-def test_ve_sigma_geometric():
-    s = st.linear_schedule(T=10)
-    ts = np.array([0.0, 0.5, 1.0])
-    sig = s.ve_sigma(ts)
-    assert sig[0] == pytest.approx(s.ve_sigma_min)
-    assert sig[2] == pytest.approx(s.ve_sigma_max)
-    assert sig[1] == pytest.approx(np.sqrt(s.ve_sigma_min * s.ve_sigma_max))
-    assert np.all(np.diff(s.ve_sigma(np.linspace(0, 1, 64))) > 0)
 
 
 # ---------------------------------------------------------- forward process

@@ -237,8 +237,10 @@ def test_image_grid_axes_and_validation():
         st.ImageGrid(4, 3, 0.5, np.zeros((4, 3)))
     with pytest.raises(InvalidArgumentError):
         st.ImageGrid(4, 3, 0.5, np.full((3, 4), np.nan))
-    with pytest.raises(InvalidArgumentError):
-        st.ImageGrid(4, 3, -1.0, np.zeros((3, 4)))
+    # nan passed the old `<= 0` test, and the chain then wrote an all-zero image
+    for pixel_size in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="pixel_size"):
+            st.ImageGrid(4, 3, pixel_size, np.zeros((3, 4)))
 
 
 def test_image_grid_values_readonly():

@@ -1,14 +1,30 @@
-"""The README's library example runs as written, and its config table is
-the one the CLI derives."""
+"""The README's command-line walkthrough and library example run as
+written, and its config table is the one the CLI derives."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import stridect as st
 import stridect.cli as cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_line_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    script = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in script.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "stridect" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    for name in ("ph.pgm", "rec.bin", "rec.pgm", "stages.csv", "fbp.bin", "ablation.csv"):
+        assert (tmp_path / name).is_file(), name
 
 
 def test_readme_library_example_runs(capsys):
