@@ -53,10 +53,11 @@ class FanBeamGeometry:
     angular_range: tuple[float, float] = (0.0, 2.0 * math.pi)
 
     def __post_init__(self):
-        if not (self.source_to_center > 0 and self.center_to_detector > 0):
-            raise InvalidArgumentError("source/detector distances must be positive")
-        if self.detector_width <= 0:
-            raise InvalidArgumentError("detector_width must be positive")
+        for name, key in (("source_to_center", "sod_mm"), ("center_to_detector", "cdd_mm"),
+                          ("detector_width", "det_width_mm")):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise InvalidArgumentError(f"{name} ({key}) must be finite and > 0, got {v!r}")
         if self.n_views < 1 or self.n_detectors < 1:
             raise InvalidArgumentError("n_views and n_detectors must be >= 1")
         lo, hi = self.angular_range
@@ -174,6 +175,20 @@ class ImageGrid:
 
     def with_values(self, values) -> "ImageGrid":
         return ImageGrid(self.nx, self.ny, self.pixel_size, values)
+
+
+def quarter_turns(g: FanBeamGeometry, grid: ImageGrid) -> int:
+    """Quarter-turn rule: 4 on a square grid scanned over exactly 2π with a
+    view count divisible by 4, else 1.
+
+    Under the rule view v + k·V/4 is view v applied to the grid turned k
+    quarter turns (``np.rot90``), since pixel centres map onto pixel centres,
+    so the projector and FBP do per-view geometry work for the first V/4
+    views only and let each serve four views.
+    """
+    lo, hi = g.angular_range
+    square_full_scan = grid.nx == grid.ny and hi - lo == 2.0 * math.pi
+    return 4 if square_full_scan and g.n_views % 4 == 0 else 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,25 +7,25 @@ weights from one generator, so ``adjoint_project`` scatters exactly the
 weights ``forward_project`` gathers. Samples that cannot touch the grid are
 dropped: they would contribute exact zeros.
 
-Quarter-turn rule: on a square grid (``nx == ny``) scanned over exactly 2π
-with a view count divisible by 4, view v + k·V/4 is view v applied to the
-grid turned by k quarter turns (``np.rot90``), since pixel centres map onto
-pixel centres and the zero border onto itself. Weights are then generated
-for the first V/4 views only and each serves four views; on any other
-geometry every view has its own. A turned view's rays come from its base
-view's angle, so they differ from rays traced at its own angle by rounding
-only.
+Under the quarter-turn rule of :func:`~stridect.geometry.quarter_turns`
+(a square grid scanned over exactly 2π with a view count divisible by 4),
+view v + k·V/4 is view v applied to the grid turned by k quarter turns
+(``np.rot90``); the padded grid's zero border turns onto itself. Weights are
+then generated for the first V/4 views only and each serves four views; on
+any other geometry every view has its own. A turned view's rays come from
+its base view's angle, so they differ from rays traced at its own angle by
+rounding only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .geometry import FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_mask
+from .geometry import (FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_mask,
+                       quarter_turns)
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,6 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.sigma >= 0:  # also rejects nan
             raise InvalidArgumentError("noise sigma must be >= 0")
-
-
-def _quarter_turns(g: FanBeamGeometry, grid: ImageGrid) -> int:
-    """Views one set of weights serves: 4 under the quarter-turn rule, else 1."""
-    lo, hi = g.angular_range
-    square_full_scan = grid.nx == grid.ny and hi - lo == 2.0 * math.pi
-    return 4 if square_full_scan and g.n_views % 4 == 0 else 1
 
 
 def _ray_frames(g: FanBeamGeometry, n_views: int):
@@ -107,7 +100,7 @@ def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
     weights from the padded image turned k times.
     """
     step = x.pixel_size / 2.0
-    q = _quarter_turns(g, x)
+    q = quarter_turns(g, x)
     n_base = g.n_views // q
     pad = np.pad(x.values, 1)
     turned = [np.rot90(pad, k).ravel() for k in range(q)]
@@ -136,7 +129,7 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGr
     if g != s.geometry:
         raise ShapeMismatchError("geometry differs from the sinogram's own")
     step = grid.pixel_size / 2.0
-    q = _quarter_turns(g, grid)
+    q = quarter_turns(g, grid)
     n_base = g.n_views // q
     shape = (grid.ny + 2, grid.nx + 2)
     n_pix = shape[0] * shape[1]

@@ -362,6 +362,25 @@ def test_unreadable_sidecar_value_exit_three(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["sod_mm", "cdd_mm", "det_width_mm"])
+def test_infinite_sidecar_distance_exit_three_before_chain(workdir, capsys, monkeypatch,
+                                                           key):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    geom = workdir / "sino.bin.geom"
+    lines = [f"{key}=inf" if line.startswith(key + "=") else line
+             for line in geom.read_text().splitlines()]
+    geom.write_text("\n".join(lines) + "\n")
+    out = workdir / "o.bin"
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--out", str(out))
+    assert code == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_two(capsys):
     assert _run("phantom", "--size", "16", "--out", "x.bin",
                 "--warp", "9") == 2

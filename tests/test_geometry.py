@@ -188,6 +188,14 @@ def test_geometry_validation():
         st.FanBeamGeometry(1.0, 1.0, 0, 4, 1.0)
     with pytest.raises(InvalidArgumentError):
         st.FanBeamGeometry(1.0, 1.0, 4, 4, 1.0, angular_range=(1.0, 1.0))
+    # each distance must be finite as well as positive, and the error names it
+    for pos, name in ((0, "source_to_center"), (1, "center_to_detector"),
+                      (4, "detector_width")):
+        for bad in (math.inf, -math.inf, math.nan, 0.0):
+            args = [1.0, 1.0, 4, 4, 1.0]
+            args[pos] = bad
+            with pytest.raises(InvalidArgumentError, match=name):
+                st.FanBeamGeometry(*args)
 
 
 def test_view_angles_exclude_endpoint():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import stridect as st
-import stridect.projector as projector
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
+from stridect.geometry import quarter_turns
+from test_fbp import _reference_backproject
 
 
 def _disk(nx, radius, pixel_size=1.0):
@@ -291,7 +292,7 @@ def test_turned_image_projects_to_view_rolled_sinogram():
 
 def test_adjoint_identity_with_quarter_turns(geom180, grid64):
     rng = np.random.default_rng(8)
-    assert projector._quarter_turns(geom180, grid64) == 4
+    assert quarter_turns(geom180, grid64) == 4
     x = rng.normal(size=(64, 64))
     s = rng.normal(size=(180, 256))
     ax = st.forward_project(grid64.with_values(x), geom180).values
@@ -310,14 +311,20 @@ def test_quarter_turns_fall_back_to_one(nx, ny, views, span):
     base = st.desk_geometry(views, 24, 16)
     g = dataclasses.replace(base, angular_range=span)
     grid = st.ImageGrid(nx, ny, 1.0, np.zeros((ny, nx)))
-    assert projector._quarter_turns(g, grid) == 1
-    # with one turn every view is traced at its own angle, bit for bit
+    assert quarter_turns(g, grid) == 1
+    # with one turn every view is traced at its own angle, bit for bit, by
+    # the projector and by FBP's backprojection under either weighting
     rng = np.random.default_rng(9)
     x = grid.with_values(rng.normal(size=(ny, nx)))
     y = rng.normal(size=(views, 24))
     assert st.forward_project(x, g).values.tobytes() == _reference_forward(x, g).tobytes()
     adj = st.adjoint_project(st.Sinogram(y, g), g, grid).values
     assert adj.tobytes() == _reference_adjoint(y, g, grid).tobytes()
+    q = st.filter_projections(st.Sinogram(y, g))
+    for weighting in ("literal", "exact"):
+        spec = st.FilterSpec(weighting=weighting)
+        out = st.fan_backproject(q, grid, spec).values
+        assert out.tobytes() == _reference_backproject(q, grid, spec).tobytes()
 
 
 # ---------------------------------------------------------------------------
