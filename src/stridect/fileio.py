@@ -44,10 +44,24 @@ def _read_payload(f, count):
     return np.frombuffer(data, dtype="<f4").astype(np.float64)
 
 
+def _payload(values) -> bytes:
+    """The float32 payload; a value beyond float32's range would be written
+    as inf, which the readers reject, so it is refused before any file is
+    opened."""
+    with np.errstate(over="ignore"):
+        data = np.asarray(values, dtype="<f4")
+    if not np.all(np.isfinite(data)):
+        raise InvalidArgumentError(
+            f"values beyond float32's range (|v| > {np.finfo(np.float32).max:.4g}) "
+            "cannot be written")
+    return data.tobytes()
+
+
 def write_image(path, img: ImageGrid) -> None:
+    data = _payload(img.values)
     with open(path, "wb") as f:
         f.write(_IMG_MAGIC + f" {img.nx} {img.ny}\n".encode())
-        f.write(np.asarray(img.values, dtype="<f4").tobytes())
+        f.write(data)
 
 
 def read_image(path, pixel_size: float = 1.0) -> ImageGrid:
@@ -64,9 +78,10 @@ def _geom_path(path) -> str:
 def write_sinogram(path, sino: Sinogram) -> None:
     """Values go to path; the acquisition geometry goes to path + ".geom"."""
     g = sino.geometry
+    data = _payload(sino.values)
     with open(path, "wb") as f:
         f.write(_SINO_MAGIC + f" {g.n_views} {g.n_detectors}\n".encode())
-        f.write(np.asarray(sino.values, dtype="<f4").tobytes())
+        f.write(data)
     with open(_geom_path(path), "w") as f:
         f.write(g.to_kv())
 

@@ -191,6 +191,22 @@ def quarter_turns(g: FanBeamGeometry, grid: ImageGrid) -> int:
     return 4 if square_full_scan and g.n_views % 4 == 0 else 1
 
 
+def mirror_symmetric(g: FanBeamGeometry, grid: ImageGrid) -> bool:
+    """Mirror rule: the quarter-turn rule holds and the scan starts at angle 0.
+
+    Flipping the grid upside down (``np.flipud``) maps the ray at angle θ and
+    detector offset o onto the ray at π − θ and offset −o, and detector
+    offsets are exactly antisymmetric. So under the rule view (V/2 − v) mod V
+    is view v applied to the flipped grid with its detector columns reversed,
+    and with the quarter turns view (V/2 − v + k·V/4) mod V is view v on
+    ``np.flipud(np.rot90(grid, k))``, reversed. The projector then generates
+    ray weights for views 0..⌊V/8⌋ only, each serving up to eight views;
+    mirrored views differ from rays traced at their own angle by rounding
+    only, at most 1e-13 of the output's peak.
+    """
+    return quarter_turns(g, grid) == 4 and g.angular_range[0] == 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class Sinogram:
     """Stack of projection rows, one per view, values[view, detector], and

@@ -110,6 +110,17 @@ def test_simulate_stride_out_of_range_exit_three(workdir, capsys, r):
     assert not out.exists()
 
 
+def test_simulate_beyond_float32_range_exit_three(workdir, capsys):
+    # line integrals past float32's range would be written as inf, and
+    # reconstruct would then refuse the file
+    out = workdir / "huge.bin"
+    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
+                "--dets", "16", "--pixel-size", "1e38", "--out", str(out)) == 3
+    assert "float32" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (workdir / "huge.bin.geom").exists()
+
+
 def test_simulate_stride_one_keeps_every_view(workdir, capsys):
     out = workdir / "r1.bin"
     assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",

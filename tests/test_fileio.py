@@ -134,6 +134,24 @@ def test_sinogram_errors(tmp_path):
         st.read_sinogram(path)
 
 
+def test_values_beyond_float32_are_refused_before_writing(tmp_path):
+    # float32 would store them as inf, which the readers reject
+    big = float(np.finfo(np.float32).max) * 2.0
+    img = st.ImageGrid(4, 2, 1.0, np.array([[0.0, 1.0, -big, 2.0], [0.0] * 4]))
+    with pytest.raises(InvalidArgumentError, match="float32"):
+        st.write_image(tmp_path / "img.bin", img)
+    sino = _small_sino().values.copy()
+    sino[2, 3] = big
+    with pytest.raises(InvalidArgumentError, match="float32"):
+        st.write_sinogram(tmp_path / "scan.bin", st.Sinogram(sino, st.desk_geometry(6, 8, 16)))
+    assert not list(tmp_path.iterdir())
+    # the largest float32 still round-trips
+    edge = img.with_values(np.clip(img.values, -big / 2.0, big / 2.0))
+    st.write_image(tmp_path / "edge.bin", edge)
+    assert np.array_equal(st.read_image(tmp_path / "edge.bin").values,
+                          edge.values.astype(np.float32))
+
+
 def test_pgm_export(tmp_path):
     vals = np.array([[0.0, 0.5], [0.75, 1.0]])
     path = tmp_path / "img.pgm"

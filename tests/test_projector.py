@@ -8,7 +8,8 @@ import pytest
 
 import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
-from stridect.geometry import quarter_turns
+import stridect.projector as projector
+from stridect.geometry import mirror_symmetric, quarter_turns
 from test_fbp import _reference_backproject
 
 
@@ -141,50 +142,75 @@ def test_single_ray_support():
 # byte equality with the plain per-view ray loop
 
 
-def _reference_forward(x, g, turns=1):
+def _reference_forward(x, g, turns=1, mirror=False):
     """Per-view loop sampling every ray point with bounds-checked bilinear
     corners; the projector must reproduce it bit for bit.
 
     With ``turns`` 4, view v + k·V/4 is traced at view v's angle through the
     image turned k quarter turns, as the projector's quarter-turn rule does;
+    with ``mirror`` too, a view whose mirror comes first is traced at the
+    mirror's angle through the flipped, turned image, detectors reversed.
     ``turns`` 1 traces every view at its own angle."""
     step = x.pixel_size / 2.0
-    n_base = g.n_views // turns
     out = np.empty((g.n_views, g.n_detectors))
     for v in range(g.n_views):
-        k, base = divmod(v, n_base)
-        flat_img = np.rot90(x.values, k).ravel()
+        base, k, flipped = _reference_base(v, g.n_views // turns, mirror)
+        flat_img = _reference_image(x.values, k, flipped).ravel()
         parts, shape = _reference_parts(x, g, g.view_angles[base])
         acc = np.zeros(shape)
         for flat, w in parts:
             acc += flat_img[flat] * w
-        out[v] = acc.sum(axis=1) * step
+        row = acc.sum(axis=1) * step
+        out[v] = row[::-1] if flipped else row
     return out
 
 
-def _reference_adjoint(y, g, grid, turns=1):
-    """Transpose of :func:`_reference_forward`: turned view k scatters into
-    its own accumulator, and the accumulators are added turned back."""
+def _reference_adjoint(y, g, grid, turns=1, mirror=False):
+    """Transpose of :func:`_reference_forward`: each turned or flipped image
+    has its own accumulator, which sums its views by ascending base view, and
+    the accumulators are added back turned first, then flipped."""
     step = grid.pixel_size / 2.0
-    n_base = g.n_views // turns
     n_pix = grid.nx * grid.ny
-    accs = np.zeros((turns, n_pix))
-    for v in range(g.n_views):
-        k, base = divmod(v, n_base)
+    accs = np.zeros((2 if mirror else 1, turns, n_pix))
+    bases = [_reference_base(v, g.n_views // turns, mirror) for v in range(g.n_views)]
+    for v in sorted(range(g.n_views), key=lambda v: bases[v][0]):
+        base, k, flipped = bases[v]
         parts, _ = _reference_parts(grid, g, g.view_angles[base])
-        row = y[v][:, None]
+        row = (y[v][::-1] if flipped else y[v])[:, None]
         for flat, w in parts:
             contrib = (w * row).ravel() * step
-            accs[k] += np.bincount(flat.ravel(), weights=contrib, minlength=n_pix)
-    out = accs[0].reshape(grid.ny, grid.nx)
-    for k in range(1, turns):
-        out += np.rot90(accs[k].reshape(grid.ny, grid.nx), -k)
+            accs[int(flipped), k] += np.bincount(flat.ravel(), weights=contrib,
+                                                 minlength=n_pix)
+    out = accs[0, 0].reshape(grid.ny, grid.nx)
+    for flipped in range(accs.shape[0]):
+        for k in range(1 - flipped, turns):
+            a = accs[flipped, k].reshape(grid.ny, grid.nx)
+            out += np.rot90(np.flipud(a) if flipped else a, -k)
     return out
 
 
-def _turns(nx, ny, views):
-    # every desk geometry scans the full circle
-    return 4 if nx == ny and views % 4 == 0 else 1
+def _reference_base(v, per_turn, mirror):
+    """(base view, quarter turns, flipped) that trace view v = k·n + r, n being
+    V over the turn count: base r on the image turned k times or, under the
+    mirror (n = V/4) with r past n/2, base n − r on the image turned
+    (k − 1) mod 4 times and flipped, since (V/2 − (n − r) + (k − 1)·n) mod V
+    = v."""
+    k, r = divmod(v, per_turn)
+    if mirror and 2 * r > per_turn:
+        return per_turn - r, (k - 1) % 4, True
+    return r, k, False
+
+
+def _reference_image(values, k, flipped):
+    turned = np.rot90(values, k)
+    return np.flipud(turned) if flipped else turned
+
+
+def _symmetry(nx, ny, views):
+    # every desk geometry scans the full circle from angle 0, so the mirror
+    # holds wherever the quarter turns do
+    turns = 4 if nx == ny and views % 4 == 0 else 1
+    return turns, turns == 4
 
 
 def _reference_frames(g, theta):
@@ -226,20 +252,22 @@ def _reference_parts(grid, g, theta):
 
 
 # (nx, ny, pixel_size, views, detectors, nx the detector row is sized for);
-# the square cases with a view count divisible by 4 take the quarter-turn rule
+# the square cases with a view count divisible by 4 take the quarter-turn and
+# mirror rules
 BYTE_CASES = [
     (24, 24, 1.0, 6, 8, 24),
     (33, 33, 1.0, 17, 40, 33),     # odd grid
     (21, 21, 0.7, 9, 50, 21),      # pixel_size < 1
-    (20, 20, 1.9, 12, 30, 20),     # pixel_size > 1, quarter turns
-    (16, 16, 1.0, 12, 64, 48),     # detector row three times wider, quarter turns
+    (20, 20, 1.9, 12, 30, 20),     # pixel_size > 1, quarter turns and mirror
+    (16, 16, 1.0, 12, 64, 48),     # detector row three times wider, turns and mirror
+    (18, 18, 1.0, 16, 28, 18),     # view V/8 is its own mirror
     (15, 9, 1.3, 10, 36, 15),      # rectangular grid
 ]
 
 
 def _assert_per_angle_close(out, ref):
-    # turned views take their rays from the base view's cos/sin, so they
-    # differ from rays at their own angle by rounding only
+    # turned and mirrored views take their rays from the base view's cos/sin,
+    # so they differ from rays at their own angle by rounding only
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -249,11 +277,11 @@ def test_projection_bytes_match_reference_loop(nx, ny, px, views, dets, span):
     g = st.desk_geometry(views, dets, span, pixel_size=px)
     x = st.ImageGrid(nx, ny, px, rng.normal(size=(ny, nx)))
     y = rng.normal(size=(views, dets))
-    turns = _turns(nx, ny, views)
+    turns, mirror = _symmetry(nx, ny, views)
     fwd = st.forward_project(x, g).values
-    assert fwd.tobytes() == _reference_forward(x, g, turns).tobytes()
+    assert fwd.tobytes() == _reference_forward(x, g, turns, mirror).tobytes()
     adj = st.adjoint_project(st.Sinogram(y, g), g, x).values
-    assert adj.tobytes() == _reference_adjoint(y, g, x, turns).tobytes()
+    assert adj.tobytes() == _reference_adjoint(y, g, x, turns, mirror).tobytes()
     if turns > 1:
         _assert_per_angle_close(fwd, _reference_forward(x, g))
         _assert_per_angle_close(adj, _reference_adjoint(y, g, x))
@@ -271,7 +299,7 @@ def test_edge_pixel_projection_bytes_match_reference_loop():
         x = st.ImageGrid(n, n, 1.0, v)
         fwd = st.forward_project(x, g).values
         assert fwd.any()
-        assert fwd.tobytes() == _reference_forward(x, g, _turns(n, n, 24)).tobytes()
+        assert fwd.tobytes() == _reference_forward(x, g, *_symmetry(n, n, 24)).tobytes()
         _assert_per_angle_close(fwd, _reference_forward(x, g))
 
 
@@ -290,9 +318,70 @@ def test_turned_image_projects_to_view_rolled_sinogram():
     assert st.forward_project(turned, g).values.tobytes() == rolled.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the mirror rule
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("views", [12, 16])
+def test_flipped_image_projects_to_mirrored_sinogram(n, views):
+    rng = np.random.default_rng(n * 100 + views)
+    g = st.desk_geometry(views, 30, n)
+    x = st.ImageGrid(n, n, 1.0, rng.normal(size=(n, n)))
+    assert mirror_symmetric(g, x)
+    flipped = x.with_values(np.flipud(x.values))
+    # the flipped image at view v is the image at view (V/2 - v) mod V with
+    # its detectors reversed
+    mirror = (views // 2 - np.arange(views)) % views
+    fwd = st.forward_project(x, g).values[mirror, ::-1]
+    fwd_flipped = st.forward_project(flipped, g).values
+    # views 0 and V/8 modulo V/4 are their own mirrors and are traced
+    # unmirrored, so they agree with their mirror image by rounding only
+    own = (2 * (np.arange(views) % (views // 4))) % (views // 4) == 0
+    assert fwd_flipped[~own].tobytes() == fwd[~own].tobytes()
+    _assert_per_angle_close(fwd_flipped[own], fwd[own])
+    # the adjoint's counterpart: the mirrored sinogram backprojects to the
+    # flipped image, up to the order its accumulators are added in
+    y = rng.normal(size=(views, 30))
+    adj = st.adjoint_project(st.Sinogram(y, g), g, x).values
+    adj_mirrored = st.adjoint_project(st.Sinogram(y[mirror, ::-1], g), g, x).values
+    _assert_per_angle_close(adj_mirrored, np.flipud(adj))
+
+
+def test_mirror_generates_weights_up_to_an_eighth_turn(monkeypatch, geom180, grid64):
+    seen = []
+    weights = projector._view_weights
+    monkeypatch.setattr(projector, "_view_weights",
+                        lambda g, grid, n: seen.append(n) or weights(g, grid, n))
+    s = st.forward_project(grid64, geom180)
+    st.adjoint_project(s, geom180, grid64)
+    # views 0..22 of 180 serve every view; without the mirror 45 would
+    assert seen == [23, 23]
+
+
+def test_full_scan_off_zero_keeps_quarter_turns_without_mirror():
+    n, views = 16, 12
+    lo = math.pi / 2
+    assert (lo + 2.0 * math.pi) - lo == 2.0 * math.pi
+    g = dataclasses.replace(st.desk_geometry(views, 24, n),
+                            angular_range=(lo, lo + 2.0 * math.pi))
+    rng = np.random.default_rng(10)
+    x = st.ImageGrid(n, n, 1.0, rng.normal(size=(n, n)))
+    y = rng.normal(size=(views, 24))
+    assert quarter_turns(g, x) == 4
+    assert not mirror_symmetric(g, x)
+    fwd = st.forward_project(x, g).values
+    assert fwd.tobytes() == _reference_forward(x, g, 4).tobytes()
+    adj = st.adjoint_project(st.Sinogram(y, g), g, x).values
+    assert adj.tobytes() == _reference_adjoint(y, g, x, 4).tobytes()
+    _assert_per_angle_close(fwd, _reference_forward(x, g))
+    _assert_per_angle_close(adj, _reference_adjoint(y, g, x))
+
+
 def test_adjoint_identity_with_quarter_turns(geom180, grid64):
     rng = np.random.default_rng(8)
     assert quarter_turns(geom180, grid64) == 4
+    assert mirror_symmetric(geom180, grid64)
     x = rng.normal(size=(64, 64))
     s = rng.normal(size=(180, 256))
     ax = st.forward_project(grid64.with_values(x), geom180).values
@@ -312,6 +401,7 @@ def test_quarter_turns_fall_back_to_one(nx, ny, views, span):
     g = dataclasses.replace(base, angular_range=span)
     grid = st.ImageGrid(nx, ny, 1.0, np.zeros((ny, nx)))
     assert quarter_turns(g, grid) == 1
+    assert not mirror_symmetric(g, grid)
     # with one turn every view is traced at its own angle, bit for bit, by
     # the projector and by FBP's backprojection under either weighting
     rng = np.random.default_rng(9)
