@@ -1,25 +1,24 @@
 """Distribution alignment and dual-band Langevin refinement.
 
 The aligned coarse sinogram is split into stationary-wavelet bands and each
-band runs annealed Langevin updates under its score model. Under a fixed
-Gaussian score every update is linear, so a branch scored by
-:class:`AnalyticGaussianScore` takes all of its steps at once in closed form;
-other score models step through the chain. The low band and the high-band
-stack are independent branches; :func:`check_refinement` rejects up front a
-Gaussian-scored one whose steps must fail. Measurements are restored
-afterwards, on the sinogram, by :func:`data_consistency`.
+band runs annealed Langevin updates under its score model. A score model
+that carries the closed form of those steps, as the fixed Gaussian
+:class:`~stridect.denoiser.AnalyticGaussianScore` does, takes all of a
+branch's steps at once; other score models step through the chain. The low
+band and the high-band stack are independent branches; :func:`check_refinement`
+rejects up front a closed-form one whose steps must fail. Measurements are
+restored afterwards, on the sinogram, by :func:`data_consistency`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
                      require_finite)
-from .denoiser import SCORE_T_MIN, AnalyticGaussianScore
+from .denoiser import SCORE_T_MIN
 from .wavelet import WaveletBands
 
 
@@ -128,46 +127,15 @@ def eps_schedule(cfg: CorrectorConfig) -> np.ndarray:
     return cfg.eps_start * ratio ** np.arange(cfg.n_steps)
 
 
-def gaussian_factors(e, var: float) -> tuple[float, float]:
-    """Deviation factor P and noise scale S of Langevin steps of sizes ``e``
-    under the score of N(mean, var I).
-
-    Each step maps the deviation d = x - mean to a_k d + sqrt(2 e_k) z_k with
-    a_k = 1 - e_k / var, so after the last step d is P d_0 + S z with
-    P = prod_k a_k, S^2 = sum_j 2 e_j prod_{i>j} a_i^2 and z ~ N(0, I).
-
-    Operation order, from P = 1.0 and S = 0.0 as Python floats: for each k,
-    a = 1.0 - e_k / var, P *= a, S = math.hypot(a * S, math.sqrt(2.0 * e_k)).
-    (S is carried rather than S^2 = a^2 S^2 + 2 e_k, which overflows at half
-    the exponent the chain itself reaches.) A var <= 0, a |P| > 1 or an S
-    that is not finite is rejected: such a chain grows the deviation from
-    the mean that it should shrink, or overflows, whatever its start.
-    """
-    if var <= 0:
-        raise InvalidArgumentError(f"Gaussian band score var={var:g} must be positive "
-                                   "(prior_var for the default band scores)")
-    p, s = 1.0, 0.0
-    for ek in e.tolist():
-        a = 1.0 - ek / var
-        p *= a
-        s = math.hypot(a * s, math.sqrt(2.0 * ek))
-    if not (abs(p) <= 1.0 and math.isfinite(s)):
-        raise InvalidArgumentError(
-            f"Langevin steps from eps={e[0]:.3g} scale deviations under var={var:g} "
-            f"by {p:.3g} (noise scale {s:.3g}), not a finite shrink; lower eps_start "
-            "or raise the var (prior_var for the default band scores)")
-    return p, s
-
-
 def check_refinement(score_low, score_high, cfg: CorrectorConfig) -> None:
     """Reject, before any chain work, a refinement that must fail: each
-    branch scored by an :class:`AnalyticGaussianScore` has its step factors
-    checked by :func:`gaussian_factors`. None marks a branch that is off;
-    other score models are not known until they run."""
+    branch whose score model carries ``langevin_factors`` has its step
+    factors checked by it. None marks a branch that is off; other score
+    models are not known until they run."""
     eps = eps_schedule(cfg)
     for model, lam in ((score_low, cfg.lambda_low), (score_high, cfg.lambda_high)):
-        if isinstance(model, AnalyticGaussianScore):
-            gaussian_factors(lam * eps, model.var)
+        if hasattr(model, "langevin_factors"):
+            model.langevin_factors(lam * eps)
 
 
 def _band_rngs(seed: int) -> list:
@@ -189,11 +157,11 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     own RNG stream derived from (seed, 1, band index), so the two branches are
     independent and run one after the other.
 
-    A branch whose score is an :class:`AnalyticGaussianScore` takes all
-    ``n_steps`` at once in closed form (:func:`_gaussian_steps`): the same
-    distribution as the step loop, with one noise draw per band instead of
-    one per step. Any other score model runs the step loop, annealing t
-    from 1 down to SCORE_T_MIN, the range the score nets train on.
+    A branch whose score model carries ``langevin_steps``, as the Gaussian
+    score does, hands it all ``n_steps`` at once: the same distribution as
+    the step loop, with one noise draw per band instead of one per step.
+    Any other score model runs the step loop, annealing t from 1 down to
+    SCORE_T_MIN, the range the score nets train on.
     """
     x = np.array(bands.values, dtype=np.float64)
     if not cfg.n_steps:
@@ -204,34 +172,11 @@ def refine_bands(bands: WaveletBands, score_low, score_high,
     for branch, view, model, lam, streams in (
             ("low", x[0], score_low, cfg.lambda_low, rngs[:1]),
             ("high", x[1:], score_high, cfg.lambda_high, rngs[1:])):
-        if isinstance(model, AnalyticGaussianScore):
-            _gaussian_steps(view, model, lam * eps, streams, branch)
+        if hasattr(model, "langevin_steps"):
+            model.langevin_steps(view, lam * eps, streams, branch)
         elif model is not None:
             _langevin_loop(view, model, lam * eps, ts, streams, branch)
     return WaveletBands(x, bands.wavelet)
-
-
-def _gaussian_steps(x, model: AnalyticGaussianScore, e, rngs, branch: str):
-    """Apply Langevin steps of sizes ``e`` under the score of N(mean, var I)
-    to the band or band stack x in place, all at once.
-
-    With P and S from :func:`gaussian_factors`, the deviation from the mean
-    becomes P d_0 + S z: the step loop's distribution exactly, but not its
-    bytes. Operation order: x -= mean, x *= P, x += mean, and band by band
-    in band order, z = rngs[b].standard_normal(band shape), z *= S,
-    x[b] += z. A non-finite result aborts.
-    """
-    p, s = gaussian_factors(e, model.var)
-    x -= model.mean
-    x *= p
-    x += model.mean
-    for xb, rng in zip(x.reshape((-1,) + x.shape[-2:]), rngs):  # band axis first
-        z = rng.standard_normal(xb.shape)
-        z *= s
-        xb += z
-    if not np.all(np.isfinite(x)):
-        raise NumericalAbortError(f"non-finite {branch}-band Gaussian refinement "
-                                  f"(deviation factor {p:.3g}, noise scale {s:.3g})")
 
 
 def _langevin_loop(x, model, e, ts, rngs, branch: str):

@@ -10,6 +10,7 @@ embedding added channelwise, under 10^4 parameters in every configuration.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .diffusion import NoiseSchedule
 
 MAGIC = b"STRDNET1"
 MAX_PARAMS = 10_000
+LAST_SCALE = 0.05  # output-layer init std, as a fraction of the fan-in scaling
 # score nets train on t ~ U(SCORE_T_MIN, 1], and the corrector anneals over it
 SCORE_T_MIN = 0.02
 
@@ -57,9 +59,12 @@ class _ClosedFormDenoiser:
 
 
 class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
-    """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I)."""
+    """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I);
+    prior_var 0 is the point prior at prior_mean, and below 0 is rejected."""
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
+        if not prior_var >= 0:
+            raise InvalidArgumentError("prior_var must be non-negative")
         self.prior_mean = np.asarray(prior_mean, dtype=np.float64)
         self.prior_var = float(prior_var)
         self.sched = sched
@@ -69,8 +74,6 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
     def _x0(self, y_t, ab, sab):
         """E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab),
         one operation at a time in the order the formula reads."""
-        if self.prior_var < 0:
-            raise InvalidArgumentError("prior_var must be non-negative")
         v = max(self.prior_var, 1e-12)
         out = np.multiply(y_t, sab * v, out=np.empty(
             np.broadcast_shapes(y_t.shape, self._scratch.shape)))
@@ -124,22 +127,71 @@ def ve_sigma(t):
 
 
 class AnalyticGaussianScore:
-    """Score contract for a fixed Gaussian; ignores the time argument."""
+    """Independent-pixel Gaussian N(mean, var I), var > 0: its score, which
+    ignores the time argument, and the closed form of Langevin steps under it."""
 
     def __init__(self, mean, var: float):
+        if not var > 0:
+            raise InvalidArgumentError(f"Gaussian score var={var:g} must be positive")
         self.mean = np.asarray(mean, dtype=np.float64)
         self.var = float(var)
 
     def score(self, y, t: float):
         """Score of N(mean, var I): -(y - mean) / var."""
-        if self.var <= 0:
-            raise InvalidArgumentError("var must be positive")
         # -(y - mean) / var with one allocation; (mean - y) / var would flip
         # the sign of zeros
         d = np.asarray(np.asarray(y, dtype=np.float64) - self.mean)
         np.negative(d, out=d)
         d /= self.var
         return d
+
+    def langevin_factors(self, e) -> tuple[float, float]:
+        """Deviation factor P and noise scale S of Langevin steps of sizes ``e``.
+
+        Each step maps the deviation d = x - mean to a_k d + sqrt(2 e_k) z_k with
+        a_k = 1 - e_k / var, so after the last step d is P d_0 + S z with
+        P = prod_k a_k, S^2 = sum_j 2 e_j prod_{i>j} a_i^2 and z ~ N(0, I).
+
+        Operation order, from P = 1.0 and S = 0.0 as Python floats: for each k,
+        a = 1.0 - e_k / var, P *= a, S = math.hypot(a * S, math.sqrt(2.0 * e_k)).
+        (S is carried rather than S^2 = a^2 S^2 + 2 e_k, which overflows at half
+        the exponent the chain itself reaches.) A |P| > 1 or an S that is not
+        finite is rejected: such a chain grows the deviation from the mean that
+        it should shrink, or overflows, whatever its start.
+        """
+        p, s = 1.0, 0.0
+        for ek in e.tolist():
+            a = 1.0 - ek / self.var
+            p *= a
+            s = math.hypot(a * s, math.sqrt(2.0 * ek))
+        if not (abs(p) <= 1.0 and math.isfinite(s)):
+            raise InvalidArgumentError(
+                f"Langevin steps from eps={e[0]:.3g} scale deviations under var={self.var:g} "
+                f"by {p:.3g} (noise scale {s:.3g}), not a finite shrink; lower eps_start "
+                "or raise the var (prior_var for the default band scores)")
+        return p, s
+
+    def langevin_steps(self, x, e, rngs, branch: str):
+        """Apply Langevin steps of sizes ``e`` to the band or band stack x in
+        place, all at once.
+
+        With P and S from :meth:`langevin_factors`, the deviation from the mean
+        becomes P d_0 + S z: the step loop's distribution exactly, but not its
+        bytes. Operation order: x -= mean, x *= P, x += mean, and band by band
+        in band order, z = rngs[b].standard_normal(band shape), z *= S,
+        x[b] += z. A non-finite result aborts, naming the ``branch``.
+        """
+        p, s = self.langevin_factors(e)
+        x -= self.mean
+        x *= p
+        x += self.mean
+        for xb, rng in zip(x.reshape((-1,) + x.shape[-2:]), rngs):  # band axis first
+            z = rng.standard_normal(xb.shape)
+            z *= s
+            xb += z
+        if not np.all(np.isfinite(x)):
+            raise NumericalAbortError(f"non-finite {branch}-band Gaussian refinement "
+                                      f"(deviation factor {p:.3g}, noise scale {s:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +238,7 @@ class TinyNetParams:
         return sum(a.size for a in self.as_list())
 
 
-def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0,
-                  last_scale: float = 0.05) -> TinyNetParams:
+def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0) -> TinyNetParams:
     if hidden < 1:
         raise InvalidArgumentError("hidden must be >= 1")
     rng = np.random.default_rng(seed)
@@ -198,7 +249,7 @@ def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0,
         tb=np.zeros(hidden),
         w2=rng.normal(0.0, 1.0 / np.sqrt(9.0 * hidden), (hidden, hidden, 3, 3)),
         b2=np.zeros(hidden),
-        w3=rng.normal(0.0, last_scale / np.sqrt(9.0 * hidden), (out_ch, hidden, 3, 3)),
+        w3=rng.normal(0.0, LAST_SCALE / np.sqrt(9.0 * hidden), (out_ch, hidden, 3, 3)),
         b3=np.zeros(out_ch),
     )
     if p.n_params >= MAX_PARAMS:

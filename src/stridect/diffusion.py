@@ -48,9 +48,9 @@ class NoiseSchedule:
         """Number of noising steps; t runs over 0..T."""
         return self.beta.size - 1
 
-    def _check_t(self, t, lowest=0):
-        if not (lowest <= t <= self.T):
-            raise InvalidArgumentError(f"t={t} outside [{lowest}, {self.T}]")
+    def _check_t(self, t):
+        if not (0 <= t <= self.T):
+            raise InvalidArgumentError(f"t={t} outside [0, {self.T}]")
 
 
 def linear_schedule(T: int = 1000, beta_start: float = 1e-4,

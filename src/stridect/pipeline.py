@@ -37,10 +37,10 @@ class PipelineConfig:
     final_dc selects whether the observed views are overwritten with the
     measured rows after refinement: "active" or "off". prior_var is the
     variance of the analytic Gaussian surrogate and of the default band
-    scores, and filter holds every FBP setting. An unknown final_dc or
-    wavelet, align_per_step without alignment, a negative sigma_ddim, or a
-    sigma_ddim, omega or prior_var that is nan or infinite, is rejected
-    here, before any chain work.
+    scores, finite and > 0 on every route; filter holds every FBP setting.
+    An unknown final_dc or wavelet, align_per_step without alignment, a
+    negative sigma_ddim, a sigma_ddim or omega that is nan or infinite, or
+    a bad prior_var, is rejected here, before any chain work.
     """
 
     ddim_steps: int = 100
@@ -60,7 +60,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.ddim_steps < 1:
             raise InvalidArgumentError("ddim_steps must be >= 1")
-        require_finite(self, ("sigma_ddim", "omega", "prior_var"))
+        require_finite(self, ("sigma_ddim", "omega"))
+        if not 0 < self.prior_var < np.inf:
+            raise InvalidArgumentError(f"prior_var must be finite and > 0, got {self.prior_var}")
         if self.sigma_ddim < 0:
             raise InvalidArgumentError("sigma_ddim must be >= 0")
         if self.final_dc not in ("active", "off"):

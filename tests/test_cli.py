@@ -402,6 +402,18 @@ def test_unknown_flag_exit_two(capsys):
     assert "--final-dc" in err and "trust" in err
 
 
+def test_non_positive_prior_var_exit_three_without_corrector(workdir, capsys):
+    # with the corrector off only the surrogate reads prior_var, and 0 ran
+    cfg = workdir / "point.cfg"
+    cfg.write_text("ddim_steps = 4\nn_steps = 0\nprior_var = 0\n")
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg),
+                "--out", str(workdir / "o.bin"))
+    assert code == 3
+    assert "prior_var must be finite and > 0" in capsys.readouterr().err
+    assert not (workdir / "o.bin").exists()
+
+
 def test_threads_flag_is_unknown(workdir, capsys):
     ph = str(workdir / "ph2.bin")
     assert _run("phantom", "--size", "16", "--out", ph, "--threads", "2") == 2

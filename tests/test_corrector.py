@@ -17,7 +17,6 @@ from stridect.corrector import (
     data_consistency,
     eps_schedule,
     fit_linear_alignment,
-    gaussian_factors,
     langevin_step,
     refine_bands,
 )
@@ -483,26 +482,31 @@ def test_refine_bands_abort_keeps_message(branch, finite_calls):
 # ------------------------------------------------------- Langevin stability
 
 
+def _factors(e, var):
+    return st.AnalyticGaussianScore(0.0, var).langevin_factors(e)
+
+
 def test_gaussian_factors_on_the_default_schedule():
     eps = eps_schedule(CorrectorConfig())
-    p, s = gaussian_factors(eps, 0.05)
+    p, s = _factors(eps, 0.05)
     assert p == pytest.approx(1.0295e-8, rel=1e-4)
     assert s == pytest.approx(0.22394, rel=1e-4)
-    p, s = gaussian_factors(eps, 1e-3)
+    p, s = _factors(eps, 1e-3)
     assert p == pytest.approx(7.8467e-20, rel=1e-4)
     assert s == pytest.approx(0.031747, rel=1e-4)
     # P is 3.2e48, -2.6e110, then overflows to +inf and to -inf
     for var in (5e-4, 3e-4, 1e-4, 1e-5):
         with pytest.raises(InvalidArgumentError, match="var=.*prior_var"):
-            gaussian_factors(eps, var)
+            _factors(eps, var)
+    # a var that is not positive is refused when the score is built
     for var in (0.0, -1.0):
         with pytest.raises(InvalidArgumentError, match="must be positive"):
-            gaussian_factors(eps, var)
-    assert gaussian_factors(np.zeros(0), 1.0) == (1.0, 0.0)
+            st.AnalyticGaussianScore(0.0, var)
+    assert _factors(np.zeros(0), 1.0) == (1.0, 0.0)
     # a step of exactly var zeroes the deviation without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p, s = gaussian_factors(np.array([3.0, 1.0, 0.5]), 1.0)
+        p, s = _factors(np.array([3.0, 1.0, 0.5]), 1.0)
     assert p == 0.0
     assert s == pytest.approx(math.sqrt(1.5), rel=1e-12)
 
@@ -516,8 +520,8 @@ def test_gaussian_factors_match_the_chain_moments(steps, var):
     assume(abs(abs(want_p) - 1.0) > 1e-9)  # the two products may round apart
     if abs(want_p) > 1.0:
         with pytest.raises(InvalidArgumentError):
-            gaussian_factors(e, var)
+            _factors(e, var)
         return
-    p, s = gaussian_factors(e, var)
+    p, s = _factors(e, var)
     assert p == pytest.approx(want_p, rel=1e-12, abs=1e-300)
     assert s * s == pytest.approx(want_s2, rel=1e-10)

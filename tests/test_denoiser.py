@@ -114,8 +114,10 @@ def test_gaussian_score():
     y = np.array([[1.0, 3.0]])
     out = st.AnalyticGaussianScore(1.0, 2.0).score(y, 0.5)
     assert np.allclose(out, [[0.0, -1.0]])
-    with pytest.raises(InvalidArgumentError):
-        st.AnalyticGaussianScore(0.0, 0.0).score(y, 0.5)
+    # a var that is not positive is refused when the score is built
+    for var in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidArgumentError, match="must be positive"):
+            st.AnalyticGaussianScore(0.0, var)
     model = st.AnalyticGaussianScore(np.zeros((1, 2)), 0.5)
     assert np.array_equal(model.score(y, 0.3), model.score(y, 0.9))
 
@@ -203,12 +205,15 @@ def test_coupled_eps_matches_expression_bytes():
 
 
 def test_coupled_rejects_negative_prior_var():
-    # the coupled model shares the analytic posterior mean and its check
+    # both Gaussian denoisers refuse a negative or nan prior_var when built,
+    # not at their first step, so no t reaches a model built with one
     s = st.linear_schedule(T=5)
-    model = st.CoupledGaussianDenoiser(0.0, -0.1, s)
-    with pytest.raises(InvalidArgumentError):
-        model.predict_eps(np.ones((3, 2)), 3)
-    assert not model.predict_eps(np.ones((3, 2)), 0).any()
+    for var in (-0.1, float("nan")):
+        for cls in (st.AnalyticGaussianDenoiser, st.CoupledGaussianDenoiser):
+            with pytest.raises(InvalidArgumentError, match="prior_var"):
+                cls(0.0, var, s)
+    # the point prior stays valid
+    assert not st.CoupledGaussianDenoiser(0.0, 0.0, s).predict_eps(np.ones((3, 2)), 0).any()
 
 
 def test_exact_eps_matches_expression_bytes():

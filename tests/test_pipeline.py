@@ -316,6 +316,16 @@ def test_non_finite_pipeline_setting_rejected(key, value):
         PipelineConfig(**{key: value})
 
 
+@pytest.mark.parametrize("n_steps", [600, 0])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_prior_var_must_be_positive_on_every_route(n_steps, value):
+    # the surrogate and the band scores share one rule, whether or not the
+    # corrector runs; with n_steps = 0 a bad value used to reach the sampler
+    corrector = st.CorrectorConfig(n_steps=n_steps)
+    with pytest.raises(InvalidArgumentError, match="prior_var must be finite and > 0"):
+        PipelineConfig(prior_var=value, corrector=corrector)
+
+
 def test_mismatched_references_fail_before_any_chain_work(monkeypatch):
     phantom, g, sino, m, masked, grid = _small_problem()
     cfg, sched = _small_cfg()
