@@ -146,11 +146,14 @@ def _cmd_train(args) -> int:
 def _chain_inputs(args, **flags):
     """The measured sinogram, its view mask, the chain config (the config
     file's keys, then each flag given) and the output grid."""
+    # the grid first, so a bad --size fails before any file is read; a
+    # negative one reaches ImageGrid's own check instead of np.zeros
+    n = args.size
+    grid = ImageGrid(n, n, args.pixel_size, np.zeros((max(n, 0),) * 2))
     sino = read_sinogram(args.sino)
     mask = make_sparse_mask(sino.geometry.n_views, args.r)
     kv = parse_config_file(args.config) if args.config else {}
     kv.update((key, val) for key, val in flags.items() if val is not None)
-    grid = ImageGrid(args.size, args.size, args.pixel_size, np.zeros((args.size,) * 2))
     return sino, mask, build_pipeline_config(kv), grid
 
 

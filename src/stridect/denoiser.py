@@ -75,8 +75,8 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
         """E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab),
         one operation at a time in the order the formula reads."""
         v = max(self.prior_var, 1e-12)
-        out = np.multiply(y_t, sab * v, out=np.empty(
-            np.broadcast_shapes(y_t.shape, self._scratch.shape)))
+        out = np.multiply(y_t, sab * v,
+                          out=np.empty(np.broadcast(y_t, self._scratch).shape))
         out += np.multiply(self.prior_mean, 1.0 - ab, out=self._scratch)
         out /= ab * v + 1.0 - ab
         return out

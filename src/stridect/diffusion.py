@@ -127,19 +127,35 @@ def _guidance_lambda(lam: float) -> float:
     return lam
 
 
-def _guide_rows(x0, ys_rows, rows, lam: float, buf, diff):
-    """x0[rows] <- x0[rows] + lam * (ys_rows - x0[rows]) in place, for a
-    weight already in [0, 1]; lam = 1 copies ys_rows exactly and lam = 0
-    changes nothing. buf and diff have ys_rows' shape and are overwritten.
+def _row_selector(active):
+    """The active rows of a row mask as a slice when they are evenly spaced,
+    which every stride mask's are, so that ``x[sel]`` is a view; otherwise
+    as their index array. No rows give the empty slice."""
+    rows = np.flatnonzero(active)
+    if rows.size == 0:
+        return slice(0, 0)
+    step = int(rows[1] - rows[0]) if rows.size > 1 else 1
+    if np.all(np.diff(rows) == step):
+        return slice(int(rows[0]), int(rows[-1]) + 1, step)
+    return rows
+
+
+def _guide_rows(x0, ys_rows, sel, lam: float, diff):
+    """x0[sel] <- x0[sel] + lam * (ys_rows - x0[sel]) in place, for a
+    weight already in [0, 1] and a selector from :func:`_row_selector`;
+    lam = 1 copies ys_rows exactly and lam = 0 changes nothing. diff has
+    ys_rows' shape and is overwritten. A slice selector blends the rows
+    where they lie; an index array gathers them and scatters them back.
     """
     if lam == 1.0:
-        x0[rows] = ys_rows
+        x0[sel] = ys_rows
     elif lam != 0.0:
-        np.take(x0, rows, axis=0, out=buf)
-        np.subtract(ys_rows, buf, out=diff)
+        rows = x0[sel]
+        np.subtract(ys_rows, rows, out=diff)
         diff *= lam
-        buf += diff
-        x0[rows] = buf
+        rows += diff
+        if not isinstance(sel, slice):
+            x0[sel] = rows
 
 
 def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
@@ -156,12 +172,11 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     active = np.asarray(active, bool)
     if active.shape != y0_hat.shape[:1]:
         raise ShapeMismatchError("row flag length does not match")
-    rows = np.flatnonzero(active)
-    ys_rows = np.asarray(y_s)[rows]
+    sel = _row_selector(active)
+    ys_rows = np.asarray(y_s)[sel]
     dtype = np.result_type(y0_hat, ys_rows, lam)
     out = np.array(y0_hat, dtype=dtype)
-    _guide_rows(out, ys_rows, rows, lam, np.empty(ys_rows.shape, dtype),
-                np.empty(ys_rows.shape, dtype))
+    _guide_rows(out, ys_rows, sel, lam, np.empty(ys_rows.shape, dtype))
     return out
 
 

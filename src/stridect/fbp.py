@@ -6,14 +6,27 @@ coordinate r = D (x cos t + y sin t) / (D - (x sin t - y cos t)), D being the
 source-to-center distance and r living on the virtual detector line through
 the rotation center.
 
-Backprojection follows the quarter-turn rule of
-:func:`~stridect.geometry.quarter_turns`: on a square grid scanned over
-exactly 2π with a view count divisible by 4, view v + k·V/4 is view v on the
-grid turned k quarter turns. r, its mask and the weight are then computed
-for the first V/4 views only; each serves four rows, summed into four
-accumulators that are added turned back. The image moves from the per-view
-loop by rounding only, at most 1e-13 of its peak value; on any other
-geometry every view has its own r and the loop is unchanged.
+Backprojection shares the projector's symmetry table,
+:func:`~stridect.geometry.served_views`. Under the quarter-turn rule view
+v + k·V/4 is view v on the grid turned k quarter turns; when the scan also
+starts at angle 0, the mirror rule adds view (V/2 − v + k·V/4) mod V as view
+v on the turned grid flipped upside down, its row reversed. r, its mask, the
+weight and one interpolation index are then computed for base views
+0..⌊V/8⌋ only (23 of 180 on the desk scan), and each serves up to eight rows
+through a small table of row values and slopes, by np.interp's own rule, so
+every row's samples equal np.interp's bytes. The rows add into one
+accumulator per transformed grid, and the accumulators are added transformed
+back. The image moves from tracing every view at its own angle by rounding
+only, at most 1e-13 of its peak value. Under the quarter turns alone the
+first V/4 views serve four rows each and keep the bytes of the per-view
+np.interp loop; on any other geometry every view serves itself through
+np.interp.
+
+Against four np.interp calls per quarter-turn base view, on a shared 2-CPU
+machine (medians and quartiles of 10 process pairs, BENCH_22.json), the
+shared index with the mirror takes the desk scan (64², 180×256) from 11.8
+[11.3, 12.0] to 7.3 [5.8, 9.0] ms, and the fixture scale (256², 720×384)
+from 0.46 [0.46, 0.48] to 0.33 [0.31, 0.38] s.
 """
 
 from __future__ import annotations
@@ -23,9 +36,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .geometry import ImageGrid, Sinogram, SparseMask, quarter_turns
+from .geometry import ImageGrid, Sinogram, SparseMask, from_image, served_views
 
 _FILTER_KINDS = ("ram-lak", "hann")
+# samples (rows x pixels) interpolated at once: a desk-scale base view's eight
+# rows of 64² pixels take one pass, and larger grids go in pieces this size
+# rather than in (8, pixels) temporaries
+_GATHER = 1 << 15
 _WEIGHTINGS = ("literal", "exact")
 
 
@@ -106,6 +123,67 @@ def fan_pre_weight(s: Sinogram) -> Sinogram:
     return Sinogram(s.values * w[None, :], g)
 
 
+def _knot_index(r, coords):
+    """One interpolation index for every row sampled on ``coords``: per
+    point of the flat array r, the column j and offset dx at which
+    :func:`_interp_rows` evaluates np.interp(r, coords, row, left=0.0,
+    right=0.0) for any row, and the mask of points that lie on a knot.
+
+    ``coords`` must be evenly spaced up to rounding and strictly increasing.
+    j satisfies coords[j] <= r < coords[j + 1]: it is guessed from the even
+    spacing, then moved by one where a comparison with the knots themselves
+    says so. A point on the last knot takes j = D - 1, and a point off the
+    detector (+inf included) the zero column D with dx = 1.
+    """
+    n = coords.size
+    inside = (r >= coords[0]) & (r <= coords[-1])
+    u = np.where(inside, r, coords[0])
+    per_knot = (n - 1) / (coords[-1] - coords[0]) if n > 1 else 0.0
+    j = ((u - coords[0]) * per_knot).astype(np.intp)
+    np.minimum(j, max(n - 2, 0), out=j)
+    knots = np.append(coords, np.inf)
+    j -= knots[j] > u
+    j += knots[1:][j] <= u
+    dx = u - coords[j]
+    outside = ~inside
+    j[outside] = n
+    dx[outside] = 1.0
+    return j, dx, dx == 0.0
+
+
+def _knot_table(rows, coords):
+    """The values and slopes np.interp uses between the knots ``coords`` for
+    every row of the (rows, D) array ``rows``: two (rows, D + 1) arrays fp
+    and slope, slope[:, j] = (fp[:, j + 1] - fp[:, j]) / (coords[j + 1] -
+    coords[j]), whose last column is the zero column."""
+    n = coords.size
+    fp = np.zeros((rows.shape[0], n + 1))
+    fp[:, :n] = rows
+    slope = np.zeros_like(fp)
+    with np.errstate(over="ignore"):  # like np.interp, silent on overflow
+        slope[:, :n - 1] = np.diff(rows, axis=1) / np.diff(coords)
+    return fp, slope
+
+
+def _interp_rows(table, index):
+    """np.interp(r, coords, row, left=0.0, right=0.0) for every row of a
+    :func:`_knot_table` at the points of an index from :func:`_knot_index`,
+    bit for bit, as one (rows, points) array.
+
+    This is np.interp's own rule: slope[j] * dx + fp[j], and fp[j] itself
+    on a knot.
+    """
+    fp, slope = table
+    j, dx, on_knot = index
+    out = np.take(slope, j, axis=1)
+    with np.errstate(invalid="ignore"):  # an infinite slope meets dx = 0 on a knot
+        out *= dx
+    out += np.take(fp, j, axis=1)
+    if on_knot.any():
+        out[:, on_knot] = fp[:, j[on_knot]]
+    return out
+
+
 def fan_backproject(q: Sinogram, grid: ImageGrid,
                     spec: FilterSpec = FilterSpec()) -> ImageGrid:
     """Backproject filtered rows onto the grid with ``spec.weighting``:
@@ -118,22 +196,26 @@ def fan_backproject(q: Sinogram, grid: ImageGrid,
     Pixels whose r falls outside the detector contribute nothing, and the
     view sum is a Riemann sum with step (angular range) / n_views.
 
-    Under the module's quarter-turn rule, r and the weight of base view v
-    serve rows v + k·V/4 (k = 0..3), each added into accumulator k; the
-    accumulators are summed turned back (``np.rot90(acc[k], -k)``, k
-    ascending). The image differs from tracing every view at its own angle by
-    at most 1e-13 of its peak value.
+    Base views and the rows they serve come from
+    :func:`~stridect.geometry.served_views`. r, the weight and one
+    interpolation index of base view v serve every row v serves (reversed
+    for a flipped image), each added into the accumulator of its image; the
+    accumulators are summed transformed back
+    (:func:`~stridect.geometry.from_image`), in ascending image order. A
+    base view that serves one row interpolates it with np.interp. The image
+    differs from tracing every view at its own angle by at most 1e-13 of its
+    peak value.
     """
     g = q.geometry
     d = g.source_to_center
     lo, hi = g.angular_range
     dtheta = (hi - lo) / g.n_views
     coords = g.virtual_detector_coords
-    turns = quarter_turns(g, grid)
-    n_base = g.n_views // turns
+    served, n_images = served_views(g, grid)
     gx, gy = np.meshgrid(grid.xs, grid.ys)
-    acc = np.zeros((turns, grid.ny, grid.nx))
-    for v, theta in enumerate(g.view_angles[:n_base]):
+    acc = np.zeros((n_images, grid.ny, grid.nx))
+    flat = acc.reshape(n_images, -1)
+    for pairs, theta in zip(served, g.view_angles):
         ct, st = np.cos(theta), np.sin(theta)
         t = gx * ct + gy * st
         denom = d - (gx * st - gy * ct)
@@ -144,12 +226,23 @@ def fan_backproject(q: Sinogram, grid: ImageGrid,
             w = (d * d / 2.0) / (d * d + r * r)
         else:
             w = np.where(safe, (d * d / 2.0) / denom**2, 0.0)
-        for k in range(turns):
-            row = np.interp(r, coords, q.values[v + k * n_base], left=0.0, right=0.0)
-            acc[k] += row * w
+        if len(pairs) == 1:
+            acc[0] += np.interp(r, coords, q.values[pairs[0][1]], left=0.0, right=0.0) * w
+            continue
+        rows = np.stack([q.values[view, ::-1] if m >= 4 else q.values[view]
+                         for m, view in pairs])
+        table = _knot_table(rows, coords)
+        index = _knot_index(r.ravel(), coords)
+        w = w.ravel()
+        step = max(_GATHER // len(pairs), 1)
+        for start in range(0, w.size, step):
+            part = slice(start, start + step)
+            vals = _interp_rows(table, [a[part] for a in index])
+            vals *= w[part]
+            flat[:len(pairs), part] += vals
     out = acc[0]
-    for k in range(1, turns):
-        out += np.rot90(acc[k], -k)
+    for m in range(1, n_images):
+        out += from_image(acc[m], m)
     return grid.with_values(out * dtheta)
 
 

@@ -199,12 +199,49 @@ def mirror_symmetric(g: FanBeamGeometry, grid: ImageGrid) -> bool:
     offsets are exactly antisymmetric. So under the rule view (V/2 − v) mod V
     is view v applied to the flipped grid with its detector columns reversed,
     and with the quarter turns view (V/2 − v + k·V/4) mod V is view v on
-    ``np.flipud(np.rot90(grid, k))``, reversed. The projector then generates
-    ray weights for views 0..⌊V/8⌋ only, each serving up to eight views;
-    mirrored views differ from rays traced at their own angle by rounding
-    only, at most 1e-13 of the output's peak.
+    ``np.flipud(np.rot90(grid, k))``, reversed. The projector and FBP then do
+    per-view geometry work for views 0..⌊V/8⌋ only, each serving up to eight
+    views (:func:`served_views`); mirrored views differ from views traced at
+    their own angle by rounding only, at most 1e-13 of the output's peak.
     """
     return quarter_turns(g, grid) == 4 and g.angular_range[0] == 0.0
+
+
+def served_views(g: FanBeamGeometry, grid: ImageGrid):
+    """The symmetry table the projector and FBP share: per base view, in
+    order, the (image, view) pairs it serves, and the number of images.
+
+    Image m is the grid turned m quarter turns for m < 4, and turned m - 4
+    times then flipped upside down for m >= 4 (see :func:`to_image`); a view
+    served by a flipped image has its detector columns reversed. Under the
+    mirror rule base views 0..⌊V/8⌋ serve eight views each, four for views 0
+    and V/8, which are their own mirrors; under the quarter turns alone the
+    first V/4 serve four; otherwise every view serves itself. Each base
+    view's pairs list its images in ascending order from 0.
+    """
+    q = quarter_turns(g, grid)
+    per_turn = g.n_views // q
+    if not mirror_symmetric(g, grid):
+        return [[(k, v + k * per_turn) for k in range(q)] for v in range(per_turn)], q
+    served = []
+    for v in range(per_turn // 2 + 1):
+        pairs = [(k, v + k * per_turn) for k in range(4)]
+        if 0 < 2 * v < per_turn:
+            pairs += [(4 + k, (2 * per_turn - v + k * per_turn) % g.n_views)
+                      for k in range(4)]
+        served.append(pairs)
+    return served, 8
+
+
+def to_image(a, m):
+    """Grid array ``a`` as image m of :func:`served_views`."""
+    a = np.rot90(a, m % 4)
+    return np.flipud(a) if m >= 4 else a
+
+
+def from_image(a, m):
+    """Inverse of :func:`to_image`."""
+    return np.rot90(np.flipud(a) if m >= 4 else a, -(m % 4))
 
 
 @dataclass(frozen=True, eq=False)

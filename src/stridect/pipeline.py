@@ -18,7 +18,8 @@ from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment
                         refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows,
-                        _predict_x0, cfg_combine, guidance_weight, linear_schedule)
+                        _predict_x0, _row_selector, cfg_combine, guidance_weight,
+                        linear_schedule)
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
@@ -150,15 +151,15 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
                                    f"sampler's (T={sched.T})")
     cond = mask_rows(y_s, active) if conditional else None
     ts = ddim_times(sched.T, cfg.ddim_steps)
-    # the loop owns y, x0, prod and the active-row buffers and updates them
-    # in place with the operation order of predict_x0, apply_sparse_guidance
-    # and ddim_step; it never writes into an array the model returns
+    # the loop owns y, x0, prod and row_diff and updates them in place with
+    # the operation order of predict_x0, apply_sparse_guidance and
+    # ddim_step; it never writes into an array the model returns. A stride
+    # mask's rows are a slice, so guidance blends them where they lie.
     y = rng.standard_normal(y_s.shape)
     x0 = np.empty_like(y)
     prod = np.empty_like(y)
-    rows = np.flatnonzero(active)
-    ys_rows = y_s[rows]
-    row_buf = np.empty_like(ys_rows)
+    sel = _row_selector(active)
+    ys_rows = y_s[sel]
     row_diff = np.empty_like(ys_rows)
     for t, t_prev in zip(ts[:-1], ts[1:]):
         t = int(t)
@@ -168,11 +169,13 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
         lam = guidance_weight(t, cfg.guidance, sched.T)
-        _guide_rows(x0, ys_rows, rows, lam, row_buf, row_diff)
+        _guide_rows(x0, ys_rows, sel, lam, row_diff)
         if cfg.align_per_step:
             x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))
         _ddim_update(y, x0, eps_hat, sched.alpha_bar[int(t_prev)], cfg.sigma_ddim,
                      rng, prod)
+        # freed before the next prediction, whose array can then take its place
+        eps_hat = eps_unc = None
     return y
 
 

@@ -17,7 +17,9 @@ also starts at angle 0, the mirror rule of
 turned k times, with its detector columns reversed. Weights are then
 generated for views 0..⌊V/8⌋ only (23 of 180 on the desk scan) and each
 serves up to eight views; under the quarter turns alone the first V/4 views
-serve four each, and on any other geometry every view has its own. A view
+serve four each, and on any other geometry every view has its own. The table
+of which base view serves which views is
+:func:`~stridect.geometry.served_views`, which FBP shares. A view
 served by a turned or flipped grid takes its rays from its base view's
 angle, so it differs from rays traced at its own angle by rounding only, at
 most 1e-13 of the output's peak. Views served unflipped get the same bytes
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .geometry import (FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_mask,
-                       mirror_symmetric, quarter_turns)
+                       from_image, served_views, to_image)
 
 
 @dataclass(frozen=True)
@@ -106,37 +108,6 @@ def _view_weights(g: FanBeamGeometry, grid: ImageGrid, n_views: int):
         ]
 
 
-def _served_views(g: FanBeamGeometry, grid: ImageGrid):
-    """Per base view, in order, the (image, view) pairs it serves, and the
-    number of images. Image m is the padded grid turned m quarter turns for
-    m < 4, and turned m - 4 times then flipped upside down for m >= 4; a view
-    served by a flipped image has its detector columns reversed."""
-    q = quarter_turns(g, grid)
-    per_turn = g.n_views // q
-    if not mirror_symmetric(g, grid):
-        return [[(k, v + k * per_turn) for k in range(q)] for v in range(per_turn)], q
-    served = []
-    for v in range(per_turn // 2 + 1):
-        pairs = [(k, v + k * per_turn) for k in range(4)]
-        # views 0 and V/8 are their own mirrors: the turns alone serve them
-        if 0 < 2 * v < per_turn:
-            pairs += [(4 + k, (2 * per_turn - v + k * per_turn) % g.n_views)
-                      for k in range(4)]
-        served.append(pairs)
-    return served, 8
-
-
-def _to_image(a, m):
-    """Padded grid ``a`` as image m of :func:`_served_views`."""
-    a = np.rot90(a, m % 4)
-    return np.flipud(a) if m >= 4 else a
-
-
-def _from_image(a, m):
-    """Inverse of :func:`_to_image`."""
-    return np.rot90(np.flipud(a) if m >= 4 else a, -(m % 4))
-
-
 def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
     """Line integrals of ``x`` for every (view, detector) ray.
 
@@ -145,9 +116,9 @@ def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
     stored reversed.
     """
     step = x.pixel_size / 2.0
-    served, n_images = _served_views(g, x)
+    served, n_images = served_views(g, x)
     pad = np.pad(x.values, 1)
-    images = [_to_image(pad, m).ravel() for m in range(n_images)]
+    images = [to_image(pad, m).ravel() for m in range(n_images)]
     out = np.empty((g.n_views, g.n_detectors))
     for (keep, corners), pairs in zip(_view_weights(g, x, len(served)), served):
         samples = np.zeros(keep.shape)
@@ -174,7 +145,7 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGr
     if g != s.geometry:
         raise ShapeMismatchError("geometry differs from the sinogram's own")
     step = grid.pixel_size / 2.0
-    served, n_images = _served_views(g, grid)
+    served, n_images = served_views(g, grid)
     shape = (grid.ny + 2, grid.nx + 2)
     n_pix = shape[0] * shape[1]
     acc = np.zeros((n_images, n_pix))
@@ -187,7 +158,7 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGr
                 acc[m] += np.bincount(flat, weights=w * row * step, minlength=n_pix)
     out = acc[0].reshape(shape)
     for m in range(1, n_images):
-        out += _from_image(acc[m].reshape(shape), m)
+        out += from_image(acc[m].reshape(shape), m)
     return grid.with_values(out[1:-1, 1:-1])
 
 

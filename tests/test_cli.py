@@ -180,6 +180,24 @@ def test_train_bad_learning_rate_exit_three(workdir, capsys, lr):
 # -------------------------------------------------------------- reconstruct
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_bad_size_exit_three_before_any_file_is_read(workdir, capsys, monkeypatch, size):
+    def reached(*args, **kwargs):
+        raise AssertionError("an input file was read")
+
+    monkeypatch.setattr(cli, "read_sinogram", reached)
+    monkeypatch.setattr(cli, "parse_config_file", reached)
+    sino, out = str(workdir / "sino.bin"), workdir / "o.bin"
+    for argv in (["reconstruct", "--sino", sino, "--r", "3", "--method", "stride"],
+                 ["reconstruct", "--sino", sino, "--r", "3", "--method", "fbp"],
+                 ["ablate", "--sino", sino, "--r", "3", "--reference", sino],
+                 ["ablate", "--sino", sino, "--r", "3", "--reference", sino,
+                  "--lambda-sweep"]):
+        assert _run(*argv, "--size", size, "--config", sino, "--out", str(out)) == 3
+        assert "bad image dimensions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_bad_pixel_size_exit_three_before_chain(workdir, capsys, monkeypatch, value):
     def reached(*args, **kwargs):

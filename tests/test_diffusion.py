@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stridect as st
-from stridect.diffusion import LambdaInputs, cfg_combine
+from stridect.diffusion import LambdaInputs, _row_selector, cfg_combine
 from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
                              ShapeMismatchError)
 
@@ -199,12 +199,27 @@ def test_apply_sparse_guidance_blend():
     rng = np.random.default_rng(2)
     gen = _signed_zero_normal(rng, (9, 4))
     obs = _signed_zero_normal(rng, (9, 4))
-    m = st.make_sparse_mask(9, 3).active
-    for lam in (0.0, 0.3, 0.5, 1.0):
-        out = st.apply_sparse_guidance(gen, obs, m, lam)
-        assert out.tobytes() == _expr_guidance(gen, obs, m, lam).tobytes()
+    uneven = np.zeros(9, bool)
+    uneven[[0, 1, 5]] = True
+    for m in (st.make_sparse_mask(9, 3).active, uneven, np.zeros(9, bool)):
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            out = st.apply_sparse_guidance(gen, obs, m, lam)
+            assert out.tobytes() == _expr_guidance(gen, obs, m, lam).tobytes()
     with pytest.raises(ShapeMismatchError):
         st.apply_sparse_guidance(gen, obs, m[:-1], 0.5)
+
+
+def test_row_selector_is_a_slice_for_every_stride_mask():
+    # a slice makes x[sel] a view, so guidance gathers and scatters nothing
+    for n, r in [(12, 3), (180, 3), (7, 7), (5, 1), (10, 4), (10, 6)]:
+        active = st.make_sparse_mask(n, r).active
+        sel = _row_selector(active)
+        assert isinstance(sel, slice)
+        assert np.array_equal(np.arange(n)[sel], np.flatnonzero(active))
+    uneven = np.zeros(6, bool)
+    uneven[[0, 1, 5]] = True
+    assert np.array_equal(_row_selector(uneven), [0, 1, 5])
+    assert np.arange(6)[_row_selector(np.zeros(6, bool))].size == 0
 
 
 def test_apply_sparse_guidance_clamps():

@@ -1,12 +1,15 @@
 """Filtered backprojection: kernel structure, weighting oracle, regression."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
-from stridect.fbp import fan_backproject, fan_pre_weight, ramp_kernel
-from stridect.geometry import quarter_turns
+from stridect.fbp import (_interp_rows, _knot_index, _knot_table, fan_backproject,
+                          fan_pre_weight, ramp_kernel)
+from stridect.geometry import mirror_symmetric, quarter_turns
 
 
 def test_ramp_kernel_structure():
@@ -105,39 +108,49 @@ def test_backprojection_single_view_oracle(weighting):
     assert np.allclose(out[inside], expect[inside], rtol=1e-9, atol=1e-12)
 
 
-def _reference_backproject(q, grid, spec, turns=1):
+def _reference_backproject(q, grid, spec, turns=1, mirror=False):
     """Per-view loop: every view computes its own detector coordinate and
-    weight; ``fan_backproject`` must reproduce it bit for bit.
+    weight and interpolates its row with np.interp; ``fan_backproject`` must
+    reproduce it bit for bit.
 
     With ``turns`` 4, view v + k·V/4 is traced at view v's angle into the k-th
-    accumulator, and the accumulators are added turned back, k ascending, as
-    the quarter-turn rule does; ``turns`` 1 traces every view at its own
-    angle."""
+    accumulator. With ``mirror`` as well, the base views are 0..V/8, and view
+    (V/2 − v + k·V/4) mod V (for 0 < v < V/8) is traced at view v's angle with
+    its row reversed into accumulator 4 + k. Accumulator k is added as
+    rot90(acc, −k) and accumulator 4 + k as rot90(flipud(acc), −k), in
+    ascending order. ``turns`` 1 traces every view at its own angle."""
     g = q.geometry
     d = g.source_to_center
     lo, hi = g.angular_range
     n_base = g.n_views // turns
+    slots = []  # (view, base view, accumulator), base views ascending
+    for base in range(n_base // 2 + 1 if mirror else n_base):
+        for k in range(turns):
+            slots.append((base + k * n_base, base, k))
+            if mirror and 0 < 2 * base < n_base:
+                slots.append(((2 * n_base - base + k * n_base) % g.n_views, base, 4 + k))
     coords = g.virtual_detector_coords
     gx, gy = np.meshgrid(grid.xs, grid.ys)
-    accs = np.zeros((turns, grid.ny, grid.nx))
-    for v in range(g.n_views):
-        k, base = divmod(v, n_base)
+    accs = np.zeros((8 if mirror else turns, grid.ny, grid.nx))
+    for v, base, slot in slots:
         theta = g.view_angles[base]
         ct, st_ = np.cos(theta), np.sin(theta)
         t = gx * ct + gy * st_
         denom = d - (gx * st_ - gy * ct)
         safe = denom > 1e-9 * d
         r = np.where(safe, d * t / np.where(safe, denom, 1.0), np.inf)
-        row = np.interp(r, coords, q.values[v], left=0.0, right=0.0)
+        row = q.values[v, ::-1] if slot >= 4 else q.values[v]
+        row = np.interp(r, coords, row, left=0.0, right=0.0)
         if spec.weighting == "literal":
             w = (d * d / 2.0) / (d * d + r * r)
             w = np.where(np.isfinite(r), w, 0.0)
         else:
             w = np.where(safe, (d * d / 2.0) / denom**2, 0.0)
-        accs[k] += row * w
+        accs[slot] += row * w
     out = accs[0]
-    for k in range(1, turns):
-        out += np.rot90(accs[k], -k)
+    for slot in range(1, len(accs)):
+        acc = np.flipud(accs[slot]) if slot >= 4 else accs[slot]
+        out += np.rot90(acc, -(slot % 4))
     return out * ((hi - lo) / g.n_views)
 
 
@@ -146,31 +159,107 @@ def _reference_backproject(q, grid, spec, turns=1):
     (16, 12, 24),
     (17, 24, 40),    # odd grid: the centre pixel turns onto itself
     (64, 180, 256),  # desk scan
+    (72, 24, 64),    # over 4096 pixels: a base view's rows go in two passes
 ])
 def test_quarter_turn_backprojection(n, views, dets, weighting):
     rng = np.random.default_rng(n + views)
     g = st.desk_geometry(views, dets, n)
     q = st.filter_projections(st.Sinogram(rng.normal(size=(views, dets)), g))
     grid = st.ImageGrid(n, n, 1.0, np.zeros((n, n)))
-    assert quarter_turns(g, grid) == 4
+    assert quarter_turns(g, grid) == 4 and mirror_symmetric(g, grid)
     spec = st.FilterSpec(weighting=weighting)
     out = fan_backproject(q, grid, spec).values
-    assert out.tobytes() == _reference_backproject(q, grid, spec, turns=4).tobytes()
-    # turned views take r and the weight from the base view's cos/sin, so
-    # they differ from views at their own angle by rounding only
+    assert out.tobytes() == _reference_backproject(q, grid, spec, 4, mirror=True).tobytes()
+    # turned and mirrored views take r and the weight from the base view's
+    # cos/sin, so they differ from views at their own angle by rounding only
     ref = _reference_backproject(q, grid, spec)
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_sparse_baseline_takes_quarter_turns_on_desk_scan(sino180, grid64):
     # 180 views at stride 3 keep 60, a multiple of 4, over the full circle
+    # from angle 0, so the mirror applies too
     m = st.SparseMask(180, 3)
     sub = st.extract_active_views(sino180, m)
-    assert quarter_turns(sub.geometry, grid64) == 4
+    assert quarter_turns(sub.geometry, grid64) == 4 and mirror_symmetric(sub.geometry, grid64)
     spec = st.FilterSpec()
     q = st.filter_projections(fan_pre_weight(sub), spec)
     out = st.sparse_fbp_baseline(sino180, m, grid64, spec).values
-    assert out.tobytes() == _reference_backproject(q, grid64, spec, turns=4).tobytes()
+    assert out.tobytes() == _reference_backproject(q, grid64, spec, 4, mirror=True).tobytes()
+    ref = _reference_backproject(q, grid64, spec)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("weighting", ["literal", "exact"])
+@pytest.mark.parametrize("angular_range,turns", [
+    ((0.5, 0.5 + 2.0 * np.pi), 4),  # quarter turns without the mirror
+    ((0.0, np.pi), 1),              # no symmetry: every view serves itself
+])
+def test_backprojection_keeps_its_bytes_off_the_mirror_rule(angular_range, turns,
+                                                            weighting):
+    g = replace(st.desk_geometry(24, 40, 16), angular_range=angular_range)
+    grid = st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
+    assert quarter_turns(g, grid) == turns and not mirror_symmetric(g, grid)
+    q = st.filter_projections(st.Sinogram(np.random.default_rng(3).normal(size=(24, 40)), g))
+    spec = st.FilterSpec(weighting=weighting)
+    out = fan_backproject(q, grid, spec).values
+    assert out.tobytes() == _reference_backproject(q, grid, spec, turns).tobytes()
+
+
+def test_backprojection_behind_the_source():
+    # pixels of 6 units put the grid's corners behind the source on the
+    # diagonal views, where r is +inf and the pixel gets nothing
+    g = st.desk_geometry(12, 24, 16)
+    grid = st.ImageGrid(16, 16, 6.0, np.zeros((16, 16)))
+    assert grid.xs[-1] * np.sqrt(2.0) > g.source_to_center
+    q = st.filter_projections(st.Sinogram(np.random.default_rng(4).normal(size=(12, 24)), g))
+    for weighting in ("literal", "exact"):
+        spec = st.FilterSpec(weighting=weighting)
+        out = fan_backproject(q, grid, spec).values
+        assert out.tobytes() == _reference_backproject(q, grid, spec, 4, mirror=True).tobytes()
+
+
+def _interp_cases():
+    """Detector coordinates of several widths, points on and beside every
+    knot, just off either end, far off, at ±inf and in between, and rows
+    holding ±0.0."""
+    rng = np.random.default_rng(22)
+    for dets in (1, 2, 5, 24, 255, 256):
+        coords = st.desk_geometry(4, dets, 16).virtual_detector_coords
+        r = np.concatenate([
+            coords, np.nextafter(coords, -np.inf), np.nextafter(coords, np.inf),
+            rng.uniform(coords[0] - 1.0, coords[-1] + 1.0, 500),
+            [coords[0] - 1e-300, -1e300, 1e300, np.inf, -np.inf, 0.0, -0.0],
+        ])
+        rows = rng.normal(size=(6, dets))
+        rows[1] = 0.0
+        rows[2] = -0.0
+        rows[3, ::2] = -0.0
+        rows[4, 1::3] = 0.0
+        yield coords, rng.permutation(r), rows
+
+
+def test_shared_interpolation_matches_np_interp_bytes():
+    for coords, r, rows in _interp_cases():
+        out = _interp_rows(_knot_table(rows, coords), _knot_index(r, coords))
+        for row, got in zip(rows, out):
+            expect = np.interp(r, coords, row, left=0.0, right=0.0)
+            assert got.tobytes() == expect.tobytes(), len(coords)
+
+
+def test_shared_interpolation_matches_np_interp_where_slopes_overflow():
+    # neighbour differences of ±1e308 rows overflow to ±inf, which a
+    # Sinogram accepts; the shared rule then gives np.interp's infinities,
+    # and a knot still gives the knot's own value
+    coords = st.desk_geometry(4, 7, 16).virtual_detector_coords
+    rows = np.array([[1e308, -1e308, 1e308, -0.0, -1e308, 1e308, 1e308],
+                     [-1e308, 1e308, -1e308, 1e308, 0.0, -1e308, -1e308]])
+    r = np.concatenate([coords, (coords[1:] + coords[:-1]) / 2.0, [np.inf]])
+    out = _interp_rows(_knot_table(rows, coords), _knot_index(r, coords))
+    assert np.isinf(out).any()
+    for row, got in zip(rows, out):
+        expect = np.interp(r, coords, row, left=0.0, right=0.0)
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_backprojection_validation():

@@ -218,12 +218,22 @@ def _coarse_cases():
         ("sigma", plain, cfg(sigma_ddim=0.2)),
         ("one-step", plain, cfg(ddim_steps=1)),
     ]
+    cases = [(name, model, c, active) for name, model, c in cases]
+    # row sets no stride mask makes: none, one, and unevenly spaced rows,
+    # which guidance gathers and scatters back
+    for rows_name, rows in (("no-rows", []), ("one-row", [4]), ("uneven-rows", [0, 1, 5])):
+        flags = np.zeros(12, bool)
+        flags[rows] = True
+        cases += [(f"{rows_name}-{nu}", plain,
+                   cfg(guidance=st.GuidanceConfig(mode="fixed", nu=nu)), flags)
+                  for nu in (0.3, 1.0)]
+        cases.append((f"{rows_name}-net-omega", net, cfg(omega=0.7), flags))
     return sched, y_s, active, cases
 
 
 def test_coarse_generate_matches_old_loop_bytes():
-    sched, y_s, active, cases = _coarse_cases()
-    for name, model, cfg in cases:
+    sched, y_s, _, cases = _coarse_cases()
+    for name, model, cfg, active in cases:
         out = coarse_generate(y_s, active, _ReadOnlyEps(model), sched, cfg,
                               np.random.default_rng(8))
         expect = _old_coarse_generate(y_s, active, model, sched, cfg,
