@@ -1,8 +1,9 @@
 """Noise predictors and score models.
 
-Two families live here: closed-form Gaussian oracles used by tests and the
-analytic pipeline mode, and a tiny trainable convolutional network with
-hand-derived backpropagation (verified against finite differences by
+Two families live here: closed-form oracles used by tests and the analytic
+pipeline mode, each writing its noise prediction directly rather than through
+an estimate of the clean data, and a tiny trainable convolutional network
+with hand-derived backpropagation (verified against finite differences by
 ``grad_check``). The network is deliberately small: three 3x3 conv layers
 with periodic padding, tanh nonlinearities, and a per-timestep scalar
 embedding added channelwise, under 10^4 parameters in every configuration.
@@ -33,13 +34,11 @@ _OFFSETS = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
 
 
 class _ClosedFormDenoiser:
-    """Noise-prediction contract around a closed-form estimate x0 of y0.
+    """Noise-prediction contract around a closed-form noise estimate.
 
-    The noise estimate re-arranges the forward kernel around x0,
-    (y_t - sqrt(ab) x0) / sqrt(1 - ab); t = 0 returns zeros (the clean
-    limit has no noise to explain). Subclasses give only ``_x0``, which
-    returns a fresh array of the broadcast shape that the rule then
-    overwrites.
+    t = 0 returns zeros (the clean limit has no noise to explain). Otherwise
+    subclasses give ``_eps(y_t, ab)`` for ab = alpha_bar[t] as a Python
+    float, which returns a fresh array of the broadcast shape.
     """
 
     conditional = False
@@ -49,47 +48,47 @@ class _ClosedFormDenoiser:
         y_t = np.asarray(y_t, dtype=np.float64)
         if t == 0:
             return np.zeros_like(y_t)
-        ab = self.sched.alpha_bar[t]
-        sab = np.sqrt(ab)
-        out = self._x0(y_t, ab, sab)
-        out *= sab
-        np.subtract(y_t, out, out=out)
-        out /= np.sqrt(1.0 - ab)
-        return out
+        return self._eps(y_t, float(self.sched.alpha_bar[t]))
 
 
 class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
     """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I);
-    prior_var 0 is the point prior at prior_mean, and below 0 is rejected."""
+    prior_var 0 is the point prior at prior_mean, and below 0 is rejected.
+
+    The noise is predicted directly, not through the posterior mean:
+    eps = sqrt(1 - ab) (y_t - sqrt(ab) mu) / (ab v + 1 - ab), with v floored
+    at 1e-12.
+    """
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
         if not prior_var >= 0:
             raise InvalidArgumentError("prior_var must be non-negative")
         self.prior_mean = np.asarray(prior_mean, dtype=np.float64)
         self.prior_var = float(prior_var)
+        self._v = max(self.prior_var, 1e-12)
         self.sched = sched
-        # scratch for the (1 - ab) mu term; one caller at a time
+        # scratch for the mu term; one caller at a time
         self._scratch = np.empty_like(self.prior_mean)
 
-    def _x0(self, y_t, ab, sab):
-        """E[y0 | y_t] = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab),
-        one operation at a time in the order the formula reads."""
-        v = max(self.prior_var, 1e-12)
-        out = np.multiply(y_t, sab * v,
-                          out=np.empty(np.broadcast(y_t, self._scratch).shape))
-        out += np.multiply(self.prior_mean, 1.0 - ab, out=self._scratch)
-        out /= ab * v + 1.0 - ab
+    def _eps(self, y_t, ab):
+        """Three passes: out = y_t k, then out -= mu (sqrt(ab) k), with the
+        Python float k = sqrt(1 - ab) / (ab v + 1 - ab)."""
+        k = math.sqrt(1.0 - ab) / (ab * self._v + 1.0 - ab)
+        out = np.multiply(y_t, k, out=np.empty(np.broadcast(y_t, self._scratch).shape))
+        out -= np.multiply(self.prior_mean, math.sqrt(ab) * k, out=self._scratch)
         return out
 
 
 class CoupledGaussianDenoiser(AnalyticGaussianDenoiser):
     """Gaussian posterior followed by neighbor mixing along the view axis.
 
-    After the per-pixel posterior mean, each row is blended with the
-    average of its two periodic neighbors (weight ``mix``). That spreads
-    information across adjacent views the way a learned model does, so
-    guided values on observed rows influence their unobserved neighbors on
-    the next step.
+    The posterior mean x0 is blended with the average of its two periodic
+    row neighbors nb(x0) (weight ``mix``). That spreads information across
+    adjacent views the way a learned model does, so guided values on
+    observed rows influence their unobserved neighbors on the next step.
+    The noise is the plain Gaussian one minus the blend's share,
+    sqrt(ab) mix / sqrt(1 - ab) (nb(x0) - x0); at mix 0 it is the plain
+    noise, bytes included.
     """
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule,
@@ -99,25 +98,39 @@ class CoupledGaussianDenoiser(AnalyticGaussianDenoiser):
         super().__init__(prior_mean, prior_var, sched)
         self.mix = float(mix)
 
-    def _x0(self, y_t, ab, sab):
-        x0 = super()._x0(y_t, ab, sab)
-        neighbors = 0.5 * (np.roll(x0, 1, axis=0) + np.roll(x0, -1, axis=0))
-        x0 *= 1.0 - self.mix
-        x0 += self.mix * neighbors
-        return x0
+    def _eps(self, y_t, ab):
+        eps = super()._eps(y_t, ab)
+        if self.mix == 0.0:
+            return eps
+        sab, v = math.sqrt(ab), self._v
+        # x0 = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab)
+        x0 = np.multiply(y_t, sab * v, out=np.empty(eps.shape))
+        x0 += np.multiply(self.prior_mean, 1.0 - ab, out=self._scratch)
+        x0 /= ab * v + 1.0 - ab
+        d = np.roll(x0, 1, axis=0)
+        d += np.roll(x0, -1, axis=0)
+        d *= 0.5
+        d -= x0
+        d *= sab * self.mix / math.sqrt(1.0 - ab)
+        eps -= d
+        return eps
 
 
 class ExactNoiseDenoiser(_ClosedFormDenoiser):
     """Oracle that knows the clean target and returns the exact residual
-    noise for any y_t; useful for trajectory fixed-point tests."""
+    noise (y_t - sqrt(ab) y0) / sqrt(1 - ab) for any y_t; useful for
+    trajectory fixed-point tests."""
 
     def __init__(self, y0, sched: NoiseSchedule):
         self.y0 = np.asarray(y0, dtype=np.float64)
         self.sched = sched
 
-    def _x0(self, y_t, ab, sab):
-        return np.array(np.broadcast_to(
-            self.y0, np.broadcast_shapes(y_t.shape, self.y0.shape)))
+    def _eps(self, y_t, ab):
+        out = np.multiply(self.y0, math.sqrt(ab),
+                          out=np.empty(np.broadcast(y_t, self.y0).shape))
+        np.subtract(y_t, out, out=out)
+        out /= math.sqrt(1.0 - ab)
+        return out
 
 
 def ve_sigma(t):

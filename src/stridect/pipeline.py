@@ -229,13 +229,16 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     Gaussian score of variance cfg.prior_var; a branch is live when the
     corrector takes steps and its lambda_low or lambda_high is above 0, and
     an off branch is never scored. The band scores are checked by
-    :func:`check_refinement`, and the references' shapes against y_s and
-    grid, before the chain starts.
+    :func:`check_refinement`, the references' shapes against y_s and grid,
+    and, with alignment on, that at least 2 views are active, before the
+    chain starts.
     grid supplies the output raster (values unused).
     """
     if m.n_views != y_s.geometry.n_views:
         raise ShapeMismatchError("mask and sinogram view counts differ")
     _check_references(y_s, grid, reference, reference_image)
+    if cfg.alignment and m.n_active < 2:
+        raise InvalidArgumentError("alignment needs at least 2 active views")
     if sched is None:
         sched = linear_schedule()
     active = m.active

@@ -48,3 +48,22 @@ def test_each_workload_runs_and_passes_its_check(monkeypatch, name):
     w = workloads.WORKLOADS[name](1)
     inp = w.prepare(0)
     assert w.check(inp, w.run(inp)) == []
+
+
+def test_traced_recon_desk_records_one_prediction_per_ddim_step(monkeypatch):
+    # a model method that reached another traced method would count twice
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import spans
+    import workloads
+    w = workloads.WORKLOADS["recon-desk"](1)
+    inp = w.prepare(0)
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        tracer.op = 0
+        w.run(inp)
+    finally:
+        tracer.restore()
+    names = [s.name for s in tracer.spans if s.op == 0]
+    assert names.count("denoiser.predict_eps") == w.cfg.ddim_steps == 100

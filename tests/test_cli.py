@@ -10,6 +10,7 @@ import pytest
 
 import stridect as st
 import stridect.cli as cli
+import stridect.pipeline as pipeline
 from stridect.cli import (
     _UsageError,
     build_pipeline_config,
@@ -431,6 +432,20 @@ def test_non_positive_prior_var_exit_three_without_corrector(workdir, capsys):
     assert "prior_var must be finite and > 0" in capsys.readouterr().err
     assert not (workdir / "o.bin").exists()
 
+
+def test_one_active_view_with_alignment_exit_three_before_chain(workdir, capsys,
+                                                                 monkeypatch):
+    # --r 12 on the 12-view scan keeps one view, too few to align to
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(pipeline, "interpolate_views", reached)
+    out = workdir / "o.bin"
+    code = _run("reconstruct", "--sino", str(workdir / "full.bin"), "--r", "12",
+                "--size", "16", "--config", str(workdir / "fast.cfg"), "--out", str(out))
+    assert code == 3
+    assert "alignment needs at least 2 active views" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_threads_flag_is_unknown(workdir, capsys):
     ph = str(workdir / "ph2.bin")

@@ -1,5 +1,7 @@
 """Analytic denoisers, the tiny conv net, its gradients, and training."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,9 @@ def test_analytic_eps_matches_bayes_posterior():
         assert np.max(np.abs(x0 - bayes)) <= 1e-10
 
 
-def _expr_analytic_eps(y_t, t, s, mu, v):
-    """The posterior noise prediction as first written, one expression."""
+def _first_analytic_eps(y_t, t, s, mu, v):
+    """The posterior noise prediction as first written, one expression,
+    through the posterior mean."""
     y_t = np.asarray(y_t, dtype=np.float64)
     if t == 0:
         return np.zeros_like(y_t)
@@ -85,6 +88,18 @@ def _expr_analytic_eps(y_t, t, s, mu, v):
     sab = np.sqrt(ab)
     mean_post = (sab * v * y_t + (1.0 - ab) * np.asarray(mu)) / (ab * v + 1.0 - ab)
     return (y_t - sab * mean_post) / np.sqrt(1.0 - ab)
+
+
+def _expr_analytic_eps(y_t, t, s, mu, v):
+    """The posterior noise prediction in closed form, one expression:
+    y_t k - mu (sqrt(ab) k) with k = sqrt(1 - ab) / (ab v + 1 - ab)."""
+    y_t = np.asarray(y_t, dtype=np.float64)
+    if t == 0:
+        return np.zeros_like(y_t)
+    v = max(v, 1e-12)
+    ab = float(s.alpha_bar[t])
+    k = math.sqrt(1.0 - ab) / (ab * v + 1.0 - ab)
+    return y_t * k - np.asarray(mu, dtype=np.float64) * (math.sqrt(ab) * k)
 
 
 def test_analytic_eps_matches_expression_bytes():
@@ -108,6 +123,25 @@ def test_analytic_eps_matches_expression_bytes():
     frozen = y.copy()
     frozen.setflags(write=False)
     st.AnalyticGaussianDenoiser(mu, 0.5, s).predict_eps(frozen, 3)  # input not written
+
+
+def _peak_gap(new, old):
+    """Largest difference as a fraction of the reference's peak."""
+    return np.max(np.abs(new - old)) / np.max(np.abs(old))
+
+
+def test_analytic_eps_is_close_to_the_first_formula():
+    # the closed form reorders the arithmetic, so it agrees with the route
+    # through the posterior mean to rounding on every step of the schedule
+    s = st.linear_schedule()
+    rng = np.random.default_rng(8)
+    y = rng.normal(size=(12, 16))
+    mu = rng.normal(size=(12, 16))
+    for v in (0.0, 1e-3, 0.05, 0.7):
+        model = st.AnalyticGaussianDenoiser(mu, v, s)
+        worst = max(_peak_gap(model.predict_eps(y, t), _first_analytic_eps(y, t, s, mu, v))
+                    for t in range(1, s.T + 1))
+        assert worst <= 1e-11, (v, worst)
 
 
 def test_gaussian_score():
@@ -157,7 +191,7 @@ def test_exact_noise_denoiser_recovers_noise():
         assert np.max(np.abs(model.predict_eps(y_t, t) - eps)) <= 1e-12
 
 
-def _expr_coupled_eps(y_t, t, s, mu, v, mix):
+def _first_coupled_eps(y_t, t, s, mu, v, mix):
     """The coupled noise prediction as first written: the posterior mean
     without the variance floor, mixed with its periodic row neighbors."""
     y_t = np.asarray(y_t, dtype=np.float64)
@@ -171,6 +205,22 @@ def _expr_coupled_eps(y_t, t, s, mu, v, mix):
     neighbors = 0.5 * (np.roll(x0, 1, axis=0) + np.roll(x0, -1, axis=0))
     x0 = (1.0 - mix) * x0 + mix * neighbors
     return (y_t - sab * x0) / np.sqrt(1.0 - ab)
+
+
+def _expr_coupled_eps(y_t, t, s, mu, v, mix):
+    """The coupled noise prediction in closed form: the plain noise minus
+    sqrt(ab) mix / sqrt(1 - ab) (nb(x0) - x0), where nb averages the two
+    periodic row neighbors of the posterior mean x0; mix 0 is the plain noise."""
+    eps = _expr_analytic_eps(y_t, t, s, mu, v)
+    if t == 0 or mix == 0.0:
+        return eps
+    v = max(v, 1e-12)
+    ab = float(s.alpha_bar[t])
+    sab = math.sqrt(ab)
+    x0 = (np.asarray(y_t, dtype=np.float64) * (sab * v)
+          + np.asarray(mu, dtype=np.float64) * (1.0 - ab)) / (ab * v + 1.0 - ab)
+    d = (np.roll(x0, 1, axis=0) + np.roll(x0, -1, axis=0)) * 0.5 - x0
+    return eps - d * (sab * mix / math.sqrt(1.0 - ab))
 
 
 def _expr_exact_eps(y_t, t, s, y0):
@@ -202,6 +252,20 @@ def test_coupled_eps_matches_expression_bytes():
                     expect = _expr_coupled_eps(y, t, s, prior_mean, v, mix).tobytes()
                     assert model.predict_eps(y, t).tobytes() == expect
                     assert model.predict_eps(y, t).tobytes() == expect
+
+
+def test_coupled_eps_is_close_to_the_first_formula():
+    s = st.linear_schedule()
+    rng = np.random.default_rng(9)
+    y = rng.normal(size=(12, 16))
+    mu = rng.normal(size=(12, 16))
+    for v in (1e-3, 0.05, 0.7):
+        for mix in (0.3, 1.0):
+            model = st.CoupledGaussianDenoiser(mu, v, s, mix=mix)
+            worst = max(_peak_gap(model.predict_eps(y, t),
+                                  _first_coupled_eps(y, t, s, mu, v, mix))
+                        for t in range(1, s.T + 1))
+            assert worst <= 1e-11, (v, mix, worst)
 
 
 def test_coupled_rejects_negative_prior_var():

@@ -362,6 +362,30 @@ def test_mismatched_references_fail_before_any_chain_work(monkeypatch):
             call()
 
 
+def test_one_active_view_with_alignment_fails_before_any_chain_work(monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem(r=12)
+    assert m.n_active == 1
+    cfg, sched = _small_cfg()
+    # without alignment one view is enough: every row interpolates to it
+    res = st.stride_reconstruct(masked, m, grid, replace(cfg, alignment=False),
+                                sched=sched)
+    assert np.all(np.isfinite(res.image.values))
+
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(pipeline, "interpolate_views", reached)
+    calls = [
+        lambda: st.stride_reconstruct(masked, m, grid, cfg, sched=sched),
+        lambda: st.stride_reconstruct(masked, m, grid, replace(cfg, align_per_step=True),
+                                      sched=sched),
+        lambda: st.run_component_ablation(masked, m, grid, cfg, sino, sched=sched),
+        lambda: st.run_lambda_sweep(masked, m, grid, cfg, sino, sched=sched),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="at least 2 active views"):
+            call()
+
 def test_omega_needs_a_conditional_model():
     phantom, g, sino, m, masked, grid = _small_problem()
     cfg, sched = _small_cfg(omega=0.7)
