@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .diffusion import NoiseSchedule
 MAGIC = b"STRDNET1"
 MAX_PARAMS = 10_000
 LAST_SCALE = 0.05  # output-layer init std, as a fraction of the fan-in scaling
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, divisor offset
 # score nets train on t ~ U(SCORE_T_MIN, 1], and the corrector anneals over it
 SCORE_T_MIN = 0.02
 
@@ -56,8 +57,9 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
     prior_var 0 is the point prior at prior_mean, and below 0 is rejected.
 
     The noise is predicted directly, not through the posterior mean:
-    eps = sqrt(1 - ab) (y_t - sqrt(ab) mu) / (ab v + 1 - ab), with v floored
-    at 1e-12.
+    eps = sqrt(1 - ab) (y_t - sqrt(ab) mu) / (ab v + 1 - ab), with v taken
+    as given: the divisor stays above 0 for every t >= 1, so v = 0 needs no
+    floor and gives (y_t - sqrt(ab) mu) / sqrt(1 - ab).
     """
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
@@ -65,7 +67,6 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
             raise InvalidArgumentError("prior_var must be non-negative")
         self.prior_mean = np.asarray(prior_mean, dtype=np.float64)
         self.prior_var = float(prior_var)
-        self._v = max(self.prior_var, 1e-12)
         self.sched = sched
         # scratch for the mu term; one caller at a time
         self._scratch = np.empty_like(self.prior_mean)
@@ -73,7 +74,7 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
     def _eps(self, y_t, ab):
         """Three passes: out = y_t k, then out -= mu (sqrt(ab) k), with the
         Python float k = sqrt(1 - ab) / (ab v + 1 - ab)."""
-        k = math.sqrt(1.0 - ab) / (ab * self._v + 1.0 - ab)
+        k = math.sqrt(1.0 - ab) / (ab * self.prior_var + 1.0 - ab)
         out = np.multiply(y_t, k, out=np.empty(np.broadcast(y_t, self._scratch).shape))
         out -= np.multiply(self.prior_mean, math.sqrt(ab) * k, out=self._scratch)
         return out
@@ -102,7 +103,7 @@ class CoupledGaussianDenoiser(AnalyticGaussianDenoiser):
         eps = super()._eps(y_t, ab)
         if self.mix == 0.0:
             return eps
-        sab, v = math.sqrt(ab), self._v
+        sab, v = math.sqrt(ab), self.prior_var
         # x0 = (sqrt(ab) v y_t + (1 - ab) mu) / (ab v + 1 - ab)
         x0 = np.multiply(y_t, sab * v, out=np.empty(eps.shape))
         x0 += np.multiply(self.prior_mean, 1.0 - ab, out=self._scratch)
@@ -250,12 +251,26 @@ class TinyNetParams:
     def n_params(self):
         return sum(a.size for a in self.as_list())
 
+    def __post_init__(self):
+        """Reject layers whose shapes do not chain, and nets of MAX_PARAMS
+        parameters or more, whether built here or loaded from a file."""
+        if np.ndim(self.w1) != 4 or np.ndim(self.w3) != 4 or 0 in self.w1.shape + self.w3.shape:
+            raise InvalidArgumentError("w1 and w3 must be non-empty 4-D conv kernels")
+        h, c_in, c_out = self.hidden, self.in_channels, self.out_channels
+        want = [(h, c_in, 3, 3), (h,), (h,), (h,), (h, h, 3, 3), (h,), (c_out, h, 3, 3), (c_out,)]
+        for f, a, shape in zip(fields(self), self.as_list(), want):
+            if np.shape(a) != shape:
+                raise InvalidArgumentError(f"{f.name} has shape {np.shape(a)}, expected "
+                                           f"{shape} for {h} hidden channels")
+        if self.n_params >= MAX_PARAMS:
+            raise InvalidArgumentError(f"{self.n_params} parameters; limit is {MAX_PARAMS}")
+
 
 def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0) -> TinyNetParams:
     if hidden < 1:
         raise InvalidArgumentError("hidden must be >= 1")
     rng = np.random.default_rng(seed)
-    p = TinyNetParams(
+    return TinyNetParams(
         w1=rng.normal(0.0, 1.0 / np.sqrt(9.0 * in_ch), (hidden, in_ch, 3, 3)),
         b1=np.zeros(hidden),
         tw=rng.normal(0.0, 0.01, hidden),
@@ -265,9 +280,6 @@ def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0) -> T
         w3=rng.normal(0.0, LAST_SCALE / np.sqrt(9.0 * hidden), (out_ch, hidden, 3, 3)),
         b3=np.zeros(out_ch),
     )
-    if p.n_params >= MAX_PARAMS:
-        raise InvalidArgumentError(f"{p.n_params} parameters; limit is {MAX_PARAMS}")
-    return p
 
 
 def _stack_taps(x, sign: int):
@@ -364,15 +376,16 @@ def loss_and_grads(p: TinyNetParams, x, s, target):
     return loss, backward_tiny(p, cache, dout)
 
 
-def grad_check(p: TinyNetParams, x, s, target, step: float = 1e-4) -> float:
+def grad_check(p: TinyNetParams, x, s, target) -> float:
     """Max relative disagreement between analytic and central-difference
-    gradients over every parameter.
+    gradients over every parameter, with differences of step 1e-4.
 
     Relative error uses |ga - gn| / max(|ga| + |gn|, 1e-4); the floor keeps
     finite-difference truncation noise from dominating near-zero entries.
     """
     _, grads = loss_and_grads(p, x, s, target)
     arrays = p.as_list()
+    step = 1e-4
     worst = 0.0
     for ai, arr in enumerate(arrays):
         flat = arr.ravel()
@@ -392,14 +405,11 @@ def grad_check(p: TinyNetParams, x, s, target, step: float = 1e-4) -> float:
 
 
 class Adam:
-    """Plain Adam with bias correction; deterministic and stateful."""
+    """Plain Adam with bias correction (ADAM_BETA1, ADAM_BETA2, ADAM_EPS);
+    deterministic and stateful."""
 
-    def __init__(self, params: TinyNetParams, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: TinyNetParams, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(a) for a in params.as_list()]
         self.v = [np.zeros_like(a) for a in params.as_list()]
@@ -408,11 +418,11 @@ class Adam:
         self.t += 1
         arrays = params.as_list()
         for i, (a, g) in enumerate(zip(arrays, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1**self.t)
-            vhat = self.v[i] / (1 - self.beta2**self.t)
-            a -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            mhat = self.m[i] / (1 - ADAM_BETA1**self.t)
+            vhat = self.v[i] / (1 - ADAM_BETA2**self.t)
+            a -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,11 @@ class NoiseSchedule:
             raise InvalidArgumentError(f"t={t} outside [0, {self.T}]")
 
 
-def linear_schedule(T: int = 1000, beta_start: float = 1e-4,
-                    beta_end: float = 2e-2) -> NoiseSchedule:
-    """Linearly ramped beta_t from beta_start to beta_end over T steps."""
+def linear_schedule(T: int = 1000) -> NoiseSchedule:
+    """beta_t ramped linearly from 1e-4 at t = 1 to 2e-2 at t = T (the DDPM
+    schedule), with beta_0 = 0."""
     beta = np.zeros(T + 1)
-    beta[1:] = np.linspace(beta_start, beta_end, T)
+    beta[1:] = np.linspace(1e-4, 2e-2, T)
     return NoiseSchedule(beta)
 
 

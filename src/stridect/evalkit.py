@@ -176,8 +176,9 @@ def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
     return value
 
 
-def kl_divergence(p_samples, q_samples, n_bins: int = 64) -> float:
-    """Histogram KL(p || q) over the joint value range, with smoothing."""
+def kl_divergence(p_samples, q_samples) -> float:
+    """Histogram KL(p || q): 64 equal bins over the joint value range, each
+    bin's share raised by 1e-12 and renormalised so no bin is empty."""
     p = np.asarray(getattr(p_samples, "values", p_samples)).ravel()
     q = np.asarray(getattr(q_samples, "values", q_samples)).ravel()
     if p.size == 0 or q.size == 0:
@@ -186,8 +187,7 @@ def kl_divergence(p_samples, q_samples, n_bins: int = 64) -> float:
     hi = max(p.max(), q.max())
     if lo == hi:
         return 0.0
-    hp, edges = np.histogram(p, bins=n_bins, range=(lo, hi))
-    hq, _ = np.histogram(q, bins=n_bins, range=(lo, hi))
+    hp, hq = (np.histogram(v, bins=64, range=(lo, hi))[0] for v in (p, q))
     pp = hp / hp.sum() + 1e-12
     qq = hq / hq.sum() + 1e-12
     pp /= pp.sum()

@@ -19,12 +19,12 @@ _IMG_MAGIC = b"IMGF"
 _SINO_MAGIC = b"SGRAM"
 
 
-def _read_header(f, magic, n_fields):
+def _read_header(f, magic):
     line = f.readline()
     if not line.startswith(magic + b" "):
         raise InvalidArgumentError(f"bad magic, expected {magic.decode()}")
     parts = line[len(magic):].split()
-    if len(parts) != n_fields:
+    if len(parts) != 2:
         raise InvalidArgumentError("malformed header")
     try:
         dims = [int(p) for p in parts]
@@ -66,7 +66,7 @@ def write_image(path, img: ImageGrid) -> None:
 
 def read_image(path, pixel_size: float = 1.0) -> ImageGrid:
     with open(path, "rb") as f:
-        nx, ny = _read_header(f, _IMG_MAGIC, 2)
+        nx, ny = _read_header(f, _IMG_MAGIC)
         vals = _read_payload(f, nx * ny).reshape(ny, nx)
     return ImageGrid(nx=nx, ny=ny, pixel_size=pixel_size, values=vals)
 
@@ -91,7 +91,7 @@ def read_sinogram(path) -> Sinogram:
     with open(_geom_path(path), errors="replace") as f:
         geom = FanBeamGeometry.from_kv(f.read())
     with open(path, "rb") as f:
-        n_views, n_det = _read_header(f, _SINO_MAGIC, 2)
+        n_views, n_det = _read_header(f, _SINO_MAGIC)
         vals = _read_payload(f, n_views * n_det).reshape(n_views, n_det)
     if (n_views, n_det) != (geom.n_views, geom.n_detectors):
         raise InvalidArgumentError("sinogram shape disagrees with sidecar")

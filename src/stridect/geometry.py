@@ -28,8 +28,8 @@ _GEOM_KEYS = {
 }
 
 
-def _readonly(a, dtype=np.float64):
-    out = np.array(a, dtype=dtype)
+def _readonly(a):
+    out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
 
@@ -124,17 +124,17 @@ class FanBeamGeometry:
         return cls(*vals[:5], angular_range=tuple(vals[5:]))
 
 
-def desk_geometry(n_views, n_detectors, nx, pixel_size=1.0, margin=1.02):
+def desk_geometry(n_views, n_detectors, nx, pixel_size=1.0):
     """Reference geometry scaled so the whole grid sits inside the fan FOV.
 
     Keeps the 40 cm / 40 cm / 41.3 cm ratios of the reference scanner and
     rescales them so the field-of-view circle covers the image half-diagonal
-    times ``margin``.
+    times 1.02.
     """
     half_fan = math.atan((_REF_DET_WIDTH_MM / 2.0) / (_REF_SOD_MM + _REF_CDD_MM))
     fov_radius_ref = _REF_SOD_MM * math.sin(half_fan)
     half_diag = math.sqrt(2.0) * nx * pixel_size / 2.0
-    scale = margin * half_diag / fov_radius_ref
+    scale = 1.02 * half_diag / fov_radius_ref
     return FanBeamGeometry(
         source_to_center=_REF_SOD_MM * scale,
         center_to_detector=_REF_CDD_MM * scale,

@@ -95,37 +95,25 @@ def ddim_times(T: int, steps: int) -> np.ndarray:
 
 
 def interpolate_views(values, active):
-    """Fill unobserved rows by periodic linear interpolation along views."""
+    """Fill unobserved rows by periodic linear interpolation along views:
+    column j is np.interp(rows, rows[active], values[active, j], period=n)
+    for n rows, bytes included."""
     values = np.asarray(values, dtype=np.float64)
     active = np.asarray(active, bool)
     if not active.any():
         raise InvalidArgumentError("no active views to interpolate from")
     n = values.shape[0]
     rows = np.arange(n, dtype=np.float64)
-    # np.interp(rows, rows[active], column, period=n) for all columns at
-    # once, by numpy's own rule: knots padded by one period on each side,
-    # slope[j] * (x - xp[j]) + fp[j] between knots j and j + 1, fp[j] where
-    # x == xp[j], and the other end's form where that gives nan
+    # the knots padded by one period on each side, as period=n pads them,
+    # but once: period=n re-sorts and re-pads per column, 4-8 ms a call at
+    # 180 x 256 against about 1 ms on a 2-CPU x86-64 machine
     xp = rows[active]
     xp = np.concatenate((xp[-1:] - n, xp, xp[:1] + n))
     fp = values[active]
     fp = np.concatenate((fp[-1:], fp, fp[:1]))
-    j = np.searchsorted(xp, rows, side="right") - 1
-    with np.errstate(invalid="ignore"):  # np.interp does not warn on inf
-        slope = np.diff(fp, axis=0) / np.diff(xp)[:, None]
-        out = slope[j]
-        out *= (rows - xp[j])[:, None]
-        out += fp[j]
-        nan = np.isnan(out)
-        if nan.any():
-            r, c = np.nonzero(nan)
-            k = j[r]
-            alt = slope[k, c] * (rows[r] - xp[k + 1]) + fp[k + 1, c]
-            flat = np.isnan(alt) & (fp[k, c] == fp[k + 1, c])
-            alt[flat] = fp[k, c][flat]
-            out[r, c] = alt
-    on_knot = xp[j] == rows
-    out[on_knot] = fp[j[on_knot]]
+    out = np.empty(values.shape)
+    for j in range(values.shape[1]):
+        out[:, j] = np.interp(rows, xp, fp[:, j])
     return out
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,6 +447,26 @@ def test_one_active_view_with_alignment_exit_three_before_chain(workdir, capsys,
     assert code == 3
     assert "alignment needs at least 2 active views" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_net_with_layers_that_do_not_chain_exit_three_before_chain(workdir, capsys,
+                                                                   monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(cli, "stride_reconstruct", reached)
+    arrays = st.init_tiny_net(2, 1, hidden=4).as_list()
+    arrays[4] = np.zeros((3, 3, 3, 3))  # w2 under hidden 4
+    net = workdir / "bad_net.bin"
+    st.save_params(SimpleNamespace(as_list=lambda: arrays), net)
+    out = workdir / "o.bin"
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(workdir / "fast.cfg"),
+                "--net", str(net), "--out", str(out))
+    assert code == 3
+    assert "w2 has shape (3, 3, 3, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_threads_flag_is_unknown(workdir, capsys):
     ph = str(workdir / "ph2.bin")

@@ -1,6 +1,7 @@
 """Analytic denoisers, the tiny conv net, its gradients, and training."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,7 +84,6 @@ def _first_analytic_eps(y_t, t, s, mu, v):
     y_t = np.asarray(y_t, dtype=np.float64)
     if t == 0:
         return np.zeros_like(y_t)
-    v = max(v, 1e-12)
     ab = s.alpha_bar[t]
     sab = np.sqrt(ab)
     mean_post = (sab * v * y_t + (1.0 - ab) * np.asarray(mu)) / (ab * v + 1.0 - ab)
@@ -96,7 +96,6 @@ def _expr_analytic_eps(y_t, t, s, mu, v):
     y_t = np.asarray(y_t, dtype=np.float64)
     if t == 0:
         return np.zeros_like(y_t)
-    v = max(v, 1e-12)
     ab = float(s.alpha_bar[t])
     k = math.sqrt(1.0 - ab) / (ab * v + 1.0 - ab)
     return y_t * k - np.asarray(mu, dtype=np.float64) * (math.sqrt(ab) * k)
@@ -193,7 +192,7 @@ def test_exact_noise_denoiser_recovers_noise():
 
 def _first_coupled_eps(y_t, t, s, mu, v, mix):
     """The coupled noise prediction as first written: the posterior mean
-    without the variance floor, mixed with its periodic row neighbors."""
+    mixed with its periodic row neighbors."""
     y_t = np.asarray(y_t, dtype=np.float64)
     if t == 0:
         return np.zeros_like(y_t)
@@ -214,7 +213,6 @@ def _expr_coupled_eps(y_t, t, s, mu, v, mix):
     eps = _expr_analytic_eps(y_t, t, s, mu, v)
     if t == 0 or mix == 0.0:
         return eps
-    v = max(v, 1e-12)
     ab = float(s.alpha_bar[t])
     sab = math.sqrt(ab)
     x0 = (np.asarray(y_t, dtype=np.float64) * (sab * v)
@@ -245,7 +243,7 @@ def test_coupled_eps_matches_expression_bytes():
     s = st.linear_schedule(T=20)
     y, mu = _signed_zero_case(6)
     for prior_mean in (mu, 0.0, -0.0, mu[0]):
-        for v in (1e-3, 0.7):
+        for v in (0.0, 1e-3, 0.7):
             for mix in (0.0, 0.3, 1.0):
                 model = st.CoupledGaussianDenoiser(prior_mean, v, s, mix=mix)
                 for t in (0, 1, 10, 20):
@@ -259,7 +257,7 @@ def test_coupled_eps_is_close_to_the_first_formula():
     rng = np.random.default_rng(9)
     y = rng.normal(size=(12, 16))
     mu = rng.normal(size=(12, 16))
-    for v in (1e-3, 0.05, 0.7):
+    for v in (0.0, 1e-3, 0.05, 0.7):
         for mix in (0.3, 1.0):
             model = st.CoupledGaussianDenoiser(mu, v, s, mix=mix)
             worst = max(_peak_gap(model.predict_eps(y, t),
@@ -649,3 +647,42 @@ def test_params_load_errors(tmp_path):
     extra.write_bytes(raw + b"\x00")
     with pytest.raises(InvalidArgumentError):
         st.load_params(extra)
+
+
+def _save_arrays(arrays, path):
+    """Write arrays in the model-file format, whatever their shapes."""
+    st.save_params(SimpleNamespace(as_list=lambda: arrays), path)
+
+
+def test_params_load_rejects_layers_that_do_not_chain(tmp_path):
+    # hidden 4, two input channels, one output channel
+    good = init_tiny_net(2, 1, hidden=4, seed=0).as_list()
+    names = ("w1", "b1", "tw", "tb", "w2", "b2", "w3", "b3")
+    wrong = {"w1": (4, 2, 9), "b1": (3,), "tw": (4, 1), "tb": (), "w2": (3, 3, 3, 3),
+             "b2": (5,), "w3": (1, 3, 3, 3), "b3": (2,)}
+    path = tmp_path / "net.bin"
+    for i, name in enumerate(names):
+        arrays = list(good)
+        arrays[i] = np.zeros(wrong[name])
+        _save_arrays(arrays, path)
+        with pytest.raises(InvalidArgumentError, match=rf"\b{name}\b"):
+            st.load_params(path)
+        with pytest.raises(InvalidArgumentError, match=rf"\b{name}\b"):
+            TinyNetParams(*arrays)
+    # no hidden channel: every shape chains, but the net has no layer to run
+    empty = [(0, 2, 3, 3), (0,), (0,), (0,), (0, 0, 3, 3), (0,), (1, 0, 3, 3), (1,)]
+    _save_arrays([np.zeros(s) for s in empty], path)
+    with pytest.raises(InvalidArgumentError, match="non-empty"):
+        st.load_params(path)
+    _save_arrays(good, path)
+    assert all(np.array_equal(a, b) for a, b in zip(st.load_params(path).as_list(), good))
+
+
+def test_params_over_the_limit_are_refused_when_loaded(tmp_path):
+    # hidden 32 chains but holds 10,209 parameters, over MAX_PARAMS
+    h = 32
+    shapes = [(h, 2, 3, 3), (h,), (h,), (h,), (h, h, 3, 3), (h,), (1, h, 3, 3), (1,)]
+    path = tmp_path / "big.bin"
+    _save_arrays([np.zeros(s) for s in shapes], path)
+    with pytest.raises(InvalidArgumentError, match="limit is 10000"):
+        st.load_params(path)

@@ -146,7 +146,7 @@ def _old_to_kv(g):
 @pytest.mark.parametrize("g", [
     st.desk_geometry(12, 16, 16),
     st.desk_geometry(180, 256, 64, pixel_size=0.5),
-    st.desk_geometry(7, 5, 33, 1.3, 1.1),
+    st.FanBeamGeometry(60.7, 62.9, 7, 5, 63.1),
     st.FanBeamGeometry(3.25, 4.0, 5, 6, 7.5, angular_range=(-1.0, 2.0)),
     st.FanBeamGeometry(1e-3, 1e5, 1, 1, 0.1, angular_range=(0.0, math.pi)),
 ])
