@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
                      require_finite)
 from .denoiser import SCORE_T_MIN
+from .geometry import row_flags
 from .wavelet import WaveletBands
 
 
@@ -38,13 +39,16 @@ def fit_linear_alignment(y_gen, y_s, active) -> AlignmentParams:
     A constant masked y_gen makes the system singular; then a = 1 and only
     the offset is fitted, with the degenerate flag set.
     """
-    active = np.asarray(active, bool)
+    g = np.asarray(getattr(y_gen, "values", y_gen), dtype=np.float64)
+    y = np.asarray(getattr(y_s, "values", y_s), dtype=np.float64)
+    if g.shape != y.shape:
+        raise ShapeMismatchError(f"generated shape {g.shape} and observed shape "
+                                 f"{y.shape} differ")
+    active = row_flags(active, g)
     if int(active.sum()) < 2:
         raise InvalidArgumentError("alignment needs at least 2 active views")
-    g = np.asarray(getattr(y_gen, "values", y_gen), dtype=np.float64)[active].ravel()
-    y = np.asarray(getattr(y_s, "values", y_s), dtype=np.float64)[active].ravel()
-    if g.shape != y.shape:
-        raise ShapeMismatchError("generated and observed shapes differ")
+    g = g[active].ravel()
+    y = y[active].ravel()
     gm = g.mean()
     ym = y.mean()
     gc = g - gm
@@ -88,10 +92,7 @@ def data_consistency(x, observed, rows):
     observed = np.asarray(observed)
     if x.shape != observed.shape:
         raise ShapeMismatchError("data consistency shapes differ")
-    rows = np.asarray(rows, bool)
-    if rows.shape[0] != x.shape[0]:
-        raise ShapeMismatchError("row flag length does not match")
-    return np.where(rows[:, None], observed, x)
+    return np.where(row_flags(rows, x)[:, None], observed, x)
 
 
 @dataclass(frozen=True)

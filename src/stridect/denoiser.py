@@ -27,8 +27,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decays, divisor of
 # score nets train on t ~ U(SCORE_T_MIN, 1], and the corrector anneals over it
 SCORE_T_MIN = 0.02
 
-_OFFSETS = [(da, db) for da in (-1, 0, 1) for db in (-1, 0, 1)]
-
 
 # ---------------------------------------------------------------------------
 # analytic oracles
@@ -283,31 +281,24 @@ def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0) -> T
 
 
 def _stack_taps(x, sign: int):
-    """Periodically shifted copies of x (B,C,H,W) -> (B, C*9, H*W); sign=-1
-    for forward taps (x[i+da, j+db]), +1 for the transposed direction."""
+    """Periodically shifted copies of x (B,C,H,W) -> (B, C*9, H*W): tap
+    3 (da + 1) + (db + 1) is x[i - sign da, j - sign db] for da, db in
+    (-1, 0, 1), so sign -1 gives the forward taps and +1 the transposed ones."""
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="wrap")
-    out = np.empty((b, c, 9, h, w), dtype=x.dtype)
-    for k, (da, db) in enumerate(_OFFSETS):
-        i, j = 1 - sign * da, 1 - sign * db
-        out[:, :, k] = xp[:, :, i:i + h, j:j + w]
-    return out.reshape(b, c * 9, h * w)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    win = win[..., ::-1, ::-1] if sign > 0 else win
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * 9, h * w)
 
 
-def _conv(x, w):
-    """Periodic 3x3 convolution. Returns (out (B,O,H,W), tap stack)."""
+def _conv(x, w, sign: int = -1):
+    """Periodic 3x3 convolution over the taps of :func:`_stack_taps`: sign -1
+    is the forward pass, and sign +1 with w.transpose(1, 0, 2, 3) is its exact
+    transpose, the gradient wrt the input. Returns (out (B,O,H,W), taps)."""
     b, c, h, wid = x.shape
-    taps = _stack_taps(x, -1)
+    taps = _stack_taps(x, sign)
     out = np.matmul(w.reshape(w.shape[0], -1), taps)
     return out.reshape(b, w.shape[0], h, wid), taps
-
-
-def _conv_bwd_data(dout, w):
-    """Gradient wrt the conv input."""
-    b, o, h, wid = dout.shape
-    taps = _stack_taps(dout, +1)
-    wt = w.transpose(1, 0, 2, 3).reshape(w.shape[1], -1)
-    return np.matmul(wt, taps).reshape(b, w.shape[1], h, wid)
 
 
 def _conv_bwd_weight(dout, taps, wshape):
@@ -348,11 +339,11 @@ def backward_tiny(p: TinyNetParams, cache, dout):
     dout = np.asarray(dout, dtype=np.float64)
     dw3 = _conv_bwd_weight(dout, taps3, p.w3.shape)
     db3 = dout.sum(axis=(0, 2, 3))
-    dh2 = _conv_bwd_data(dout, p.w3)
+    dh2 = _conv(dout, p.w3.transpose(1, 0, 2, 3), +1)[0]
     dpre2 = dh2 * (1.0 - h2 * h2)
     dw2 = _conv_bwd_weight(dpre2, taps2, p.w2.shape)
     db2 = dpre2.sum(axis=(0, 2, 3))
-    dh1 = _conv_bwd_data(dpre2, p.w2)
+    dh1 = _conv(dpre2, p.w2.transpose(1, 0, 2, 3), +1)[0]
     dpre1 = dh1 * (1.0 - h1 * h1)
     dw1 = _conv_bwd_weight(dpre1, taps1, p.w1.shape)
     db1 = dpre1.sum(axis=(0, 2, 3))
@@ -443,6 +434,7 @@ class TinyEpsNet:
         self.sched = sched
 
     def predict_eps(self, y_t, t: int, condition=None):
+        self.sched._check_t(t)
         y_t = np.asarray(y_t, dtype=np.float64)
         cond = np.zeros_like(y_t) if condition is None else np.asarray(condition)
         x = np.stack([y_t, cond])[None]
@@ -464,10 +456,6 @@ class TinyScoreNet:
         squeeze = y.ndim == 2
         if squeeze:
             y = y[None]
-        if y.shape[0] != self.params.in_channels:
-            raise ShapeMismatchError(
-                f"expected {self.params.in_channels} channels, got {y.shape[0]}"
-            )
         out, _ = forward_tiny(self.params, y[None], np.array([t]))
         return out[0, 0] if squeeze else out[0]
 

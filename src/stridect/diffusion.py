@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuidanceClampWarning, InvalidArgumentError, ShapeMismatchError
+from .errors import GuidanceClampWarning, InvalidArgumentError
+from .geometry import row_flags
 
 _GUIDANCE_MODES = ("temporal", "fixed")
 
@@ -167,11 +168,9 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     """
     lam = _guidance_lambda(lam)
     y0_hat = np.asarray(y0_hat)
+    active = row_flags(active, y0_hat)
     if lam == 0.0:
         return y0_hat
-    active = np.asarray(active, bool)
-    if active.shape != y0_hat.shape[:1]:
-        raise ShapeMismatchError("row flag length does not match")
     sel = _row_selector(active)
     ys_rows = np.asarray(y_s)[sel]
     dtype = np.result_type(y0_hat, ys_rows, lam)

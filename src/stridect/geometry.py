@@ -311,9 +311,17 @@ def apply_mask(s: Sinogram, m: SparseMask) -> Sinogram:
     return Sinogram(mask_rows(s.values, m.active), s.geometry)
 
 
+def row_flags(active, values) -> np.ndarray:
+    """``active`` as one bool flag per row of ``values`` (views along axis 0);
+    any other shape is rejected, naming both shapes."""
+    active = np.asarray(active, bool)
+    if active.shape != values.shape[:1]:
+        raise ShapeMismatchError(f"row flags of shape {active.shape} do not match "
+                                 f"values of shape {values.shape}")
+    return active
+
+
 def mask_rows(values: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Row-mask a plain array (views along axis 0)."""
     values = np.asarray(values)
-    if values.shape[0] != active.shape[0]:
-        raise ShapeMismatchError("row mask length does not match array")
-    return np.where(np.asarray(active, bool)[:, None], values, 0.0)
+    return np.where(row_flags(active, values)[:, None], values, 0.0)

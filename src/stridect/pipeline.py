@@ -27,7 +27,7 @@ from .errors import InvalidArgumentError, ShapeMismatchError, require_finite
 from .evalkit import kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
 from .fileio import to_csv
-from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows
+from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows, row_flags
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
 
@@ -95,11 +95,14 @@ def ddim_times(T: int, steps: int) -> np.ndarray:
 
 
 def interpolate_views(values, active):
-    """Fill unobserved rows by periodic linear interpolation along views:
+    """Fill unobserved rows of the 2-D values (views along axis 0, one flag
+    in ``active`` per row) by periodic linear interpolation along views:
     column j is np.interp(rows, rows[active], values[active, j], period=n)
     for n rows, bytes included."""
     values = np.asarray(values, dtype=np.float64)
-    active = np.asarray(active, bool)
+    if values.ndim != 2:
+        raise ShapeMismatchError(f"values of shape {values.shape} are not 2-D")
+    active = row_flags(active, values)
     if not active.any():
         raise InvalidArgumentError("no active views to interpolate from")
     n = values.shape[0]
@@ -127,9 +130,7 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     carries a ``sched`` must share the sampler's beta.
     """
     y_s = np.asarray(y_s, dtype=np.float64)
-    active = np.asarray(active, bool)
-    if active.shape != y_s.shape[:1]:
-        raise ShapeMismatchError("row flag length does not match")
+    active = row_flags(active, y_s)
     conditional = getattr(model, "conditional", False)
     if cfg.omega != 0.0 and not conditional:
         raise InvalidArgumentError("omega needs a conditional model; set omega = 0")

@@ -82,6 +82,9 @@ def test_alignment_validation():
         fit_linear_alignment(y, y, active)
     with pytest.raises(ShapeMismatchError):
         fit_linear_alignment(np.zeros((4, 3)), np.zeros((4, 5)), np.ones(4, bool))
+    # shapes are compared before masking: a view count the flags do not index
+    with pytest.raises(ShapeMismatchError):
+        fit_linear_alignment(np.zeros((4, 3)), np.zeros((5, 3)), np.ones(4, bool))
 
 
 def test_alignment_is_least_squares_optimal():

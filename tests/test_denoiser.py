@@ -12,6 +12,7 @@ from stridect.denoiser import (
     TinyEpsNet,
     TinyNetParams,
     TinyScoreNet,
+    _conv,
     _stack_taps,
     backward_tiny,
     forward_tiny,
@@ -337,6 +338,22 @@ def test_tap_stack_matches_rolled_copies(shape):
                         for da in (-1, 0, 1) for db in (-1, 0, 1)], axis=2)
         assert np.array_equal(_stack_taps(x, sign), ref.reshape(b, c * 9, h * w))
 
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 2, 1, 4), (1, 1, 1, 1)])
+def test_transposed_conv_is_exact_adjoint(shape):
+    # <conv(x, w), y> = <x, conv(y, w^T, +1)>: the sign +1 pass is the
+    # gradient wrt the input that backward_tiny takes
+    rng = np.random.default_rng(1)
+    b, c, h, w = shape
+    x = rng.normal(size=shape)
+    k = rng.normal(size=(4, c, 3, 3))
+    y = rng.normal(size=(b, 4, h, w))
+    ax = _conv(x, k)[0]
+    aty = _conv(y, k.transpose(1, 0, 2, 3), +1)[0]
+    assert aty.shape == x.shape
+    lhs, rhs = float(np.sum(ax * y)), float(np.sum(x * aty))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     p = init_tiny_net(2, 1, hidden=4, seed=0)
@@ -401,6 +418,18 @@ def test_eps_net_condition_channel():
     assert np.array_equal(with_cond, out[0, 0])
     with pytest.raises(InvalidArgumentError):
         TinyEpsNet(init_tiny_net(1, 1, hidden=4), s)
+
+
+def test_eps_net_rejects_t_outside_schedule():
+    # the same t rule as the closed-form denoisers: both serve one sampler
+    s = st.linear_schedule(T=10)
+    net = TinyEpsNet(init_tiny_net(2, 1, hidden=4, seed=3), s)
+    y = np.zeros((4, 4))
+    for t in (0, 10):
+        assert net.predict_eps(y, t).shape == y.shape
+    for t in (-3, 11, 50):
+        with pytest.raises(InvalidArgumentError, match=f"t={t} outside"):
+            net.predict_eps(y, t)
 
 
 def test_score_net_channel_handling():

@@ -118,6 +118,30 @@ def test_mask_rows_plain_array():
     assert not out[1].any()
     with pytest.raises(ShapeMismatchError):
         st.mask_rows(vals, np.ones(5, bool))
+    assert np.array_equal(st.mask_rows(vals, active.tolist()), out)
+
+
+_ROW_FLAG_USERS = {
+    "mask_rows": st.mask_rows,
+    "data_consistency": lambda v, f: st.data_consistency(v, v, f),
+    "apply_sparse_guidance": lambda v, f: st.apply_sparse_guidance(v, v, f, 0.5),
+    "coarse_generate": lambda v, f: st.coarse_generate(
+        v, f, st.AnalyticGaussianDenoiser(0.0, 1.0, st.linear_schedule(T=20)),
+        st.linear_schedule(T=20), st.PipelineConfig(ddim_steps=4), np.random.default_rng(0)),
+    "fit_linear_alignment": lambda v, f: st.fit_linear_alignment(v, v, f),
+    "interpolate_views": st.interpolate_views,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_FLAG_USERS))
+@pytest.mark.parametrize("flags", [[True, False] * 4, np.ones((10, 4), bool),
+                                   np.ones(12, bool)], ids=["short-list", "2-D", "long"])
+def test_row_flags_must_match_the_rows(name, flags):
+    # every function taking one flag per view checks it through row_flags,
+    # naming both shapes
+    values = np.arange(40.0).reshape(10, 4)
+    with pytest.raises(ShapeMismatchError, match=r"\(10, 4\)"):
+        _ROW_FLAG_USERS[name](values, flags)
 
 
 # ---------------------------------------------------------------------------

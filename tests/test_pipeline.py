@@ -128,6 +128,8 @@ def test_interpolate_views_periodic_wrap():
     assert np.allclose(out[6], 2.0, rtol=1e-12)
     with pytest.raises(InvalidArgumentError):
         interpolate_views(vals, np.zeros(8, bool))
+    with pytest.raises(ShapeMismatchError):
+        interpolate_views(vals[:, 0], active)
 
 
 # ---------------------------------------------------------- coarse generate
