@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuidanceClampWarning, InvalidArgumentError
+from .errors import GuidanceClampWarning, InvalidArgumentError, ShapeMismatchError
 from .geometry import row_flags
 
 _GUIDANCE_MODES = ("temporal", "fixed")
@@ -163,16 +163,21 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     """Blend observed rows into the prediction:
     y0_tilde = y0_hat + lam * M o (y_s - y0_hat).
 
-    Unmasked rows pass through bit-exactly; lam = 1 copies observed rows
-    exactly. Weights outside [0, 1] are clamped with a GuidanceClampWarning.
+    y_s must have y0_hat's shape. Unmasked rows pass through bit-exactly;
+    lam = 1 copies observed rows exactly. Weights outside [0, 1] are clamped
+    with a GuidanceClampWarning.
     """
     lam = _guidance_lambda(lam)
     y0_hat = np.asarray(y0_hat)
+    y_s = np.asarray(y_s)
+    if y_s.shape != y0_hat.shape:
+        raise ShapeMismatchError(f"y_s of shape {y_s.shape} does not match "
+                                 f"y0_hat of shape {y0_hat.shape}")
     active = row_flags(active, y0_hat)
     if lam == 0.0:
         return y0_hat
     sel = _row_selector(active)
-    ys_rows = np.asarray(y_s)[sel]
+    ys_rows = y_s[sel]
     dtype = np.result_type(y0_hat, ys_rows, lam)
     out = np.array(y0_hat, dtype=dtype)
     _guide_rows(out, ys_rows, sel, lam, np.empty(ys_rows.shape, dtype))

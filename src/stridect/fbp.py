@@ -6,27 +6,11 @@ coordinate r = D (x cos t + y sin t) / (D - (x sin t - y cos t)), D being the
 source-to-center distance and r living on the virtual detector line through
 the rotation center.
 
-Backprojection shares the projector's symmetry table,
-:func:`~stridect.geometry.served_views`. Under the quarter-turn rule view
-v + k·V/4 is view v on the grid turned k quarter turns; when the scan also
-starts at angle 0, the mirror rule adds view (V/2 − v + k·V/4) mod V as view
-v on the turned grid flipped upside down, its row reversed. r, its mask, the
-weight and one interpolation index are then computed for base views
-0..⌊V/8⌋ only (23 of 180 on the desk scan), and each serves up to eight rows
-through a small table of row values and slopes, by np.interp's own rule, so
-every row's samples equal np.interp's bytes. The rows add into one
-accumulator per transformed grid, and the accumulators are added transformed
-back. The image moves from tracing every view at its own angle by rounding
-only, at most 1e-13 of its peak value. Under the quarter turns alone the
-first V/4 views serve four rows each and keep the bytes of the per-view
-np.interp loop; on any other geometry every view serves itself through
-np.interp.
-
-Against four np.interp calls per quarter-turn base view, on a shared 2-CPU
-machine (medians and quartiles of 10 process pairs, BENCH_22.json), the
-shared index with the mirror takes the desk scan (64², 180×256) from 11.8
-[11.3, 12.0] to 7.3 [5.8, 9.0] ms, and the fixture scale (256², 720×384)
-from 0.46 [0.46, 0.48] to 0.33 [0.31, 0.38] s.
+Backprojection computes r, its weight and one interpolation index per base
+view of the symmetry table :func:`~stridect.geometry.served_views`, and each
+serves every row the table lists for it, interpolated by np.interp's own
+rule through a small table of row values and slopes, so every row's samples
+equal np.interp's bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .geometry import ImageGrid, Sinogram, SparseMask, from_image, served_views
+from .geometry import ImageGrid, Sinogram, SparseMask, from_images, served_views
 
 _FILTER_KINDS = ("ram-lak", "hann")
 # samples (rows x pixels) interpolated at once: a desk-scale base view's eight
@@ -198,13 +182,10 @@ def fan_backproject(q: Sinogram, grid: ImageGrid,
 
     Base views and the rows they serve come from
     :func:`~stridect.geometry.served_views`. r, the weight and one
-    interpolation index of base view v serve every row v serves (reversed
-    for a flipped image), each added into the accumulator of its image; the
-    accumulators are summed transformed back
-    (:func:`~stridect.geometry.from_image`), in ascending image order. A
-    base view that serves one row interpolates it with np.interp. The image
-    differs from tracing every view at its own angle by at most 1e-13 of its
-    peak value.
+    interpolation index of base view v serve every row v serves, each added
+    into its image, and :func:`~stridect.geometry.from_images` adds the
+    images back. A base view that serves one row interpolates it with
+    np.interp.
     """
     g = q.geometry
     d = g.source_to_center
@@ -215,7 +196,7 @@ def fan_backproject(q: Sinogram, grid: ImageGrid,
     gx, gy = np.meshgrid(grid.xs, grid.ys)
     acc = np.zeros((n_images, grid.ny, grid.nx))
     flat = acc.reshape(n_images, -1)
-    for pairs, theta in zip(served, g.view_angles):
+    for entries, theta in zip(served, g.view_angles):
         ct, st = np.cos(theta), np.sin(theta)
         t = gx * ct + gy * st
         denom = d - (gx * st - gy * ct)
@@ -226,24 +207,21 @@ def fan_backproject(q: Sinogram, grid: ImageGrid,
             w = (d * d / 2.0) / (d * d + r * r)
         else:
             w = np.where(safe, (d * d / 2.0) / denom**2, 0.0)
-        if len(pairs) == 1:
-            acc[0] += np.interp(r, coords, q.values[pairs[0][1]], left=0.0, right=0.0) * w
+        if len(entries) == 1:
+            acc[0] += np.interp(r, coords, q.values[entries[0][1]], left=0.0, right=0.0) * w
             continue
-        rows = np.stack([q.values[view, ::-1] if m >= 4 else q.values[view]
-                         for m, view in pairs])
+        rows = np.stack([q.values[view, columns] for _, view, columns in entries])
         table = _knot_table(rows, coords)
         index = _knot_index(r.ravel(), coords)
         w = w.ravel()
-        step = max(_GATHER // len(pairs), 1)
+        step = max(_GATHER // len(entries), 1)
         for start in range(0, w.size, step):
             part = slice(start, start + step)
             vals = _interp_rows(table, [a[part] for a in index])
             vals *= w[part]
-            flat[:len(pairs), part] += vals
-    out = acc[0]
-    for m in range(1, n_images):
-        out += from_image(acc[m], m)
-    return grid.with_values(out * dtheta)
+            # a base view's entries are images 0, 1, ... in order
+            flat[:len(entries), part] += vals
+    return grid.with_values(from_images(acc) * dtheta)
 
 
 def fbp_reconstruct(s: Sinogram, grid: ImageGrid,

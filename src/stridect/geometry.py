@@ -177,71 +177,69 @@ class ImageGrid:
         return ImageGrid(self.nx, self.ny, self.pixel_size, values)
 
 
-def quarter_turns(g: FanBeamGeometry, grid: ImageGrid) -> int:
-    """Quarter-turn rule: 4 on a square grid scanned over exactly 2π with a
-    view count divisible by 4, else 1.
+def served_views(g: FanBeamGeometry, grid: ImageGrid):
+    """The view symmetry the projector and FBP share: per base view, in
+    order, the (image, view, columns) entries it serves, and the number of
+    images (1, 4 or 8).
 
-    Under the rule view v + k·V/4 is view v applied to the grid turned k
-    quarter turns (``np.rot90``), since pixel centres map onto pixel centres,
-    so the projector and FBP do per-view geometry work for the first V/4
-    views only and let each serve four views.
+    Image m is the grid turned m quarter turns (``np.rot90``) for m < 4, and
+    turned m - 4 times then flipped upside down (``np.flipud``) for m >= 4;
+    :func:`to_images` makes them and :func:`from_images` adds them back.
+    ``columns`` orders the base view's detector row as the served view's:
+    ``slice(None)``, reversed for a flipped image.
+
+    Quarter turns: on a square grid scanned over exactly 2π with a view
+    count divisible by 4, view v + k·V/4 is view v applied to image k, since
+    pixel centres map onto pixel centres, so the first V/4 views serve four
+    views each. Mirror: if the scan also starts at angle 0, flipping the grid
+    upside down maps the ray at angle θ and detector offset o onto the ray at
+    π − θ and offset −o, and detector offsets are exactly antisymmetric, so
+    view (V/2 − v + k·V/4) mod V is view v applied to image 4 + k with its
+    columns reversed. Base views 0..⌊V/8⌋ then serve eight views each, four
+    for views 0 and V/8, which are their own mirrors. Otherwise every view
+    serves itself. A served view takes its rays from its base view's angle,
+    so it differs from one traced at its own angle by rounding only, at most
+    1e-13 of the output's peak. Each base view lists its images in ascending
+    order from 0.
     """
     lo, hi = g.angular_range
     square_full_scan = grid.nx == grid.ny and hi - lo == 2.0 * math.pi
-    return 4 if square_full_scan and g.n_views % 4 == 0 else 1
-
-
-def mirror_symmetric(g: FanBeamGeometry, grid: ImageGrid) -> bool:
-    """Mirror rule: the quarter-turn rule holds and the scan starts at angle 0.
-
-    Flipping the grid upside down (``np.flipud``) maps the ray at angle θ and
-    detector offset o onto the ray at π − θ and offset −o, and detector
-    offsets are exactly antisymmetric. So under the rule view (V/2 − v) mod V
-    is view v applied to the flipped grid with its detector columns reversed,
-    and with the quarter turns view (V/2 − v + k·V/4) mod V is view v on
-    ``np.flipud(np.rot90(grid, k))``, reversed. The projector and FBP then do
-    per-view geometry work for views 0..⌊V/8⌋ only, each serving up to eight
-    views (:func:`served_views`); mirrored views differ from views traced at
-    their own angle by rounding only, at most 1e-13 of the output's peak.
-    """
-    return quarter_turns(g, grid) == 4 and g.angular_range[0] == 0.0
-
-
-def served_views(g: FanBeamGeometry, grid: ImageGrid):
-    """The symmetry table the projector and FBP share: per base view, in
-    order, the (image, view) pairs it serves, and the number of images.
-
-    Image m is the grid turned m quarter turns for m < 4, and turned m - 4
-    times then flipped upside down for m >= 4 (see :func:`to_image`); a view
-    served by a flipped image has its detector columns reversed. Under the
-    mirror rule base views 0..⌊V/8⌋ serve eight views each, four for views 0
-    and V/8, which are their own mirrors; under the quarter turns alone the
-    first V/4 serve four; otherwise every view serves itself. Each base
-    view's pairs list its images in ascending order from 0.
-    """
-    q = quarter_turns(g, grid)
-    per_turn = g.n_views // q
-    if not mirror_symmetric(g, grid):
-        return [[(k, v + k * per_turn) for k in range(q)] for v in range(per_turn)], q
+    turns = 4 if square_full_scan and g.n_views % 4 == 0 else 1
+    mirror = turns == 4 and lo == 0.0
+    per_turn = g.n_views // turns
     served = []
-    for v in range(per_turn // 2 + 1):
-        pairs = [(k, v + k * per_turn) for k in range(4)]
-        if 0 < 2 * v < per_turn:
-            pairs += [(4 + k, (2 * per_turn - v + k * per_turn) % g.n_views)
-                      for k in range(4)]
-        served.append(pairs)
-    return served, 8
+    for v in range(per_turn // 2 + 1 if mirror else per_turn):
+        entries = [(k, v + k * per_turn, slice(None)) for k in range(turns)]
+        if mirror and 0 < 2 * v < per_turn:
+            entries += [(4 + k, (2 * per_turn - v + k * per_turn) % g.n_views,
+                         slice(None, None, -1)) for k in range(4)]
+        served.append(entries)
+    return served, 8 if mirror else turns
 
 
-def to_image(a, m):
-    """Grid array ``a`` as image m of :func:`served_views`."""
+def _to_image(a, m):
     a = np.rot90(a, m % 4)
     return np.flipud(a) if m >= 4 else a
 
 
-def from_image(a, m):
-    """Inverse of :func:`to_image`."""
+def _from_image(a, m):
     return np.rot90(np.flipud(a) if m >= 4 else a, -(m % 4))
+
+
+def to_images(a, n):
+    """Images 0..n-1 of :func:`served_views` of the grid array ``a``, each
+    a new C-ordered array."""
+    return [_to_image(a, m).copy() for m in range(n)]
+
+
+def from_images(acc):
+    """Add each image ``acc[m]``, m ascending from 1, moved back onto the
+    grid, onto ``acc[0]`` in place, and return ``acc[0]``: the order the
+    sum's bytes depend on."""
+    out = acc[0]
+    for m in range(1, len(acc)):
+        out += _from_image(acc[m], m)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,29 +7,10 @@ weights from one generator, so ``adjoint_project`` scatters exactly the
 weights ``forward_project`` gathers. Samples that cannot touch the grid are
 dropped: they would contribute exact zeros.
 
-Under the quarter-turn rule of :func:`~stridect.geometry.quarter_turns`
-(a square grid scanned over exactly 2π with a view count divisible by 4),
-view v + k·V/4 is view v applied to the grid turned by k quarter turns
-(``np.rot90``); the padded grid's zero border turns onto itself. If the scan
-also starts at angle 0, the mirror rule of
-:func:`~stridect.geometry.mirror_symmetric` adds the upside-down flip: view
-(V/2 − v + k·V/4) mod V is view v applied to ``np.flipud`` of the grid
-turned k times, with its detector columns reversed. Weights are then
-generated for views 0..⌊V/8⌋ only (23 of 180 on the desk scan) and each
-serves up to eight views; under the quarter turns alone the first V/4 views
-serve four each, and on any other geometry every view has its own. The table
-of which base view serves which views is
-:func:`~stridect.geometry.served_views`, which FBP shares. A view
-served by a turned or flipped grid takes its rays from its base view's
-angle, so it differs from rays traced at its own angle by rounding only, at
-most 1e-13 of the output's peak. Views served unflipped get the same bytes
-as under the quarter turns alone.
-
-Against the quarter turns alone, on a shared 2-CPU machine (ranges of
-per-run medians), the mirror takes the desk scan (64², 180×256) from 75–111
-to 70–88 ms forward and from 86–110 to 67–84 ms adjoint, and the fixture
-scale (256², 720×384) from 2.9–3.7 to 2.7–3.1 s forward and from 3.2–3.5
-to 2.3–2.8 s adjoint.
+A view's weights serve every view the symmetry table
+:func:`~stridect.geometry.served_views` lists for it, each through its
+turned or flipped image of the padded grid, whose zero border turns onto
+itself.
 """
 
 from __future__ import annotations
@@ -40,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .geometry import (FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_mask,
-                       from_image, served_views, to_image)
+                       from_images, served_views, to_images)
 
 
 @dataclass(frozen=True)
@@ -111,25 +92,22 @@ def _view_weights(g: FanBeamGeometry, grid: ImageGrid, n_views: int):
 def forward_project(x: ImageGrid, g: FanBeamGeometry) -> Sinogram:
     """Line integrals of ``x`` for every (view, detector) ray.
 
-    Under the module's symmetry rules each base view gathers its weights from
-    every transformed padded image it serves; a row from a flipped image is
-    stored reversed.
+    Each base view gathers its weights from the padded image of every view
+    it serves.
     """
     step = x.pixel_size / 2.0
     served, n_images = served_views(g, x)
-    pad = np.pad(x.values, 1)
-    images = [to_image(pad, m).ravel() for m in range(n_images)]
+    images = [im.ravel() for im in to_images(np.pad(x.values, 1), n_images)]
     out = np.empty((g.n_views, g.n_detectors))
-    for (keep, corners), pairs in zip(_view_weights(g, x, len(served)), served):
+    for (keep, corners), entries in zip(_view_weights(g, x, len(served)), served):
         samples = np.zeros(keep.shape)
-        for m, view in pairs:
+        for m, view, columns in entries:
             acc = np.zeros(np.count_nonzero(keep))
             for flat, w in corners:
                 acc += images[m][flat] * w
             samples[keep] = acc
             # summing whole rows keeps numpy's pairwise order over all samples
-            row = samples.sum(axis=1) * step
-            out[view] = row[::-1] if m >= 4 else row
+            out[view] = (samples.sum(axis=1) * step)[columns]
     return Sinogram(out, g)
 
 
@@ -137,10 +115,10 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGr
     """Exact transpose of :func:`forward_project` onto ``grid``.
 
     ``g`` must equal the sinogram's own geometry. Each base view scatters its
-    weights, times the row of every view it serves (reversed for a flipped
-    image), into that image's padded accumulator; each accumulator sums its
-    base views in ascending order, and the accumulators are added
-    transformed back in ascending image order. The result is deterministic.
+    weights, times the row of every view it serves, into that view's padded
+    image; each image sums its base views in ascending order, and
+    :func:`~stridect.geometry.from_images` adds the images back. The result
+    is deterministic.
     """
     if g != s.geometry:
         raise ShapeMismatchError("geometry differs from the sinogram's own")
@@ -149,16 +127,13 @@ def adjoint_project(s: Sinogram, g: FanBeamGeometry, grid: ImageGrid) -> ImageGr
     shape = (grid.ny + 2, grid.nx + 2)
     n_pix = shape[0] * shape[1]
     acc = np.zeros((n_images, n_pix))
-    for (keep, corners), pairs in zip(_view_weights(g, grid, len(served)), served):
+    for (keep, corners), entries in zip(_view_weights(g, grid, len(served)), served):
         counts = keep.sum(axis=1)
-        for m, view in pairs:
-            row = s.values[view]
-            row = np.repeat(row[::-1] if m >= 4 else row, counts)
+        for m, view, columns in entries:
+            row = np.repeat(s.values[view, columns], counts)
             for flat, w in corners:
                 acc[m] += np.bincount(flat, weights=w * row * step, minlength=n_pix)
-    out = acc[0].reshape(shape)
-    for m in range(1, n_images):
-        out += from_image(acc[m].reshape(shape), m)
+    out = from_images(acc.reshape((n_images,) + shape))
     return grid.with_values(out[1:-1, 1:-1])
 
 

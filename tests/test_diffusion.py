@@ -160,6 +160,8 @@ def test_guidance_weight_values():
     weights = [st.guidance_weight(t, gf, 1000) for t in range(1001)]
     assert all(type(w) is float and w == 0.3 for w in weights)
     assert type(st.guidance_weight(500, g2, 1000)) is float
+    with pytest.raises(InvalidArgumentError, match="t must be >= 0"):
+        st.guidance_weight(-1, gf, 1000)
 
 
 def test_guidance_weight_monotone_and_bounded():
@@ -207,6 +209,13 @@ def test_apply_sparse_guidance_blend():
             assert out.tobytes() == _expr_guidance(gen, obs, m, lam).tobytes()
     with pytest.raises(ShapeMismatchError):
         st.apply_sparse_guidance(gen, obs, m[:-1], 0.5)
+    # y_s must have y0_hat's shape, also where only its flagged rows are read
+    for shape in ((12, 4), (6, 4), (9, 1)):
+        for m in (st.make_sparse_mask(9, 3).active, uneven):
+            for lam in (0.0, 0.5):
+                with pytest.raises(ShapeMismatchError, match=rf"\({shape[0]}, {shape[1]}\)"
+                                                             r".*\(9, 4\)"):
+                    st.apply_sparse_guidance(gen, np.zeros(shape), m, lam)
 
 
 def test_row_selector_is_a_slice_for_every_stride_mask():
@@ -312,6 +321,12 @@ def test_lambda_inputs_validation():
         LambdaInputs(a=1.0, b=1.0, c=1.5)  # breaks |c|<=ab
     with pytest.raises(InvalidArgumentError):
         LambdaInputs(a=np.inf, b=1.0, c=0.0)
+    with pytest.raises(InvalidArgumentError, match="norms"):
+        LambdaInputs(a=1.0, b=-1.0, c=0.0)
+    with pytest.raises(InvalidArgumentError, match="equal length"):
+        LambdaInputs.from_vectors(np.ones(3), np.ones(4))
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        LambdaInputs.from_vectors(np.ones(3), [1.0, np.nan, 1.0])
 
 
 def test_lambda_inputs_from_vectors_clamps_overshoot():

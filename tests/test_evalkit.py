@@ -45,6 +45,8 @@ def test_psnr_reference_points():
     assert st.psnr(ref, ref) == np.inf
     shifted = ref + 0.1
     assert st.psnr(ref, shifted) == pytest.approx(20.0, rel=1e-12)
+    # a constant reference has no range and takes 1
+    assert st.psnr(np.ones(4), np.full(4, 1.1)) == pytest.approx(20.0, rel=1e-12)
     # doubling the nominal range adds 20 log10(2)
     gain = st.psnr(ref, shifted, data_range=2.0) - st.psnr(ref, shifted,
                                                            data_range=1.0)
@@ -190,6 +192,7 @@ def test_kl_divergence_properties():
     rng = np.random.default_rng(3)
     x = rng.normal(size=1000)
     assert st.kl_divergence(x, x) == 0.0
+    assert st.kl_divergence(np.full(5, 2.0), np.full(3, 2.0)) == 0.0
     assert st.kl_divergence(rng.random(500), 10.0 + rng.random(500)) > 5.0
     for _ in range(100):
         p = rng.normal(size=200)

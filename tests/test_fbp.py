@@ -9,7 +9,7 @@ import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
 from stridect.fbp import (_interp_rows, _knot_index, _knot_table, fan_backproject,
                           fan_pre_weight, ramp_kernel)
-from stridect.geometry import mirror_symmetric, quarter_turns
+from stridect.geometry import served_views
 
 
 def test_ramp_kernel_structure():
@@ -166,7 +166,7 @@ def test_quarter_turn_backprojection(n, views, dets, weighting):
     g = st.desk_geometry(views, dets, n)
     q = st.filter_projections(st.Sinogram(rng.normal(size=(views, dets)), g))
     grid = st.ImageGrid(n, n, 1.0, np.zeros((n, n)))
-    assert quarter_turns(g, grid) == 4 and mirror_symmetric(g, grid)
+    assert served_views(g, grid)[1] == 8
     spec = st.FilterSpec(weighting=weighting)
     out = fan_backproject(q, grid, spec).values
     assert out.tobytes() == _reference_backproject(q, grid, spec, 4, mirror=True).tobytes()
@@ -181,7 +181,7 @@ def test_sparse_baseline_takes_quarter_turns_on_desk_scan(sino180, grid64):
     # from angle 0, so the mirror applies too
     m = st.SparseMask(180, 3)
     sub = st.extract_active_views(sino180, m)
-    assert quarter_turns(sub.geometry, grid64) == 4 and mirror_symmetric(sub.geometry, grid64)
+    assert served_views(sub.geometry, grid64)[1] == 8
     spec = st.FilterSpec()
     q = st.filter_projections(fan_pre_weight(sub), spec)
     out = st.sparse_fbp_baseline(sino180, m, grid64, spec).values
@@ -199,7 +199,7 @@ def test_backprojection_keeps_its_bytes_off_the_mirror_rule(angular_range, turns
                                                             weighting):
     g = replace(st.desk_geometry(24, 40, 16), angular_range=angular_range)
     grid = st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
-    assert quarter_turns(g, grid) == turns and not mirror_symmetric(g, grid)
+    assert served_views(g, grid)[1] == turns
     q = st.filter_projections(st.Sinogram(np.random.default_rng(3).normal(size=(24, 40)), g))
     spec = st.FilterSpec(weighting=weighting)
     out = fan_backproject(q, grid, spec).values

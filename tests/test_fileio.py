@@ -52,6 +52,11 @@ def test_image_header_and_payload_errors(tmp_path):
     with pytest.raises(InvalidArgumentError):
         st.read_image(counts)
 
+    fraction = tmp_path / "fraction.bin"
+    fraction.write_bytes(b"IMGF 6 4.5\n" + raw.split(b"\n", 1)[1])
+    with pytest.raises(InvalidArgumentError, match="non-integer"):
+        st.read_image(fraction)
+
     negative = tmp_path / "neg.bin"
     negative.write_bytes(b"IMGF -6 4\n" + raw.split(b"\n", 1)[1])
     with pytest.raises(InvalidArgumentError):

@@ -1,5 +1,6 @@
 """Mask algebra, value containers and geometry serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
+from stridect.geometry import from_images, served_views, to_images
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,8 @@ def test_geometry_kv_roundtrip():
     assert g2.detector_width == g.detector_width
     assert g2.angular_range == g.angular_range
     assert (g2.n_views, g2.n_detectors) == (g.n_views, g.n_detectors)
+    # blank lines and # lines are skipped
+    assert st.FanBeamGeometry.from_kv("# scanner\n\n" + g.to_kv() + "  \n# end\n") == g
 
 
 def _old_to_kv(g):
@@ -254,6 +258,27 @@ def test_desk_geometry_ratios_and_fov():
         fov = g.source_to_center * math.sin(half_fan)
         half_diag = math.sqrt(2.0) * nx * px / 2.0
         assert fov == pytest.approx(1.02 * half_diag, rel=1e-9)
+
+
+@pytest.mark.parametrize("nx,ny,views,span,n_images", [
+    (64, 64, 180, (0.0, 2.0 * math.pi), 8),         # desk scan: turns and mirror
+    (16, 16, 24, (0.5, 0.5 + 2.0 * math.pi), 4),    # full scan off 0: turns only
+    (16, 16, 12, (0.0, math.pi), 1),                # half scan
+    (16, 12, 12, (0.0, 2.0 * math.pi), 1),          # non-square grid
+], ids=["desk", "full-off-zero", "half", "non-square"])
+def test_served_views_table(nx, ny, views, span, n_images):
+    g = dataclasses.replace(st.desk_geometry(views, 24, nx), angular_range=span)
+    grid = st.ImageGrid(nx, ny, 1.0, np.zeros((ny, nx)))
+    served, n = served_views(g, grid)
+    assert n == n_images
+    assert sorted(view for entries in served for _, view, _ in entries) == list(range(views))
+    for entries in served:
+        # FBP adds a base view's rows into images 0, 1, ... in this order
+        assert [m for m, _, _ in entries] == list(range(len(entries)))
+        for m, _, columns in entries:
+            assert columns == (slice(None, None, -1) if m >= 4 else slice(None))
+    a = np.random.default_rng(views).integers(-9, 10, size=(ny, nx)).astype(float)
+    assert from_images(to_images(a, n)).tobytes() == (n * a).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,15 @@ def test_ddim_times_ladder():
     ts = ddim_times(1000, 100)
     assert ts[0] == 1000 and ts[-1] == 0
     assert len(ts) == 101
-    assert np.all(np.diff(ts) < 0)
     full = ddim_times(10, 10)
     assert np.array_equal(full, np.arange(10, -1, -1))
+    # rounding never merges two timesteps: points are at least 1 apart, and
+    # exactly 1 apart only at steps = T, where they are integers
+    for T in (10, 1000):
+        for steps in range(1, T + 1):
+            ts = ddim_times(T, steps)
+            assert len(ts) == steps + 1 and ts[0] == T and ts[-1] == 0
+            assert np.all(np.diff(ts) < 0), (T, steps)
 
 
 def test_ddim_times_validation():
@@ -265,6 +271,11 @@ def test_reconstruct_final_dc_pins_active_rows():
     assert np.array_equal(res.sinogram.values[m.active],
                           masked.values[m.active])
     assert res.sinogram.geometry is masked.geometry
+    # all-zero measured rows cannot set the scale, which stays 1
+    blank = masked.with_values(np.zeros_like(masked.values))
+    res = st.stride_reconstruct(blank, m, grid, cfg, sched=sched)
+    assert np.all(np.isfinite(res.image.values))
+    assert not res.sinogram.values[m.active].any()
 
 
 def test_reconstruct_trust_dc_full_mask_pins_everything():
@@ -306,6 +317,8 @@ def test_reconstruct_validation():
                               sched=sched)
     with pytest.raises(InvalidArgumentError, match="final_dc"):
         PipelineConfig(final_dc="trust")
+    with pytest.raises(InvalidArgumentError, match="ddim_steps"):
+        PipelineConfig(ddim_steps=0)
     with pytest.raises(InvalidArgumentError, match="weighting"):
         PipelineConfig(filter=st.FilterSpec(weighting="exactt"))
     with pytest.raises(InvalidArgumentError, match="align_per_step"):

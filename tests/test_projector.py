@@ -9,7 +9,7 @@ import pytest
 import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
 import stridect.projector as projector
-from stridect.geometry import mirror_symmetric, quarter_turns
+from stridect.geometry import served_views
 from test_fbp import _reference_backproject
 
 
@@ -328,7 +328,7 @@ def test_flipped_image_projects_to_mirrored_sinogram(n, views):
     rng = np.random.default_rng(n * 100 + views)
     g = st.desk_geometry(views, 30, n)
     x = st.ImageGrid(n, n, 1.0, rng.normal(size=(n, n)))
-    assert mirror_symmetric(g, x)
+    assert served_views(g, x)[1] == 8
     flipped = x.with_values(np.flipud(x.values))
     # the flipped image at view v is the image at view (V/2 - v) mod V with
     # its detectors reversed
@@ -368,8 +368,7 @@ def test_full_scan_off_zero_keeps_quarter_turns_without_mirror():
     rng = np.random.default_rng(10)
     x = st.ImageGrid(n, n, 1.0, rng.normal(size=(n, n)))
     y = rng.normal(size=(views, 24))
-    assert quarter_turns(g, x) == 4
-    assert not mirror_symmetric(g, x)
+    assert served_views(g, x)[1] == 4
     fwd = st.forward_project(x, g).values
     assert fwd.tobytes() == _reference_forward(x, g, 4).tobytes()
     adj = st.adjoint_project(st.Sinogram(y, g), g, x).values
@@ -380,8 +379,7 @@ def test_full_scan_off_zero_keeps_quarter_turns_without_mirror():
 
 def test_adjoint_identity_with_quarter_turns(geom180, grid64):
     rng = np.random.default_rng(8)
-    assert quarter_turns(geom180, grid64) == 4
-    assert mirror_symmetric(geom180, grid64)
+    assert served_views(geom180, grid64)[1] == 8
     x = rng.normal(size=(64, 64))
     s = rng.normal(size=(180, 256))
     ax = st.forward_project(grid64.with_values(x), geom180).values
@@ -400,8 +398,7 @@ def test_quarter_turns_fall_back_to_one(nx, ny, views, span):
     base = st.desk_geometry(views, 24, 16)
     g = dataclasses.replace(base, angular_range=span)
     grid = st.ImageGrid(nx, ny, 1.0, np.zeros((ny, nx)))
-    assert quarter_turns(g, grid) == 1
-    assert not mirror_symmetric(g, grid)
+    assert served_views(g, grid)[1] == 1
     # with one turn every view is traced at its own angle, bit for bit, by
     # the projector and by FBP's backprojection under either weighting
     rng = np.random.default_rng(9)

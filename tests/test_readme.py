@@ -1,7 +1,10 @@
 """The README's command-line walkthrough and library example run as
-written, and its config table is the one the CLI derives."""
+written, its config table is the one the CLI derives, and its layout table
+names only what each module holds."""
 
+import importlib
 import math
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +48,18 @@ def test_readme_config_table_matches_the_derived_keys():
         expect.append((key, type(owner).__name__, name, tp.__name__,
                        str(getattr(owner, name))))
     assert rows == expect
+
+
+def test_readme_layout_names_exist_in_their_modules():
+    # every backticked name in a Layout row, other than a module's, is an
+    # attribute of that row's module, so a deleted name cannot stay listed
+    modules = {m.name for m in pkgutil.iter_modules(st.__path__)}
+    text = README.read_text()
+    section = text[text.index("## Layout"):text.index("## Tests")]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    assert rows
+    for name, contents in rows:
+        module = importlib.import_module(f"stridect.{name}")
+        for ident in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            if ident not in modules:
+                assert hasattr(module, ident), (name, ident)
