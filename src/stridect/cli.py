@@ -19,8 +19,8 @@ from .denoiser import TinyEpsNet, load_params, save_params, train_epsilon
 from .diffusion import linear_schedule
 from .errors import InvalidArgumentError, NumericalAbortError
 from .evalkit import kl_divergence, mse, psnr, shepp_logan, ssim
-from .fileio import (read_image, read_sinogram, to_csv, write_image, write_pgm,
-                     write_sinogram)
+from .fileio import (read_image, read_kv, read_sinogram, to_csv, write_image,
+                     write_pgm, write_sinogram)
 from .geometry import ImageGrid, desk_geometry, make_sparse_mask
 from .pipeline import (PipelineConfig, ablation_to_csv, lambda_sweep_to_csv,
                        report_to_csv, run_component_ablation, run_lambda_sweep,
@@ -69,25 +69,17 @@ def _parse_bool(text):
 
 
 def parse_config_file(path) -> dict:
-    """key=value lines; # starts a comment; unknown keys are rejected. Each
-    value is parsed by the type of the config field its key sets."""
-    out = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{ln}: expected key=value")
-            key, val = (p.strip() for p in line.split("=", 1))
-            if key not in CONFIG_SCHEMA:
-                raise _UsageError(f"{path}:{ln}: unknown key {key!r}")
-            tp = CONFIG_SCHEMA[key][2]
-            try:
-                out[key] = _parse_bool(val) if tp is bool else tp(val)
-            except ValueError as e:
-                raise _UsageError(f"{path}:{ln}: {key}: {e}") from e
-    return out
+    """The config file's settings, read by :func:`fileio.read_kv`; unknown
+    keys are rejected. Each value is parsed by the type of the config field
+    its key sets."""
+    parsers = {key: _parse_bool if tp is bool else tp
+               for key, (_, _, tp) in CONFIG_SCHEMA.items()}
+    # as in a sidecar, undecodable bytes become U+FFFD, which no key or setting accepts
+    with open(path, errors="replace") as f:
+        try:
+            return read_kv(f, parsers)
+        except InvalidArgumentError as e:
+            raise _UsageError(f"{path}: {e}") from e
 
 
 def build_pipeline_config(kv: dict) -> PipelineConfig:

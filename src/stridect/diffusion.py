@@ -128,35 +128,18 @@ def _guidance_lambda(lam: float) -> float:
     return lam
 
 
-def _row_selector(active):
-    """The active rows of a row mask as a slice when they are evenly spaced,
-    which every stride mask's are, so that ``x[sel]`` is a view; otherwise
-    as their index array. No rows give the empty slice."""
-    rows = np.flatnonzero(active)
-    if rows.size == 0:
-        return slice(0, 0)
-    step = int(rows[1] - rows[0]) if rows.size > 1 else 1
-    if np.all(np.diff(rows) == step):
-        return slice(int(rows[0]), int(rows[-1]) + 1, step)
-    return rows
-
-
-def _guide_rows(x0, ys_rows, sel, lam: float, diff):
-    """x0[sel] <- x0[sel] + lam * (ys_rows - x0[sel]) in place, for a
-    weight already in [0, 1] and a selector from :func:`_row_selector`;
-    lam = 1 copies ys_rows exactly and lam = 0 changes nothing. diff has
-    ys_rows' shape and is overwritten. A slice selector blends the rows
-    where they lie; an index array gathers them and scatters them back.
+def _guide_rows(x0, ys_rows, rows, lam: float, diff):
+    """x0[rows] <- x0[rows] + lam * (ys_rows - x0[rows]) in place, for a
+    weight already in [0, 1] and an index array of rows; lam = 1 copies
+    ys_rows exactly and lam = 0 changes nothing. diff has ys_rows' shape and
+    is overwritten.
     """
     if lam == 1.0:
-        x0[sel] = ys_rows
+        x0[rows] = ys_rows
     elif lam != 0.0:
-        rows = x0[sel]
-        np.subtract(ys_rows, rows, out=diff)
+        np.subtract(ys_rows, x0[rows], out=diff)
         diff *= lam
-        rows += diff
-        if not isinstance(sel, slice):
-            x0[sel] = rows
+        x0[rows] += diff
 
 
 def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
@@ -176,11 +159,11 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     active = row_flags(active, y0_hat)
     if lam == 0.0:
         return y0_hat
-    sel = _row_selector(active)
-    ys_rows = y_s[sel]
+    rows = np.flatnonzero(active)
+    ys_rows = y_s[rows]
     dtype = np.result_type(y0_hat, ys_rows, lam)
     out = np.array(y0_hat, dtype=dtype)
-    _guide_rows(out, ys_rows, sel, lam, np.empty(ys_rows.shape, dtype))
+    _guide_rows(out, ys_rows, rows, lam, np.empty(ys_rows.shape, dtype))
     return out
 
 

@@ -146,7 +146,18 @@ def _ssim(a: np.ndarray, b: np.ndarray, data_range: float, window: int) -> float
     return float(s[pad:-pad or None, pad:-pad or None].mean())
 
 
-def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
+SSIM_WINDOW = 7
+
+
+def check_ssim_size(shape, window: int) -> None:
+    """Refuse an image shape :func:`ssim` cannot score with this window: the
+    crop of window//2 on each side must leave a pixel."""
+    if min(shape) <= 2 * (window // 2):
+        raise InvalidArgumentError(
+            f"image of shape {tuple(shape)} too small for the {window}-wide SSIM window")
+
+
+def ssim(ref, test, data_range: float | None = None, window: int = SSIM_WINDOW) -> float:
     """Mean structural similarity with a uniform window.
 
     Local means/variances come from a ``window`` x ``window`` box mean that
@@ -158,9 +169,7 @@ def ssim(ref, test, data_range: float | None = None, window: int = 7) -> float:
     a, b = _pair(ref, test)
     if window < 1:
         raise InvalidArgumentError("SSIM window must be positive")
-    if min(a.shape) <= 2 * (window // 2):
-        # the crop of window//2 on each side must leave a pixel
-        raise InvalidArgumentError("image too small for the SSIM window")
+    check_ssim_size(a.shape, window)
     if data_range is None:
         data_range = float(a.max() - a.min())
         if data_range == 0.0:

@@ -1,14 +1,19 @@
 """On-disk formats: raster images, sinograms with geometry sidecars, PGM,
-and the CSV text of reports and tables.
+the ``key = value`` text of sidecars and config files, and the CSV text of
+reports and tables.
 
 Binary layouts are little-endian float32 with a one-line ASCII header, so
-files round-trip across platforms. PGM export is lossy (8-bit, range
-normalized) and meant for quick visual checks only.
+files round-trip across platforms. A sinogram's scan geometry goes to a
+``.geom`` sidecar, one ``key=value`` line per :class:`FanBeamGeometry`
+argument; :func:`read_kv` reads it, and config files, by one rule. PGM
+export is lossy (8-bit, range normalized) and meant for quick visual checks
+only.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import astuple
 
 import numpy as np
 
@@ -17,6 +22,18 @@ from .geometry import FanBeamGeometry, ImageGrid, Sinogram
 
 _IMG_MAGIC = b"IMGF"
 _SINO_MAGIC = b"SGRAM"
+
+# the .geom sidecar's keys and value types, in the order of
+# FanBeamGeometry's arguments
+_GEOM_KEYS = {
+    "sod_mm": float,
+    "cdd_mm": float,
+    "n_views": int,
+    "n_detectors": int,
+    "det_width_mm": float,
+    "angle_start_rad": float,
+    "angle_end_rad": float,
+}
 
 
 def _read_header(f, magic):
@@ -71,6 +88,29 @@ def read_image(path, pixel_size: float = 1.0) -> ImageGrid:
     return ImageGrid(nx=nx, ny=ny, pixel_size=pixel_size, values=vals)
 
 
+def read_kv(lines, parsers) -> dict:
+    """``key = value`` lines as a dict of parsed values: ``#`` starts a
+    comment, blank lines are skipped, and a line splits at its first ``=``.
+    A line without ``=``, a key not in ``parsers``, or a value its key's
+    parser refuses with ValueError raises InvalidArgumentError naming the
+    line."""
+    out = {}
+    for ln, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidArgumentError(f"line {ln}: expected key=value")
+        key, val = (p.strip() for p in line.split("=", 1))
+        if key not in parsers:
+            raise InvalidArgumentError(f"line {ln}: unknown key {key!r}")
+        try:
+            out[key] = parsers[key](val)
+        except ValueError as e:
+            raise InvalidArgumentError(f"line {ln}: {key}: {e}") from None
+    return out
+
+
 def _geom_path(path) -> str:
     return os.fspath(path) + ".geom"
 
@@ -82,14 +122,27 @@ def write_sinogram(path, sino: Sinogram) -> None:
     with open(path, "wb") as f:
         f.write(_SINO_MAGIC + f" {g.n_views} {g.n_detectors}\n".encode())
         f.write(data)
+    *head, (lo, hi) = astuple(g)
     with open(_geom_path(path), "w") as f:
-        f.write(g.to_kv())
+        f.write("".join(f"{k}={tp(v)!r}\n"
+                        for (k, tp), v in zip(_GEOM_KEYS.items(), (*head, lo, hi))))
 
 
 def read_sinogram(path) -> Sinogram:
-    # undecodable bytes become U+FFFD, which from_kv rejects as data
-    with open(_geom_path(path), errors="replace") as f:
-        geom = FanBeamGeometry.from_kv(f.read())
+    """The values at path, acquired with the geometry in path + ".geom";
+    an error in the sidecar names it."""
+    gpath = _geom_path(path)
+    try:
+        # undecodable bytes become U+FFFD, which no key or value parser accepts
+        with open(gpath, errors="replace") as f:
+            kv = read_kv(f, _GEOM_KEYS)
+        missing = [k for k in _GEOM_KEYS if k not in kv]
+        if missing:
+            raise InvalidArgumentError(f"missing keys {missing}")
+        *head, lo, hi = (kv[k] for k in _GEOM_KEYS)
+        geom = FanBeamGeometry(*head, angular_range=(lo, hi))
+    except InvalidArgumentError as e:
+        raise InvalidArgumentError(f"{gpath}: {e}") from None
     with open(path, "rb") as f:
         n_views, n_det = _read_header(f, _SINO_MAGIC)
         vals = _read_payload(f, n_views * n_det).reshape(n_views, n_det)

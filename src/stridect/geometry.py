@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,18 +14,6 @@ from .errors import InvalidArgumentError, ShapeMismatchError
 _REF_SOD_MM = 400.0
 _REF_CDD_MM = 400.0
 _REF_DET_WIDTH_MM = 413.0
-
-# the .geom sidecar's keys and value types, in the order of
-# FanBeamGeometry's arguments
-_GEOM_KEYS = {
-    "sod_mm": float,
-    "cdd_mm": float,
-    "n_views": int,
-    "n_detectors": int,
-    "det_width_mm": float,
-    "angle_start_rad": float,
-    "angle_end_rad": float,
-}
 
 
 def _readonly(a):
@@ -91,37 +79,6 @@ class FanBeamGeometry:
     @property
     def virtual_detector_spacing(self):
         return self.detector_spacing / self.magnification
-
-    def to_kv(self) -> str:
-        *head, (lo, hi) = (getattr(self, f.name) for f in fields(self))
-        return "".join(f"{k}={tp(v)!r}\n"
-                       for (k, tp), v in zip(_GEOM_KEYS.items(), (*head, lo, hi)))
-
-    @classmethod
-    def from_kv(cls, text: str) -> "FanBeamGeometry":
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidArgumentError(f"malformed geometry line: {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
-        missing = [k for k in _GEOM_KEYS if k not in kv]
-        if missing:
-            raise InvalidArgumentError(f"geometry block missing keys: {missing}")
-        unknown = [k for k in kv if k not in _GEOM_KEYS]
-        if unknown:
-            raise InvalidArgumentError(f"geometry block has unknown keys: {unknown}")
-        vals = []
-        for k, tp in _GEOM_KEYS.items():
-            try:
-                vals.append(tp(kv[k]))
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"geometry key {k} is not a number: {kv[k]!r}") from None
-        return cls(*vals[:5], angular_range=tuple(vals[5:]))
 
 
 def desk_geometry(n_views, n_detectors, nx, pixel_size=1.0):

@@ -18,13 +18,12 @@ from .corrector import (AlignmentParams, CorrectorConfig, apply_linear_alignment
                         refine_bands)
 from .denoiser import AnalyticGaussianDenoiser, AnalyticGaussianScore
 from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows,
-                        _predict_x0, _row_selector, cfg_combine, guidance_weight,
-                        linear_schedule)
+                        _predict_x0, cfg_combine, guidance_weight, linear_schedule)
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
 from .errors import InvalidArgumentError, ShapeMismatchError, require_finite
-from .evalkit import kl_divergence, mse, psnr, ssim
+from .evalkit import SSIM_WINDOW, check_ssim_size, kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
 from .fileio import to_csv
 from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows, row_flags
@@ -139,13 +138,12 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     ts = ddim_times(sched.T, cfg.ddim_steps)
     # the loop owns y, x0, prod and row_diff and updates them in place with
     # the operation order of predict_x0, apply_sparse_guidance and
-    # ddim_step; it never writes into an array the model returns. A stride
-    # mask's rows are a slice, so guidance blends them where they lie.
+    # ddim_step; it never writes into an array the model returns.
     y = rng.standard_normal(y_s.shape)
     x0 = np.empty_like(y)
     prod = np.empty_like(y)
-    sel = _row_selector(active)
-    ys_rows = y_s[sel]
+    rows = np.flatnonzero(active)
+    ys_rows = y_s[rows]
     row_diff = np.empty_like(ys_rows)
     for t, t_prev in zip(ts[:-1], ts[1:]):
         t = int(t)
@@ -155,7 +153,7 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
             eps_hat = cfg_combine(eps_hat, eps_unc, cfg.omega)
         _predict_x0(x0, y, eps_hat, sched.alpha_bar[t])
         lam = guidance_weight(t, cfg.guidance, sched.T)
-        _guide_rows(x0, ys_rows, sel, lam, row_diff)
+        _guide_rows(x0, ys_rows, rows, lam, row_diff)
         if cfg.align_per_step:
             x0 = apply_linear_alignment(x0, fit_linear_alignment(x0, y_s, active))
         _ddim_update(y, x0, eps_hat, sched.alpha_bar[int(t_prev)], cfg.sigma_ddim,
@@ -215,14 +213,18 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     Gaussian score of variance cfg.prior_var; a branch is live when the
     corrector takes steps and its lambda_low or lambda_high is above 0, and
     an off branch is never scored. The band scores are checked by
-    :func:`check_refinement`, the references' shapes against y_s and grid,
-    and, with alignment on, that at least 2 views are active, before the
-    chain starts.
+    :func:`check_refinement`, the references' shapes against y_s and grid
+    and against the SSIM window that scores each stage, and, with alignment
+    on, that at least 2 views are active, before the chain starts.
     grid supplies the output raster (values unused).
     """
     if m.n_views != y_s.geometry.n_views:
         raise ShapeMismatchError("mask and sinogram view counts differ")
     _check_references(y_s, grid, reference, reference_image)
+    if reference is not None:
+        check_ssim_size(y_s.values.shape, SSIM_WINDOW)
+    if reference_image is not None:
+        check_ssim_size((grid.ny, grid.nx), SSIM_WINDOW)
     if cfg.alignment and m.n_active < 2:
         raise InvalidArgumentError("alignment needs at least 2 active views")
     if sched is None:

@@ -412,6 +412,24 @@ def test_infinite_sidecar_distance_exit_three_before_chain(workdir, capsys, monk
     assert not out.exists()
 
 
+def test_reference_ssim_cannot_score_exit_three_before_chain(workdir, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(pipeline, "coarse_generate", reached)
+    ph = str(workdir / "ph.bin")
+    for name, extra in (("narrow.bin", ("--r", "3")), ("narrow_full.bin", ())):
+        assert _run("simulate", "--image", ph, "--views", "12", "--detectors", "6",
+                    "--out", str(workdir / name), *extra) == 0
+    out = workdir / "o.bin"
+    for cmd in ("reconstruct", "ablate"):
+        code = _run(cmd, "--sino", str(workdir / "narrow.bin"), "--r", "3", "--size", "16",
+                    "--reference", str(workdir / "narrow_full.bin"), "--out", str(out))
+        assert code == 3
+        assert "SSIM window" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_two(capsys):
     assert _run("phantom", "--size", "16", "--out", "x.bin",
                 "--warp", "9") == 2
@@ -597,20 +615,26 @@ def test_parse_config_file(tmp_path):
     assert kv == {"ddim_steps": 7, "alignment": False, "nu": 0.25,
                   "guidance_mode": "fixed"}
 
-    bad_key = tmp_path / "bad1.cfg"
-    bad_key.write_text("mystery = 1\n")
-    with pytest.raises(_UsageError):
-        parse_config_file(bad_key)
+    # each error names the file and the line
+    for name, text, word in (("bad1.cfg", "mystery = 1\n", "unknown key 'mystery'"),
+                             ("bad2.cfg", "alignment = maybe\n", "alignment: bad boolean"),
+                             ("bad3.cfg", "just a line\n", "expected key=value")):
+        bad = tmp_path / name
+        bad.write_text("# settings\nnu = 0.5\n" + text)
+        with pytest.raises(_UsageError, match=f"{name}: line 3: {word}"):
+            parse_config_file(bad)
 
-    bad_bool = tmp_path / "bad2.cfg"
-    bad_bool.write_text("alignment = maybe\n")
-    with pytest.raises(_UsageError):
-        parse_config_file(bad_bool)
 
-    bad_line = tmp_path / "bad3.cfg"
-    bad_line.write_text("just a line\n")
-    with pytest.raises(_UsageError):
-        parse_config_file(bad_line)
+def test_undecodable_config_file_exit_two(workdir, capsys):
+    # as in a sidecar, an undecodable byte is refused as text, not raised
+    cfg = workdir / "bytes.cfg"
+    cfg.write_bytes(b"ddim_steps = 4\xff\n")
+    out = workdir / "o.bin"
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert "bytes.cfg: line 1: ddim_steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_pipeline_config_defaults_and_overrides():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stridect as st
-from stridect.diffusion import LambdaInputs, _row_selector, cfg_combine
+from stridect.diffusion import LambdaInputs, cfg_combine
 from stridect.errors import (GuidanceClampWarning, InvalidArgumentError,
                              ShapeMismatchError)
 
@@ -216,19 +216,6 @@ def test_apply_sparse_guidance_blend():
                 with pytest.raises(ShapeMismatchError, match=rf"\({shape[0]}, {shape[1]}\)"
                                                              r".*\(9, 4\)"):
                     st.apply_sparse_guidance(gen, np.zeros(shape), m, lam)
-
-
-def test_row_selector_is_a_slice_for_every_stride_mask():
-    # a slice makes x[sel] a view, so guidance gathers and scatters nothing
-    for n, r in [(12, 3), (180, 3), (7, 7), (5, 1), (10, 4), (10, 6)]:
-        active = st.make_sparse_mask(n, r).active
-        sel = _row_selector(active)
-        assert isinstance(sel, slice)
-        assert np.array_equal(np.arange(n)[sel], np.flatnonzero(active))
-    uneven = np.zeros(6, bool)
-    uneven[[0, 1, 5]] = True
-    assert np.array_equal(_row_selector(uneven), [0, 1, 5])
-    assert np.arange(6)[_row_selector(np.zeros(6, bool))].size == 0
 
 
 def test_apply_sparse_guidance_clamps():

@@ -5,6 +5,7 @@ import pytest
 
 import stridect as st
 from stridect.errors import InvalidArgumentError
+from stridect.fileio import read_kv
 
 
 def _f32_image(nx=6, ny=4, seed=0):
@@ -136,6 +137,45 @@ def test_sinogram_errors(tmp_path):
     # corrupted sidecar text
     (tmp_path / "scan.bin.geom").write_text("nonsense 42\n")
     with pytest.raises(InvalidArgumentError):
+        st.read_sinogram(path)
+
+
+def test_read_kv_rule():
+    parsers = {"a": int, "b": str}
+    lines = ["# head", "", "  a = 3  # three", "b = x=y # the first = splits"]
+    assert read_kv(lines, parsers) == {"a": 3, "b": "x=y"}
+    for lines, word in ((["a 3"], "expected key=value"), (["c = 1"], "unknown key 'c'"),
+                        (["b = 1", "a = three"], "a: invalid literal")):
+        with pytest.raises(InvalidArgumentError, match=f"line {len(lines)}: {word}"):
+            read_kv(lines, parsers)
+
+
+def test_sidecar_trailing_comment_round_trips(tmp_path):
+    sino = _small_sino()
+    path = tmp_path / "scan.bin"
+    st.write_sinogram(path, sino)
+    geom = tmp_path / "scan.bin.geom"
+    geom.write_text("".join(line + "  # as written\n"
+                            for line in geom.read_text().splitlines()))
+    assert st.read_sinogram(path).geometry == sino.geometry
+
+
+def test_sidecar_errors_name_the_file_and_line(tmp_path):
+    path = tmp_path / "scan.bin"
+    st.write_sinogram(path, _small_sino())
+    geom = tmp_path / "scan.bin.geom"
+    lines = geom.read_text().splitlines()
+    for bad, word in (("n_views=six", "line 3: n_views"), ("sad_mm=1.0", "line 3: unknown key"),
+                      ("n_views 6", "line 3: expected key=value")):
+        geom.write_text("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+        with pytest.raises(InvalidArgumentError, match=f"scan.bin.geom: {word}"):
+            st.read_sinogram(path)
+    # a missing key is refused, and so is a value the geometry refuses
+    geom.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(InvalidArgumentError, match=r"scan.bin.geom: missing keys \['angle_end_rad'\]"):
+        st.read_sinogram(path)
+    geom.write_text("\n".join(["sod_mm=-1.0"] + lines[1:]) + "\n")
+    with pytest.raises(InvalidArgumentError, match=r"scan.bin.geom: source_to_center \(sod_mm\)"):
         st.read_sinogram(path)
 
 

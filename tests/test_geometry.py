@@ -1,4 +1,4 @@
-"""Mask algebra, value containers and geometry serialization."""
+"""Mask algebra, value containers, and the geometry's sidecar text."""
 
 import dataclasses
 import math
@@ -150,16 +150,31 @@ def test_row_flags_must_match_the_rows(name, flags):
 # fan-beam geometry
 
 
-def test_geometry_kv_roundtrip():
+def _write_sidecar(tmp_path, g):
+    """Write a zero sinogram acquired with g; return its path and its
+    sidecar's text."""
+    path = tmp_path / "scan.bin"
+    st.write_sinogram(path, st.Sinogram(np.zeros((g.n_views, g.n_detectors)), g))
+    return path, (tmp_path / "scan.bin.geom").read_text()
+
+
+def _read_sidecar(path, text):
+    """The geometry read_sinogram makes of this sidecar text."""
+    (path.parent / (path.name + ".geom")).write_text(text)
+    return st.read_sinogram(path).geometry
+
+
+def test_geometry_kv_roundtrip(tmp_path):
     g = st.desk_geometry(90, 128, 64)
-    g2 = st.FanBeamGeometry.from_kv(g.to_kv())
+    path, text = _write_sidecar(tmp_path, g)
+    g2 = st.read_sinogram(path).geometry
     assert g2.source_to_center == g.source_to_center
     assert g2.center_to_detector == g.center_to_detector
     assert g2.detector_width == g.detector_width
     assert g2.angular_range == g.angular_range
     assert (g2.n_views, g2.n_detectors) == (g.n_views, g.n_detectors)
     # blank lines and # lines are skipped
-    assert st.FanBeamGeometry.from_kv("# scanner\n\n" + g.to_kv() + "  \n# end\n") == g
+    assert _read_sidecar(path, "# scanner\n\n" + text + "  \n# end\n") == g
 
 
 def _old_to_kv(g):
@@ -178,33 +193,35 @@ def _old_to_kv(g):
     st.FanBeamGeometry(3.25, 4.0, 5, 6, 7.5, angular_range=(-1.0, 2.0)),
     st.FanBeamGeometry(1e-3, 1e5, 1, 1, 0.1, angular_range=(0.0, math.pi)),
 ])
-def test_to_kv_text_unchanged_for_python_number_geometries(g):
-    assert g.to_kv() == _old_to_kv(g)
-    assert st.FanBeamGeometry.from_kv(g.to_kv()) == g
+def test_to_kv_text_unchanged_for_python_number_geometries(tmp_path, g):
+    # the sidecar text write_sinogram writes, and read_sinogram reads back
+    path, text = _write_sidecar(tmp_path, g)
+    assert text == _old_to_kv(g)
+    assert st.read_sinogram(path).geometry == g
 
 
-def test_geometry_kv_errors():
+def test_geometry_kv_errors(tmp_path):
     g = st.desk_geometry(6, 4, 16)
-    text = g.to_kv()
+    path, text = _write_sidecar(tmp_path, g)
     with pytest.raises(InvalidArgumentError):
-        st.FanBeamGeometry.from_kv(text.replace("sod_mm", "sad_mm"))
+        _read_sidecar(path, text.replace("sod_mm", "sad_mm"))
     with pytest.raises(InvalidArgumentError):
-        st.FanBeamGeometry.from_kv(text + "extra=1\n")
+        _read_sidecar(path, text + "extra=1\n")
     with pytest.raises(InvalidArgumentError):
-        st.FanBeamGeometry.from_kv(text + "not a pair\n")
+        _read_sidecar(path, text + "not a pair\n")
     missing = "\n".join(text.splitlines()[1:])
     with pytest.raises(InvalidArgumentError):
-        st.FanBeamGeometry.from_kv(missing)
+        _read_sidecar(path, missing)
 
 
 @pytest.mark.parametrize("key,value", [("sod_mm", "abc46.17"), ("n_views", "6.5"),
                                        ("angle_end_rad", "")])
-def test_geometry_kv_non_numeric_value_names_key(key, value):
-    text = st.desk_geometry(6, 4, 16).to_kv()
+def test_geometry_kv_non_numeric_value_names_key(tmp_path, key, value):
+    path, text = _write_sidecar(tmp_path, st.desk_geometry(6, 4, 16))
     lines = [f"{key}={value}" if ln.startswith(key + "=") else ln
              for ln in text.splitlines()]
     with pytest.raises(InvalidArgumentError, match=key):
-        st.FanBeamGeometry.from_kv("\n".join(lines))
+        _read_sidecar(path, "\n".join(lines))
 
 
 def test_geometry_validation():
@@ -316,7 +333,7 @@ def test_sinogram_validation():
     with pytest.raises(InvalidArgumentError):
         st.Sinogram(np.full((6, 4), np.inf), g)
     # every sinogram carries the geometry that acquired it
-    for geometry in (None, g.to_kv(), (6, 4)):
+    for geometry in (None, "sod_mm=46.17\n", (6, 4)):
         with pytest.raises(InvalidArgumentError, match="FanBeamGeometry"):
             st.Sinogram(np.zeros((6, 4)), geometry)
     with pytest.raises(TypeError):

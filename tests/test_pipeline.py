@@ -377,6 +377,39 @@ def test_mismatched_references_fail_before_any_chain_work(monkeypatch):
             call()
 
 
+def test_references_ssim_cannot_score_fail_before_any_chain_work(monkeypatch):
+    # every stage is scored by SSIM against the references, whose 7-wide
+    # window needs more than 6 pixels a side; the sweep scores PSNR only
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    g6 = st.desk_geometry(12, 6, 16)
+    narrow = st.apply_mask(st.forward_project(phantom, g6), m)
+    narrow_full = st.forward_project(phantom, g6)
+    grid6 = st.ImageGrid(6, 6, 1.0, np.zeros((6, 6)))
+    image6 = st.shepp_logan(6, 6)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("chain started")
+
+    monkeypatch.setattr(pipeline, "coarse_generate", reached)
+    calls = [
+        lambda: st.stride_reconstruct(narrow, m, grid, cfg, sched=sched,
+                                      reference=narrow_full),
+        lambda: st.stride_reconstruct(masked, m, grid6, cfg, sched=sched,
+                                      reference_image=image6),
+        lambda: st.run_component_ablation(narrow, m, grid, cfg, narrow_full, sched=sched),
+        lambda: st.run_component_ablation(masked, m, grid6, cfg, sino,
+                                          reference_image=image6, sched=sched),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="SSIM window"):
+            call()
+    monkeypatch.undo()
+    rows = st.run_lambda_sweep(masked, m, grid6, replace(cfg, ddim_steps=2), sino,
+                               reference_image=image6, sched=sched)
+    assert all(np.isfinite(r[2]) for r in rows)
+
+
 def test_one_active_view_with_alignment_fails_before_any_chain_work(monkeypatch):
     phantom, g, sino, m, masked, grid = _small_problem(r=12)
     assert m.n_active == 1
