@@ -32,12 +32,24 @@ SCORE_T_MIN = 0.02
 # analytic oracles
 
 
+def _broadcasts_to(shape, target) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
 class _ClosedFormDenoiser:
     """Noise-prediction contract around a closed-form noise estimate.
 
-    t = 0 returns zeros (the clean limit has no noise to explain). Otherwise
-    subclasses give ``_eps(y_t, ab)`` for ab = alpha_bar[t] as a Python
-    float, which returns a fresh array of the broadcast shape.
+    Subclasses name in ``_center`` the array attribute their noise is
+    centred on. The prediction has y_t's shape, so y_t must have the
+    center's shape or one the center broadcasts to (a scalar or a (1, D)
+    center fits every (N, D) y_t); any other y_t raises ShapeMismatchError
+    naming both shapes, at every t. t = 0 returns zeros (the clean limit has
+    no noise to explain). Otherwise subclasses give ``_eps(y_t, ab)`` for
+    ab = alpha_bar[t] as a Python float, which returns a fresh array of
+    y_t's shape.
     """
 
     conditional = False
@@ -45,6 +57,10 @@ class _ClosedFormDenoiser:
     def predict_eps(self, y_t, t: int, condition=None):
         self.sched._check_t(t)
         y_t = np.asarray(y_t, dtype=np.float64)
+        center = np.shape(getattr(self, self._center))
+        if center != y_t.shape and not _broadcasts_to(center, y_t.shape):
+            raise ShapeMismatchError(f"y_t of shape {y_t.shape} does not fit the "
+                                     f"{self._center} of shape {center}")
         if t == 0:
             return np.zeros_like(y_t)
         return self._eps(y_t, float(self.sched.alpha_bar[t]))
@@ -60,6 +76,8 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
     floor and gives (y_t - sqrt(ab) mu) / sqrt(1 - ab).
     """
 
+    _center = "prior_mean"
+
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
         if not prior_var >= 0:
             raise InvalidArgumentError("prior_var must be non-negative")
@@ -73,7 +91,7 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
         """Three passes: out = y_t k, then out -= mu (sqrt(ab) k), with the
         Python float k = sqrt(1 - ab) / (ab v + 1 - ab)."""
         k = math.sqrt(1.0 - ab) / (ab * self.prior_var + 1.0 - ab)
-        out = np.multiply(y_t, k, out=np.empty(np.broadcast(y_t, self._scratch).shape))
+        out = np.multiply(y_t, k, out=np.empty(y_t.shape))
         out -= np.multiply(self.prior_mean, math.sqrt(ab) * k, out=self._scratch)
         return out
 
@@ -120,13 +138,14 @@ class ExactNoiseDenoiser(_ClosedFormDenoiser):
     noise (y_t - sqrt(ab) y0) / sqrt(1 - ab) for any y_t; useful for
     trajectory fixed-point tests."""
 
+    _center = "y0"
+
     def __init__(self, y0, sched: NoiseSchedule):
         self.y0 = np.asarray(y0, dtype=np.float64)
         self.sched = sched
 
     def _eps(self, y_t, ab):
-        out = np.multiply(self.y0, math.sqrt(ab),
-                          out=np.empty(np.broadcast(y_t, self.y0).shape))
+        out = np.multiply(self.y0, math.sqrt(ab), out=np.empty(y_t.shape))
         np.subtract(y_t, out, out=out)
         out /= math.sqrt(1.0 - ab)
         return out

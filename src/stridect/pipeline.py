@@ -10,6 +10,7 @@ scored so component contributions can be reported and ablated.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,17 +117,25 @@ def interpolate_views(values, active):
     return out
 
 
-def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfig,
+def coarse_generate(y_T, y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfig,
                     rng) -> np.ndarray:
-    """Run the guided DDIM chain from pure noise down to t = 0.
+    """Run the guided DDIM chain from the start y_T down to t = 0.
 
-    y_s holds the observed rows (zeros elsewhere are fine; only active rows
-    are read). Conditional models receive the masked observation as their
-    conditioning channel; a nonzero omega needs such a model. A model that
-    carries a ``sched`` must share the sampler's beta.
+    y_T has y_s's shape and is not written. y_s holds the observed rows
+    (zeros elsewhere are fine; only active rows are read). rng draws the
+    per-step noise when sigma_ddim > 0, and may be None otherwise.
+    Conditional models receive the masked observation as their conditioning
+    channel; a nonzero omega needs such a model. A model that carries a
+    ``sched`` must share the sampler's beta.
     """
     y_s = np.asarray(y_s, dtype=np.float64)
     active = row_flags(active, y_s)
+    y = np.array(y_T, dtype=np.float64)
+    if y.shape != y_s.shape:
+        raise ShapeMismatchError(f"y_T of shape {y.shape} does not match "
+                                 f"y_s of shape {y_s.shape}")
+    if cfg.sigma_ddim > 0.0 and rng is None:
+        raise InvalidArgumentError("sigma_ddim > 0 needs an rng")
     conditional = getattr(model, "conditional", False)
     if cfg.omega != 0.0 and not conditional:
         raise InvalidArgumentError("omega needs a conditional model; set omega = 0")
@@ -139,7 +148,6 @@ def coarse_generate(y_s, active, model, sched: NoiseSchedule, cfg: PipelineConfi
     # the loop owns y, x0, prod and row_diff and updates them in place with
     # the operation order of predict_x0, apply_sparse_guidance and
     # ddim_step; it never writes into an array the model returns.
-    y = rng.standard_normal(y_s.shape)
     x0 = np.empty_like(y)
     prod = np.empty_like(y)
     rows = np.flatnonzero(active)
@@ -200,31 +208,27 @@ def _check_references(y_s: Sinogram, grid: ImageGrid, reference, reference_image
                                  f"!= output grid {(grid.ny, grid.nx)}")
 
 
-def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
-                       cfg: PipelineConfig, model=None, sched=None,
-                       score_low=None, score_high=None,
-                       reference: Sinogram | None = None,
-                       reference_image: ImageGrid | None = None) -> ReconstructionResult:
-    """Full chain from masked sinogram to reconstructed image.
+class _ChainInputs(NamedTuple):
+    """What every chain on one measurement shares, made once by
+    :func:`_set_up`."""
 
-    With model=None an analytic Gaussian surrogate centered on the
-    view-interpolated sinogram stands in for a trained network. The same
-    centering gives each live band branch that was given no score model a
-    Gaussian score of variance cfg.prior_var; a branch is live when the
-    corrector takes steps and its lambda_low or lambda_high is above 0, and
-    an off branch is never scored. The band scores are checked by
-    :func:`check_refinement`, the references' shapes against y_s and grid
-    and against the SSIM window that scores each stage, and, with alignment
-    on, that at least 2 views are active, before the chain starts.
-    grid supplies the output raster (values unused).
-    """
+    raw: np.ndarray  # the measured sinogram's values as float64
+    active: np.ndarray  # one flag per view
+    scale: float  # ys_n = raw / scale
+    ys_n: np.ndarray
+    interp: np.ndarray  # ys_n with unobserved rows interpolated along views
+    model: object
+    sched: NoiseSchedule
+    score_low: object  # None for a branch that is off
+    score_high: object
+
+
+def _set_up(y_s: Sinogram, m: SparseMask, cfg: PipelineConfig, model=None, sched=None,
+            score_low=None, score_high=None) -> _ChainInputs:
+    """The chain's checks, normalisation, view interpolation, surrogate and
+    live band scores, which do not depend on the guidance setting."""
     if m.n_views != y_s.geometry.n_views:
         raise ShapeMismatchError("mask and sinogram view counts differ")
-    _check_references(y_s, grid, reference, reference_image)
-    if reference is not None:
-        check_ssim_size(y_s.values.shape, SSIM_WINDOW)
-    if reference_image is not None:
-        check_ssim_size((grid.ny, grid.nx), SSIM_WINDOW)
     if cfg.alignment and m.n_active < 2:
         raise InvalidArgumentError("alignment needs at least 2 active views")
     if sched is None:
@@ -235,7 +239,6 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     if scale == 0.0:
         scale = 1.0
     ys_n = raw / scale
-    ref_arr = np.asarray(reference.values, dtype=np.float64) if reference is not None else None
     interp = interpolate_views(ys_n, active)
     cc = cfg.corrector
     live_low = cc.n_steps > 0 and cc.lambda_low > 0
@@ -251,34 +254,79 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     check_refinement(score_low, score_high, cc)
     if model is None:
         model = AnalyticGaussianDenoiser(interp, cfg.prior_var, sched)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    stages = []
+    return _ChainInputs(raw, active, scale, ys_n, interp, model, sched,
+                        score_low, score_high)
 
-    y = coarse_generate(ys_n, active, model, sched, cfg, rng)
-    stages.append(_stage("coarse", y * scale, ref_arr, active))
+
+def _coarse(c: _ChainInputs, cfg: PipelineConfig):
+    """The coarse stage on every row. Its start y_T is the first draw of
+    SeedSequence([cfg.seed, 0]), whose generator then draws the steps'
+    noise. Returns (y_T, coarse output)."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    y_T = rng.standard_normal(c.ys_n.shape)
+    return y_T, coarse_generate(y_T, c.ys_n, c.active, c.model, c.sched, cfg, rng)
+
+
+def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
+            ref_arr, reference_image) -> ReconstructionResult:
+    """Alignment, band refinement, final data consistency and FBP after the
+    coarse output y, which is not written; every stage is scored against
+    the references (nan without them)."""
+    active, scale = c.active, c.scale
+    stages = [_stage("coarse", y * scale, ref_arr, active)]
 
     align = None
     if cfg.alignment:
-        align = fit_linear_alignment(y, ys_n, active)
+        align = fit_linear_alignment(y, c.ys_n, active)
         y = apply_linear_alignment(y, align)
         stages.append(_stage("aligned", y * scale, ref_arr, active))
 
-    if score_low is not None or score_high is not None:
-        bands = refine_bands(swt_decompose(y, cfg.wavelet), score_low, score_high, cc)
+    if c.score_low is not None or c.score_high is not None:
+        bands = refine_bands(swt_decompose(y, cfg.wavelet), c.score_low, c.score_high,
+                             cfg.corrector)
         y = iswt_reconstruct(bands)
         stages.append(_stage("refined", y * scale, ref_arr, active))
 
     y_out = y * scale
     if cfg.final_dc == "active":
-        y_out = data_consistency(y_out, raw, active)
+        y_out = data_consistency(y_out, c.raw, active)
     stages.append(_stage("final-dc", y_out, ref_arr, active))
 
-    sino_out = Sinogram(y_out, y_s.geometry)
+    sino_out = Sinogram(y_out, geometry)
     image = fbp_reconstruct(sino_out, grid, cfg.filter)
     stages.append(_stage("fbp", image.values,
                          None if reference_image is None else reference_image.values))
     return ReconstructionResult(image=image, sinogram=sino_out,
                                 stages=tuple(stages), alignment=align)
+
+
+def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
+                       cfg: PipelineConfig, model=None, sched=None,
+                       score_low=None, score_high=None,
+                       reference: Sinogram | None = None,
+                       reference_image: ImageGrid | None = None) -> ReconstructionResult:
+    """Full chain from masked sinogram to reconstructed image.
+
+    With model=None an analytic Gaussian surrogate centered on the
+    view-interpolated sinogram stands in for a trained network. The same
+    centering gives each live band branch that was given no score model a
+    Gaussian score of variance cfg.prior_var; a branch is live when the
+    corrector takes steps and its lambda_low or lambda_high is above 0, and
+    an off branch is never scored. The references' shapes are checked
+    against y_s and grid and against the SSIM window that scores each stage,
+    then, with alignment on, that at least 2 views are active, and the band
+    scores by :func:`check_refinement`, all before the chain starts.
+    grid supplies the output raster (values unused).
+    """
+    _check_references(y_s, grid, reference, reference_image)
+    if reference is not None:
+        check_ssim_size(y_s.values.shape, SSIM_WINDOW)
+    if reference_image is not None:
+        check_ssim_size((grid.ny, grid.nx), SSIM_WINDOW)
+    c = _set_up(y_s, m, cfg, model, sched, score_low, score_high)
+    ref_arr = None if reference is None else np.asarray(reference.values, dtype=np.float64)
+    y = _coarse(c, cfg)[1]  # y_T is not held through the finish
+    return _finish(c, y, cfg, y_s.geometry, grid, ref_arr, reference_image)
 
 
 def sparse_fbp_baseline(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
@@ -324,25 +372,47 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                      cfg: PipelineConfig, reference: Sinogram,
                      reference_image: ImageGrid | None = None, **kwargs):
     """Fixed guidance weights 0.0 .. 1.0 in steps of 0.1 plus the temporal
-    schedule: 12 rows of (label, sinogram MSE, image PSNR, sinogram KL).
+    schedule: 12 rows of (label, sinogram MSE, image PSNR, sinogram KL),
+    each equal to its own ``stride_reconstruct``'s.
 
-    Only the table is returned; the chains compute no per-stage metrics."""
+    The set-up runs once, and the coarse stage and the finish once per
+    setting. Under the surrogate built here (no ``model``), with
+    sigma_ddim = 0 and no per-step alignment, model and step act pixel by
+    pixel, guidance writes only observed rows and every chain starts from
+    the same y_T, so the unobserved rows leave the coarse stage the same for
+    every setting: the first setting runs DDIM on every row, and each later
+    one on the observed rows only, written into the first's output. Only the
+    table is returned; the chains compute no per-stage metrics."""
     _check_references(y_s, grid, reference, reference_image)
+    c = _set_up(y_s, m, cfg, **kwargs)
     ref = np.asarray(reference.values, dtype=np.float64)
     ref_img = None if reference_image is None else reference_image.values
     configs = [(f"fixed-{k / 10.0:.1f}", GuidanceConfig(mode="fixed", nu=k / 10.0))
                for k in range(11)]
     configs.append(("temporal", GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
-    rows = []
+    pixelwise = (kwargs.get("model") is None and cfg.sigma_ddim == 0.0
+                 and not cfg.align_per_step)
+    rows = np.flatnonzero(c.active)
+    if pixelwise:
+        live = np.ones(rows.size, bool)
+        observed_model = AnalyticGaussianDenoiser(c.interp[rows], cfg.prior_var, c.sched)
+    y = None
+    table = []
     for name, g in configs:
-        # the chain gets no reference, so it computes no stage metrics
-        res = stride_reconstruct(y_s, m, grid, replace(cfg, guidance=g), **kwargs)
+        run_cfg = replace(cfg, guidance=g)
+        if y is None or not pixelwise:
+            y_T, y = _coarse(c, run_cfg)
+        else:
+            # _finish does not write y, so its unobserved rows are the first's
+            y[rows] = coarse_generate(y_T[rows], c.ys_n[rows], live, observed_model,
+                                      c.sched, run_cfg, None)
+        res = _finish(c, y, run_cfg, y_s.geometry, grid, None, None)
         out = np.asarray(res.sinogram.values)
-        rows.append((name, mse(ref, out),
-                     psnr(ref_img, res.image.values) if ref_img is not None
-                     else float("nan"),
-                     kl_divergence(ref, out)))
-    return rows
+        table.append((name, mse(ref, out),
+                      psnr(ref_img, res.image.values) if ref_img is not None
+                      else float("nan"),
+                      kl_divergence(ref, out)))
+    return table
 
 
 def lambda_sweep_to_csv(rows) -> str:

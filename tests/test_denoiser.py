@@ -1,6 +1,7 @@
 """Analytic denoisers, the tiny conv net, its gradients, and training."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,36 @@ def test_analytic_eps_validation_and_t0():
     with pytest.raises(InvalidArgumentError):
         st.AnalyticGaussianDenoiser(0.0, 1.0, s).predict_eps(y, 6)
     assert not st.AnalyticGaussianDenoiser(0.0, 1.0, s).predict_eps(y, 0).any()
+
+
+@pytest.mark.parametrize("cls", [st.AnalyticGaussianDenoiser, st.CoupledGaussianDenoiser,
+                                 st.ExactNoiseDenoiser])
+def test_closed_form_eps_has_the_shape_of_y_t(cls):
+    s = st.linear_schedule(T=10)
+    make = ((lambda c: cls(c, s)) if cls is st.ExactNoiseDenoiser
+            else (lambda c: cls(c, 0.5, s)))
+    y = np.random.default_rng(3).normal(size=(6, 4))
+    # a scalar or one-row center fits every y_t of its width
+    for center in (0.5, np.full((1, 4), 0.5), np.full((6, 4), 0.5)):
+        for t in (0, 1, 10):
+            assert make(center).predict_eps(y, t).shape == (6, 4)
+    # a y_t the center does not broadcast to is refused at every t, with
+    # both shapes named, rather than given the broadcast shape or numpy's
+    # bare broadcast error
+    model = make(np.full((6, 4), 0.5))
+    for bad in ((1, 4), (5, 4), (6, 1), (4,)):
+        for t in (0, 1, 10):
+            with pytest.raises(ShapeMismatchError, match=rf"{re.escape(str(bad))}.*\(6, 4\)"):
+                model.predict_eps(np.zeros(bad), t)
+
+
+def test_coarse_generate_with_a_prior_of_another_size_names_both_shapes():
+    s = st.linear_schedule(T=10)
+    y_s = np.ones((6, 4))
+    model = st.AnalyticGaussianDenoiser(np.zeros((5, 4)), 0.5, s)
+    with pytest.raises(ShapeMismatchError, match=r"\(6, 4\).*\(5, 4\)"):
+        st.coarse_generate(y_s, y_s, np.ones(6, bool), model, s,
+                           st.PipelineConfig(ddim_steps=3), None)
 
 
 def test_analytic_eps_matches_bayes_posterior():
@@ -287,10 +318,12 @@ def test_exact_eps_matches_expression_bytes():
         for t in (0, 1, 10, 20):
             expect = _expr_exact_eps(y, t, s, y0).tobytes()
             assert model.predict_eps(y, t).tobytes() == expect
-    # the clean target may have more dimensions than y_t
-    model = st.ExactNoiseDenoiser(np.stack([mu, y]), s)
-    assert model.predict_eps(y[0], 4).tobytes() == _expr_exact_eps(
-        y[0], 4, s, np.stack([mu, y])).tobytes()
+    # the prediction has y_t's shape, so a clean target with more rows or
+    # more dimensions than y_t is refused at every t
+    for y0 in (np.stack([mu, y]), np.concatenate([mu, y])):
+        for t in (0, 4):
+            with pytest.raises(ShapeMismatchError, match=r"shape \(6, 5\).*y0 of shape"):
+                st.ExactNoiseDenoiser(y0, s).predict_eps(y, t)
     frozen = y.copy()
     frozen.setflags(write=False)
     st.ExactNoiseDenoiser(frozen, s).predict_eps(frozen, 3)  # inputs not written

@@ -128,7 +128,7 @@ _ROW_FLAG_USERS = {
     "data_consistency": lambda v, f: st.data_consistency(v, v, f),
     "apply_sparse_guidance": lambda v, f: st.apply_sparse_guidance(v, v, f, 0.5),
     "coarse_generate": lambda v, f: st.coarse_generate(
-        v, f, st.AnalyticGaussianDenoiser(0.0, 1.0, st.linear_schedule(T=20)),
+        v, v, f, st.AnalyticGaussianDenoiser(0.0, 1.0, st.linear_schedule(T=20)),
         st.linear_schedule(T=20), st.PipelineConfig(ddim_steps=4), np.random.default_rng(0)),
     "fit_linear_alignment": lambda v, f: st.fit_linear_alignment(v, v, f),
     "interpolate_views": st.interpolate_views,

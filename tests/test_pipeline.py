@@ -150,8 +150,8 @@ def test_coarse_generate_full_clamp_reproduces_input():
     sched = st.linear_schedule(T=10)
     cfg, _ = _small_cfg(guidance=st.GuidanceConfig(mode="fixed", nu=1.0))
     model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
-    out = coarse_generate(y_s, active, model, sched, cfg,
-                          np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    out = coarse_generate(rng.standard_normal(y_s.shape), y_s, active, model, sched, cfg, rng)
     assert np.array_equal(out, y_s)
 
 
@@ -242,8 +242,10 @@ def _coarse_cases():
 def test_coarse_generate_matches_old_loop_bytes():
     sched, y_s, _, cases = _coarse_cases()
     for name, model, cfg, active in cases:
-        out = coarse_generate(y_s, active, _ReadOnlyEps(model), sched, cfg,
-                              np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        y_T = rng.standard_normal(y_s.shape)
+        y_T.setflags(write=False)
+        out = coarse_generate(y_T, y_s, active, _ReadOnlyEps(model), sched, cfg, rng)
         expect = _old_coarse_generate(y_s, active, model, sched, cfg,
                                       np.random.default_rng(8))
         assert out.tobytes() == expect.tobytes(), name
@@ -257,7 +259,21 @@ def test_coarse_generate_rejects_nan_weight_and_bad_mask():
         st.GuidanceConfig(mode="fixed", nu=float("nan"))
     ok = PipelineConfig(ddim_steps=3)
     with pytest.raises(ShapeMismatchError):
-        coarse_generate(y_s, active[:-1], model, sched, ok, np.random.default_rng(0))
+        coarse_generate(y_s, y_s, active[:-1], model, sched, ok, np.random.default_rng(0))
+
+
+def test_coarse_generate_checks_its_start_and_generator():
+    sched, y_s, active, _ = _coarse_cases()
+    model = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
+    with pytest.raises(ShapeMismatchError, match=r"y_T of shape \(11, 9\)"):
+        coarse_generate(y_s[1:], y_s, active, model, sched, PipelineConfig(ddim_steps=3),
+                        np.random.default_rng(0))
+    # a deterministic chain draws nothing; a stochastic one needs a generator
+    out = coarse_generate(y_s, y_s, active, model, sched, PipelineConfig(ddim_steps=3), None)
+    assert np.all(np.isfinite(out))
+    with pytest.raises(InvalidArgumentError, match="needs an rng"):
+        coarse_generate(y_s, y_s, active, model, sched,
+                        PipelineConfig(ddim_steps=3, sigma_ddim=0.1), None)
 
 
 # ------------------------------------------------------------ full pipeline
@@ -443,7 +459,8 @@ def test_omega_needs_a_conditional_model():
     y_s = np.ones((6, 5))
     plain = AnalyticGaussianDenoiser(np.zeros_like(y_s), 1.0, sched)
     with pytest.raises(InvalidArgumentError, match="omega"):
-        coarse_generate(y_s, np.ones(6, bool), plain, sched, cfg, np.random.default_rng(0))
+        coarse_generate(y_s, y_s, np.ones(6, bool), plain, sched, cfg,
+                        np.random.default_rng(0))
 
 
 class _CoarseReached(Exception):
@@ -558,8 +575,8 @@ def test_model_on_another_schedule_is_rejected_before_the_first_step(kind, monke
     with pytest.raises(InvalidArgumentError, match="schedule"):
         st.stride_reconstruct(masked, m, grid, cfg, model=model)
     with pytest.raises(InvalidArgumentError, match="schedule"):
-        coarse_generate(masked.values, m.active, model, st.linear_schedule(), cfg,
-                        np.random.default_rng(0))
+        coarse_generate(masked.values, masked.values, m.active, model, st.linear_schedule(),
+                        cfg, np.random.default_rng(0))
 
 
 def test_ablation_no_alignment_clears_align_per_step():
@@ -737,9 +754,39 @@ def test_lambda_sweep_rows():
     assert len(lines) == 13
 
 
-def test_lambda_sweep_table_unchanged_without_stage_metrics(monkeypatch):
-    phantom, g, sino, m, masked, grid = _small_problem()
-    cfg, sched = _small_cfg()
+# sweep routes: (problem kwargs, config changes, given model or None, whether
+# the coarse stage runs on the observed rows only after the first setting)
+_SWEEP_ROUTES = {
+    "corrector-off": ({}, dict(corrector=st.CorrectorConfig(n_steps=0)), None, True),
+    "corrector-on": ({}, {}, None, True),
+    "sigma": ({}, dict(sigma_ddim=0.3), None, False),
+    "align-per-step": ({}, dict(align_per_step=True), None, False),
+    "no-alignment": ({}, dict(alignment=False), None, True),
+    "final-dc-off": ({}, dict(final_dc="off"), None, True),
+    "no-normalize": ({}, dict(normalize=False), None, True),
+    "stride-2": (dict(r=2), {}, None, True),
+    "stride-4": (dict(r=4), {}, None, True),
+    "coupled": ({}, {}, "coupled", False),
+    "given-gaussian": ({}, {}, "gaussian", False),
+}
+
+
+def _sweep_route(route):
+    problem, over, given, observed_only = _SWEEP_ROUTES[route]
+    phantom, g, sino, m, masked, grid = _small_problem(**problem)
+    cfg, sched = _small_cfg(**over)
+    kwargs = dict(sched=sched)
+    if given is not None:
+        prior = interpolate_views(masked.values / np.max(np.abs(masked.values)), m.active)
+        kwargs["model"] = (st.CoupledGaussianDenoiser(prior, 0.05, sched, mix=0.5)
+                           if given == "coupled"
+                           else AnalyticGaussianDenoiser(prior, 0.05, sched))
+    return phantom, sino, m, masked, grid, cfg, kwargs, observed_only
+
+
+@pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
+def test_lambda_sweep_table_unchanged_without_stage_metrics(route, monkeypatch):
+    phantom, sino, m, masked, grid, cfg, kwargs, _ = _sweep_route(route)
     # the table as first computed: each chain run with the references
     ref = np.asarray(sino.values, dtype=np.float64)
     guides = [(f"fixed-{k / 10.0:.1f}", st.GuidanceConfig(mode="fixed", nu=k / 10.0))
@@ -748,8 +795,7 @@ def test_lambda_sweep_table_unchanged_without_stage_metrics(monkeypatch):
     expect = []
     for name, guide in guides:
         res = st.stride_reconstruct(masked, m, grid, replace(cfg, guidance=guide),
-                                    sched=sched, reference=sino,
-                                    reference_image=phantom)
+                                    reference=sino, reference_image=phantom, **kwargs)
         out = np.asarray(res.sinogram.values)
         expect.append((name, st.mse(ref, out), st.psnr(phantom.values, res.image.values),
                        st.kl_divergence(ref, out)))
@@ -760,7 +806,38 @@ def test_lambda_sweep_table_unchanged_without_stage_metrics(monkeypatch):
         return st.ssim(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "ssim", counted_ssim)
-    rows = st.run_lambda_sweep(masked, m, grid, cfg, sino,
-                               reference_image=phantom, sched=sched)
+    rows = st.run_lambda_sweep(masked, m, grid, cfg, sino, reference_image=phantom,
+                               **kwargs)
     assert rows == expect
     assert calls == []
+
+
+@pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
+def test_lambda_sweep_shares_its_set_up_and_unobserved_rows(route, monkeypatch):
+    # set-up runs once; with the surrogate built by the sweep, sigma_ddim = 0
+    # and no per-step alignment, only the first setting's coarse stage sees
+    # every row, and the other 11 see the observed rows alone
+    phantom, sino, m, masked, grid, cfg, kwargs, observed_only = _sweep_route(route)
+    model_cls = type(kwargs.get("model", AnalyticGaussianDenoiser(0.0, 1.0, kwargs["sched"])))
+    shapes, interps = [], []
+    predict = model_cls.predict_eps
+    interp = pipeline.interpolate_views
+
+    def counted_predict(self, y_t, t, condition=None):
+        shapes.append(np.shape(y_t))
+        return predict(self, y_t, t, condition)
+
+    def counted_interp(*args):
+        interps.append(args)
+        return interp(*args)
+
+    monkeypatch.setattr(model_cls, "predict_eps", counted_predict)
+    monkeypatch.setattr(pipeline, "interpolate_views", counted_interp)
+    st.run_lambda_sweep(masked, m, grid, cfg, sino, **kwargs)
+    full = masked.values.shape
+    steps = cfg.ddim_steps
+    assert len(interps) == 1
+    if observed_only:
+        assert shapes == [full] * steps + [(m.n_active, full[1])] * (11 * steps)
+    else:
+        assert shapes == [full] * (12 * steps)
