@@ -150,6 +150,12 @@ def _chain_inputs(args, **flags):
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.method == "fbp":
+        # flags only the stride chain reads, refused rather than ignored
+        for flag in ("net", "reference", "report", "sino_out"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--{flag.replace('_', '-')} has no effect "
+                                  "with --method fbp")
     sino, mask, cfg, grid = _chain_inputs(args, seed=args.seed, final_dc=args.final_dc)
     if args.method == "fbp":
         image = sparse_fbp_baseline(sino, mask, grid, cfg.filter)

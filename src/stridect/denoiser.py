@@ -1,12 +1,14 @@
 """Noise predictors and score models.
 
-Two families live here: closed-form oracles used by tests and the analytic
-pipeline mode, each writing its noise prediction directly rather than through
-an estimate of the clean data, and a tiny trainable convolutional network
-with hand-derived backpropagation (verified against finite differences by
-``grad_check``). The network is deliberately small: three 3x3 conv layers
-with periodic padding, tanh nonlinearities, and a per-timestep scalar
-embedding added channelwise, under 10^4 parameters in every configuration.
+Two families live here. One closed-form Gaussian noise rule, used by tests
+and the analytic pipeline mode, writes the noise directly rather than through
+an estimate of the clean data; a view-coupled variant extends it, and the
+exact-noise oracle is its point prior at the clean target. Beside it sits a
+tiny trainable convolutional network with hand-derived backpropagation
+(verified against finite differences by ``grad_check``). The network is
+deliberately small: three 3x3 conv layers with periodic padding, tanh
+nonlinearities, and a per-timestep scalar embedding added channelwise, under
+10^4 parameters in every configuration.
 """
 
 from __future__ import annotations
@@ -39,34 +41,7 @@ def _broadcasts_to(shape, target) -> bool:
         return False
 
 
-class _ClosedFormDenoiser:
-    """Noise-prediction contract around a closed-form noise estimate.
-
-    Subclasses name in ``_center`` the array attribute their noise is
-    centred on. The prediction has y_t's shape, so y_t must have the
-    center's shape or one the center broadcasts to (a scalar or a (1, D)
-    center fits every (N, D) y_t); any other y_t raises ShapeMismatchError
-    naming both shapes, at every t. t = 0 returns zeros (the clean limit has
-    no noise to explain). Otherwise subclasses give ``_eps(y_t, ab)`` for
-    ab = alpha_bar[t] as a Python float, which returns a fresh array of
-    y_t's shape.
-    """
-
-    conditional = False
-
-    def predict_eps(self, y_t, t: int, condition=None):
-        self.sched._check_t(t)
-        y_t = np.asarray(y_t, dtype=np.float64)
-        center = np.shape(getattr(self, self._center))
-        if center != y_t.shape and not _broadcasts_to(center, y_t.shape):
-            raise ShapeMismatchError(f"y_t of shape {y_t.shape} does not fit the "
-                                     f"{self._center} of shape {center}")
-        if t == 0:
-            return np.zeros_like(y_t)
-        return self._eps(y_t, float(self.sched.alpha_bar[t]))
-
-
-class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
+class AnalyticGaussianDenoiser:
     """Exact posterior noise prediction for y0 ~ N(prior_mean, prior_var I);
     prior_var 0 is the point prior at prior_mean, and below 0 is rejected.
 
@@ -74,9 +49,16 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
     eps = sqrt(1 - ab) (y_t - sqrt(ab) mu) / (ab v + 1 - ab), with v taken
     as given: the divisor stays above 0 for every t >= 1, so v = 0 needs no
     floor and gives (y_t - sqrt(ab) mu) / sqrt(1 - ab).
+
+    ``predict_eps`` returns y_t's shape, so y_t must have prior_mean's shape
+    or one prior_mean broadcasts to (a scalar or a (1, D) mean fits every
+    (N, D) y_t); any other y_t raises ShapeMismatchError naming both shapes,
+    at every t. t = 0 returns zeros (the clean limit has no noise to
+    explain). Otherwise the noise is ``_eps(y_t, ab)`` for ab = alpha_bar[t]
+    as a Python float, a fresh array of y_t's shape.
     """
 
-    _center = "prior_mean"
+    conditional = False
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
         if not prior_var >= 0:
@@ -86,6 +68,17 @@ class AnalyticGaussianDenoiser(_ClosedFormDenoiser):
         self.sched = sched
         # scratch for the mu term; one caller at a time
         self._scratch = np.empty_like(self.prior_mean)
+
+    def predict_eps(self, y_t, t: int, condition=None):
+        self.sched._check_t(t)
+        y_t = np.asarray(y_t, dtype=np.float64)
+        mean = self.prior_mean.shape
+        if mean != y_t.shape and not _broadcasts_to(mean, y_t.shape):
+            raise ShapeMismatchError(f"y_t of shape {y_t.shape} does not fit the "
+                                     f"prior_mean of shape {mean}")
+        if t == 0:
+            return np.zeros_like(y_t)
+        return self._eps(y_t, float(self.sched.alpha_bar[t]))
 
     def _eps(self, y_t, ab):
         """Three passes: out = y_t k, then out -= mu (sqrt(ab) k), with the
@@ -133,22 +126,13 @@ class CoupledGaussianDenoiser(AnalyticGaussianDenoiser):
         return eps
 
 
-class ExactNoiseDenoiser(_ClosedFormDenoiser):
-    """Oracle that knows the clean target and returns the exact residual
-    noise (y_t - sqrt(ab) y0) / sqrt(1 - ab) for any y_t; useful for
-    trajectory fixed-point tests."""
-
-    _center = "y0"
+class ExactNoiseDenoiser(AnalyticGaussianDenoiser):
+    """Oracle that knows the clean target y0: the point prior at y0, whose
+    noise is the exact residual (y_t - sqrt(ab) y0) / sqrt(1 - ab) of any
+    y_t, to rounding; useful for trajectory fixed-point tests."""
 
     def __init__(self, y0, sched: NoiseSchedule):
-        self.y0 = np.asarray(y0, dtype=np.float64)
-        self.sched = sched
-
-    def _eps(self, y_t, ab):
-        out = np.multiply(self.y0, math.sqrt(ab), out=np.empty(y_t.shape))
-        np.subtract(y_t, out, out=out)
-        out /= math.sqrt(1.0 - ab)
-        return out
+        super().__init__(y0, 0.0, sched)
 
 
 def ve_sigma(t):

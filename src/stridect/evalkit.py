@@ -82,9 +82,18 @@ def mse(ref, test) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+def _check_data_range(data_range) -> None:
+    if data_range is not None and not (math.isfinite(data_range) and data_range > 0):
+        raise InvalidArgumentError(f"data_range must be finite and > 0, got {data_range}")
+
+
 def psnr(ref, test, data_range: float | None = None) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs and -inf
-    when the squared error overflows even as a fraction of the range."""
+    when the squared error overflows even as a fraction of the range.
+
+    A given ``data_range`` must be finite and > 0, else InvalidArgumentError;
+    None takes ref's max - min, or 1 where ref is flat."""
+    _check_data_range(data_range)
     a, b = _pair(ref, test)
     with np.errstate(over="ignore"):
         err = float(np.mean((a - b) ** 2))
@@ -165,7 +174,10 @@ def ssim(ref, test, data_range: float | None = None, window: int = SSIM_WINDOW) 
     bit; the border of width window//2 is cropped before averaging so every
     retained window is fully supported. Where a square overflows, or the
     value is not finite, it is taken on the images divided by the range.
+    A given ``data_range`` must be finite and > 0, else InvalidArgumentError;
+    None takes ref's max - min, or 1 where ref is flat.
     """
+    _check_data_range(data_range)
     a, b = _pair(ref, test)
     if window < 1:
         raise InvalidArgumentError("SSIM window must be positive")

@@ -254,6 +254,8 @@ def _expr_coupled_eps(y_t, t, s, mu, v, mix):
 
 
 def _expr_exact_eps(y_t, t, s, y0):
+    """The exact residual noise as first written, one expression; the oracle
+    now takes the Gaussian rule's point prior, equal to rounding."""
     y_t = np.asarray(y_t, dtype=np.float64)
     if t == 0:
         return np.zeros_like(y_t)
@@ -311,22 +313,44 @@ def test_coupled_rejects_negative_prior_var():
 
 
 def test_exact_eps_matches_expression_bytes():
+    # the oracle is the Gaussian rule's point prior at the clean target
     s = st.linear_schedule(T=20)
     y, mu = _signed_zero_case(7)
     for y0 in (mu, 0.0, -0.0, mu[0]):
         model = st.ExactNoiseDenoiser(y0, s)
+        point = st.AnalyticGaussianDenoiser(y0, 0.0, s)
         for t in (0, 1, 10, 20):
-            expect = _expr_exact_eps(y, t, s, y0).tobytes()
+            expect = _expr_analytic_eps(y, t, s, y0, 0.0).tobytes()
             assert model.predict_eps(y, t).tobytes() == expect
+            assert point.predict_eps(y, t).tobytes() == expect
     # the prediction has y_t's shape, so a clean target with more rows or
     # more dimensions than y_t is refused at every t
     for y0 in (np.stack([mu, y]), np.concatenate([mu, y])):
         for t in (0, 4):
-            with pytest.raises(ShapeMismatchError, match=r"shape \(6, 5\).*y0 of shape"):
+            with pytest.raises(ShapeMismatchError,
+                               match=r"shape \(6, 5\).*prior_mean of shape"):
                 st.ExactNoiseDenoiser(y0, s).predict_eps(y, t)
     frozen = y.copy()
     frozen.setflags(write=False)
     st.ExactNoiseDenoiser(frozen, s).predict_eps(frozen, 3)  # inputs not written
+
+
+def test_exact_eps_is_close_to_the_residual_expression():
+    # the point-prior arithmetic differs from (y_t - sqrt(ab) y0) / sqrt(1 - ab)
+    # by rounding only, and equals the Gaussian rule at v = 0 byte for byte
+    s = st.linear_schedule()
+    rng = np.random.default_rng(10)
+    y = rng.normal(size=(12, 16))
+    y0 = rng.normal(size=(12, 16))
+    model = st.ExactNoiseDenoiser(y0, s)
+    point = st.AnalyticGaussianDenoiser(y0, 0.0, s)
+    worst = 0.0
+    for t in range(s.T + 1):
+        eps = model.predict_eps(y, t)
+        assert eps.tobytes() == point.predict_eps(y, t).tobytes()
+        if t:
+            worst = max(worst, _peak_gap(eps, _expr_exact_eps(y, t, s, y0)))
+    assert worst <= 1e-15, worst
 
 
 # ----------------------------------------------------------------- tiny net

@@ -63,6 +63,18 @@ def test_psnr_reference_points():
         200.0 + 10.0 * np.log10(2.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("metric", [st.psnr, st.ssim])
+@pytest.mark.parametrize("data_range", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_metrics_refuse_a_range_that_is_not_finite_and_positive(metric, data_range):
+    a = np.random.default_rng(11).normal(size=(16, 16))
+    # identical images too, which need no range to score, and a shape
+    # mismatch: the range is checked before any other work
+    for b in (a + 0.1, a, np.zeros((3, 3))):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"data_range must be finite and > 0, got {data_range}"):
+            metric(a, b, data_range=data_range)
+
+
 def test_psnr_consistent_with_mse():
     rng = np.random.default_rng(0)
     a = rng.random((8, 8))
