@@ -24,9 +24,9 @@ from .errors import (GuidanceClampWarning, InvalidArgumentError,
                      NumericalAbortError, ShapeMismatchError)
 from .evalkit import (SHEPP_LOGAN_ELLIPSES, Ellipse, kl_divergence, mse, psnr,
                       rasterize_ellipses, shepp_logan, ssim)
-from .fbp import (FilterSpec, extract_active_views, fan_backproject,
-                  fan_pre_weight, fbp_reconstruct, filter_projections,
-                  ramp_kernel)
+from .fbp import (FilterSpec, backprojection_plan, extract_active_views,
+                  fan_backproject, fan_pre_weight, fbp_reconstruct,
+                  filter_projections, ramp_kernel)
 from .fileio import (read_image, read_sinogram, write_image, write_pgm,
                      write_sinogram)
 from .geometry import (FanBeamGeometry, ImageGrid, SparseMask, Sinogram,

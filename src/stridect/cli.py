@@ -152,7 +152,7 @@ def _chain_inputs(args, **flags):
 def _cmd_reconstruct(args) -> int:
     if args.method == "fbp":
         # flags only the stride chain reads, refused rather than ignored
-        for flag in ("net", "reference", "report", "sino_out"):
+        for flag in ("net", "reference", "report", "sino_out", "seed", "final_dc"):
             if getattr(args, flag) is not None:
                 raise _UsageError(f"--{flag.replace('_', '-')} has no effect "
                                   "with --method fbp")

@@ -130,9 +130,9 @@ def _guidance_lambda(lam: float) -> float:
 
 def _guide_rows(x0, ys_rows, rows, lam: float, diff):
     """x0[rows] <- x0[rows] + lam * (ys_rows - x0[rows]) in place, for a
-    weight already in [0, 1] and an index array of rows; lam = 1 copies
-    ys_rows exactly and lam = 0 changes nothing. diff has ys_rows' shape and
-    is overwritten.
+    weight already in [0, 1] and rows an index array or slice(None) (every
+    row); lam = 1 copies ys_rows exactly and lam = 0 changes nothing. diff
+    has ys_rows' shape and is overwritten.
     """
     if lam == 1.0:
         x0[rows] = ys_rows

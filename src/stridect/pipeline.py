@@ -25,7 +25,7 @@ from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
 from .errors import InvalidArgumentError, ShapeMismatchError, require_finite
 from .evalkit import SSIM_WINDOW, check_ssim_size, kl_divergence, mse, psnr, ssim
-from .fbp import FilterSpec, extract_active_views, fbp_reconstruct
+from .fbp import FilterSpec, backprojection_plan, extract_active_views, fbp_reconstruct
 from .fileio import to_csv
 from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows, row_flags
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
@@ -150,7 +150,8 @@ def coarse_generate(y_T, y_s, active, model, sched: NoiseSchedule, cfg: Pipeline
     # ddim_step; it never writes into an array the model returns.
     x0 = np.empty_like(y)
     prod = np.empty_like(y)
-    rows = np.flatnonzero(active)
+    # with every row observed, guidance blends the whole array in place
+    rows = slice(None) if active.all() else np.flatnonzero(active)
     ys_rows = y_s[rows]
     row_diff = np.empty_like(ys_rows)
     for t, t_prev in zip(ts[:-1], ts[1:]):
@@ -268,24 +269,29 @@ def _coarse(c: _ChainInputs, cfg: PipelineConfig):
 
 
 def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
-            ref_arr, reference_image) -> ReconstructionResult:
-    """Alignment, band refinement, final data consistency and FBP after the
-    coarse output y, which is not written; every stage is scored against
-    the references (nan without them)."""
+            ref_arr, reference_image, plan=None) -> ReconstructionResult:
+    """Alignment, band refinement, final data consistency and FBP (through
+    ``plan`` when given) after the coarse output y, which is not written;
+    every stage is scored against the references (nan without them)."""
     active, scale = c.active, c.scale
-    stages = [_stage("coarse", y * scale, ref_arr, active)]
+
+    def snapshot(name, y):
+        # scaled back to the measurement only when a reference scores it
+        return _stage(name, None if ref_arr is None else y * scale, ref_arr, active)
+
+    stages = [snapshot("coarse", y)]
 
     align = None
     if cfg.alignment:
         align = fit_linear_alignment(y, c.ys_n, active)
         y = apply_linear_alignment(y, align)
-        stages.append(_stage("aligned", y * scale, ref_arr, active))
+        stages.append(snapshot("aligned", y))
 
     if c.score_low is not None or c.score_high is not None:
         bands = refine_bands(swt_decompose(y, cfg.wavelet), c.score_low, c.score_high,
                              cfg.corrector)
         y = iswt_reconstruct(bands)
-        stages.append(_stage("refined", y * scale, ref_arr, active))
+        stages.append(snapshot("refined", y))
 
     y_out = y * scale
     if cfg.final_dc == "active":
@@ -293,7 +299,7 @@ def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
     stages.append(_stage("final-dc", y_out, ref_arr, active))
 
     sino_out = Sinogram(y_out, geometry)
-    image = fbp_reconstruct(sino_out, grid, cfg.filter)
+    image = fbp_reconstruct(sino_out, grid, cfg.filter, plan=plan)
     stages.append(_stage("fbp", image.values,
                          None if reference_image is None else reference_image.values))
     return ReconstructionResult(image=image, sinogram=sino_out,
@@ -381,8 +387,10 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     pixel, guidance writes only observed rows and every chain starts from
     the same y_T, so the unobserved rows leave the coarse stage the same for
     every setting: the first setting runs DDIM on every row, and each later
-    one on the observed rows only, written into the first's output. Only the
-    table is returned; the chains compute no per-stage metrics."""
+    one on the observed rows only, written into the first's output. The 12
+    FBPs share one :func:`~stridect.fbp.backprojection_plan`, made here and
+    dropped on return. Only the table is returned; the chains compute no
+    per-stage metrics."""
     _check_references(y_s, grid, reference, reference_image)
     c = _set_up(y_s, m, cfg, **kwargs)
     ref = np.asarray(reference.values, dtype=np.float64)
@@ -396,6 +404,7 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     if pixelwise:
         live = np.ones(rows.size, bool)
         observed_model = AnalyticGaussianDenoiser(c.interp[rows], cfg.prior_var, c.sched)
+    plan = backprojection_plan(y_s.geometry, grid, cfg.filter.weighting)
     y = None
     table = []
     for name, g in configs:
@@ -406,7 +415,7 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
             # _finish does not write y, so its unobserved rows are the first's
             y[rows] = coarse_generate(y_T[rows], c.ys_n[rows], live, observed_model,
                                       c.sched, run_cfg, None)
-        res = _finish(c, y, run_cfg, y_s.geometry, grid, None, None)
+        res = _finish(c, y, run_cfg, y_s.geometry, grid, None, None, plan)
         out = np.asarray(res.sinogram.values)
         table.append((name, mse(ref, out),
                       psnr(ref_img, res.image.values) if ref_img is not None

@@ -50,13 +50,13 @@ def test_each_workload_runs_and_passes_its_check(monkeypatch, name):
     assert w.check(inp, w.run(inp)) == []
 
 
-def test_traced_recon_desk_records_one_prediction_per_ddim_step(monkeypatch):
-    # a model method that reached another traced method would count twice
+def _traced_operation(monkeypatch, name):
+    """The workload and the span names of one traced operation."""
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     import spans
     import workloads
-    w = workloads.WORKLOADS["recon-desk"](1)
+    w = workloads.WORKLOADS[name](1)
     inp = w.prepare(0)
     tracer = spans.Tracer()
     try:
@@ -65,5 +65,19 @@ def test_traced_recon_desk_records_one_prediction_per_ddim_step(monkeypatch):
         w.run(inp)
     finally:
         tracer.restore()
-    names = [s.name for s in tracer.spans if s.op == 0]
+    return w, [s.name for s in tracer.spans if s.op == 0]
+
+
+def test_traced_recon_desk_records_one_prediction_per_ddim_step(monkeypatch):
+    # a model method that reached another traced method would count twice
+    w, names = _traced_operation(monkeypatch, "recon-desk")
     assert names.count("denoiser.predict_eps") == w.cfg.ddim_steps == 100
+
+
+def test_traced_lambda_sweep_records_every_fbp_half_and_prediction(monkeypatch):
+    # 12 chains: each FBP reaches its filter and backprojection through the
+    # traced attributes, and 12 x 100 DDIM steps predict through the model
+    w, names = _traced_operation(monkeypatch, "lambda-sweep")
+    for name in ("fbp.fbp", "fbp.filter", "fbp.backproject"):
+        assert names.count(name) == 12, name
+    assert names.count("denoiser.predict_eps") == 12 * w.cfg.ddim_steps == 1200

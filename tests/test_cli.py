@@ -229,7 +229,8 @@ def test_reconstruct_fbp_method(workdir):
     assert np.array_equal(st.read_image(out).values, expect)
 
 
-@pytest.mark.parametrize("flag", ["--net", "--reference", "--report", "--sino-out"])
+@pytest.mark.parametrize("flag", ["--net", "--reference", "--report", "--sino-out",
+                                  "--seed", "--final-dc"])
 def test_reconstruct_fbp_refuses_stride_only_flags_before_any_file_is_read(
         workdir, capsys, monkeypatch, flag):
     def reached(*args, **kwargs):
@@ -238,9 +239,10 @@ def test_reconstruct_fbp_refuses_stride_only_flags_before_any_file_is_read(
     monkeypatch.setattr(cli, "read_sinogram", reached)
     monkeypatch.setattr(cli, "parse_config_file", reached)
     out = workdir / "o.bin"
+    value = {"--seed": "9", "--final-dc": "off"}.get(flag, str(workdir / "x.bin"))
     assert _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
                 "--size", "16", "--method", "fbp", "--config", str(workdir / "fast.cfg"),
-                flag, str(workdir / "x.bin"), "--out", str(out)) == 2
+                flag, value, "--out", str(out)) == 2
     assert f"{flag} has no effect with --method fbp" in capsys.readouterr().err
     assert not out.exists() and not (workdir / "x.bin").exists()
 

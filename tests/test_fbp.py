@@ -7,8 +7,8 @@ import pytest
 
 import stridect as st
 from stridect.errors import InvalidArgumentError, ShapeMismatchError
-from stridect.fbp import (_interp_rows, _knot_index, _knot_table, fan_backproject,
-                          fan_pre_weight, ramp_kernel)
+from stridect.fbp import (_interp_rows, _knot_index, _knot_table, backprojection_plan,
+                          fan_backproject, fan_pre_weight, ramp_kernel)
 from stridect.geometry import served_views
 
 
@@ -204,6 +204,61 @@ def test_backprojection_keeps_its_bytes_off_the_mirror_rule(angular_range, turns
     spec = st.FilterSpec(weighting=weighting)
     out = fan_backproject(q, grid, spec).values
     assert out.tobytes() == _reference_backproject(q, grid, spec, turns).tobytes()
+
+
+@pytest.mark.parametrize("weighting", ["literal", "exact"])
+@pytest.mark.parametrize("views,dets,n,angular_range,images", [
+    (180, 256, 64, (0.0, 2.0 * np.pi), 8),         # desk scan: quarter turns and mirror
+    (24, 40, 16, (0.5, 0.5 + 2.0 * np.pi), 4),     # quarter turns only
+    (24, 40, 16, (0.0, np.pi), 1),                 # half scan: np.interp per view
+])
+def test_backprojection_plan_keeps_the_bytes(views, dets, n, angular_range, images,
+                                             weighting):
+    g = replace(st.desk_geometry(views, dets, n), angular_range=angular_range)
+    grid = st.ImageGrid(n, n, 1.0, np.zeros((n, n)))
+    assert served_views(g, grid)[1] == images
+    spec = st.FilterSpec(weighting=weighting)
+    plan = backprojection_plan(g, grid, weighting)
+    s = st.Sinogram(np.random.default_rng(views).normal(size=(views, dets)), g)
+    q = st.filter_projections(s)
+    out = fan_backproject(q, grid, spec, plan=plan).values
+    assert out.tobytes() == fan_backproject(q, grid, spec).values.tobytes()
+    # a plan serves any number of backprojections, and the whole chain
+    again = st.fbp_reconstruct(s, grid, spec, plan=plan).values
+    assert again.tobytes() == st.fbp_reconstruct(s, grid, spec).values.tobytes()
+
+
+def test_backprojection_plan_size():
+    # 20 B per pixel per base view, 16 B where a base view serves one row
+    grid = st.ImageGrid(64, 64, 1.0, np.zeros((64, 64)))
+    plan = backprojection_plan(st.desk_geometry(180, 256, 64), grid)
+    assert len(plan.views) == 23
+    assert (sum(w.nbytes + j.nbytes + dx.nbytes for _, w, (j, dx) in plan.views)
+            == 20 * 64 * 64 * 23)
+    half = replace(st.desk_geometry(90, 256, 64), angular_range=(0.0, np.pi))
+    plan = backprojection_plan(half, grid)
+    assert sum(w.nbytes + r.nbytes for _, w, r in plan.views) == 16 * 64 * 64 * 90
+
+
+def test_backprojection_plan_for_other_inputs_is_refused():
+    g = st.desk_geometry(12, 24, 16)
+    grid = st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
+    q = st.filter_projections(st.Sinogram(np.random.default_rng(5).normal(size=(12, 24)), g))
+    plan = backprojection_plan(g, grid)
+    others = [
+        ("geometry", replace(q, geometry=replace(g, source_to_center=2 * g.source_to_center)),
+         grid, st.FilterSpec()),
+        ("grid", q, st.ImageGrid(16, 16, 2.0, np.zeros((16, 16))), st.FilterSpec()),
+        ("grid", q, st.ImageGrid(17, 17, 1.0, np.zeros((17, 17))), st.FilterSpec()),
+        ("weighting", q, grid, st.FilterSpec(weighting="exact")),
+    ]
+    for what, q_other, grid_other, spec in others:
+        with pytest.raises(InvalidArgumentError, match=f"plan made for {what}"):
+            fan_backproject(q_other, grid_other, spec, plan=plan)
+    with pytest.raises(InvalidArgumentError, match="weighting"):
+        st.fbp_reconstruct(q, grid, st.FilterSpec(weighting="exact"), plan=plan)
+    with pytest.raises(InvalidArgumentError, match="unknown weighting"):
+        backprojection_plan(g, grid, "cosine")
 
 
 def test_backprojection_behind_the_source():

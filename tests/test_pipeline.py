@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stridect as st
+import stridect.fbp as fbp
 import stridect.pipeline as pipeline
 from stridect.denoiser import AnalyticGaussianDenoiser
 from stridect.diffusion import cfg_combine, predict_x0
@@ -228,8 +229,10 @@ def _coarse_cases():
     ]
     cases = [(name, model, c, active) for name, model, c in cases]
     # row sets no stride mask makes: none, one, and unevenly spaced rows,
-    # which guidance gathers and scatters back
-    for rows_name, rows in (("no-rows", []), ("one-row", [4]), ("uneven-rows", [0, 1, 5])):
+    # which guidance gathers and scatters back, and every row, which it
+    # blends in place as a whole
+    for rows_name, rows in (("no-rows", []), ("one-row", [4]), ("uneven-rows", [0, 1, 5]),
+                            ("all-rows", list(range(12)))):
         flags = np.zeros(12, bool)
         flags[rows] = True
         cases += [(f"{rows_name}-{nu}", plain,
@@ -841,3 +844,25 @@ def test_lambda_sweep_shares_its_set_up_and_unobserved_rows(route, monkeypatch):
         assert shapes == [full] * steps + [(m.n_active, full[1])] * (11 * steps)
     else:
         assert shapes == [full] * (12 * steps)
+
+
+@pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
+def test_lambda_sweep_backprojects_through_one_plan(route, monkeypatch):
+    phantom, sino, m, masked, grid, cfg, kwargs, _ = _sweep_route(route)
+    plans, used = [], []
+    make_plan = pipeline.backprojection_plan
+    backproject = fbp.fan_backproject
+
+    def counted_plan(*args):
+        plans.append(make_plan(*args))
+        return plans[-1]
+
+    def counted_backproject(*args, plan=None):
+        used.append(plan)
+        return backproject(*args, plan=plan)
+
+    monkeypatch.setattr(pipeline, "backprojection_plan", counted_plan)
+    monkeypatch.setattr(fbp, "fan_backproject", counted_backproject)
+    st.run_lambda_sweep(masked, m, grid, cfg, sino, **kwargs)
+    assert len(plans) == 1
+    assert len(used) == 12 and all(p is plans[0] for p in used)
