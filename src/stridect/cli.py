@@ -93,8 +93,9 @@ def build_pipeline_config(kv: dict) -> PipelineConfig:
         parts.setdefault(sec, {})[name] = val
     if "seed" in kv:
         parts.setdefault("corrector", {}).setdefault("seed", kv["seed"])
-    base = PipelineConfig()
-    return dataclasses.replace(base, **parts.pop(None), **{
+    # the top level first, so a bad --seed is named as the run's seed
+    base = PipelineConfig(**parts.pop(None))
+    return dataclasses.replace(base, **{
         sec: dataclasses.replace(getattr(base, sec), **v) for sec, v in parts.items()})
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
-                     require_finite)
+                     require_finite, require_seed)
 from .denoiser import SCORE_T_MIN
 from .geometry import row_flags
 from .wavelet import WaveletBands
@@ -99,7 +99,7 @@ def data_consistency(x, observed, rows):
 class CorrectorConfig:
     """Annealed Langevin settings. eps_start is 1e-2 * sigma_max^2 of the
     variance-exploding noise range (sigma_max = 1). A float setting that is
-    nan or infinite is rejected."""
+    nan or infinite, or a negative seed, is rejected."""
 
     n_steps: int = 600
     eps_start: float = 1e-2
@@ -112,6 +112,7 @@ class CorrectorConfig:
         if self.n_steps < 0:
             raise InvalidArgumentError("n_steps must be >= 0")
         require_finite(self, ("eps_start", "eps_end", "lambda_low", "lambda_high"))
+        require_seed(self.seed, "corrector seed")
         if self.eps_end <= 0 or self.eps_start <= 0:
             raise InvalidArgumentError("eps bounds must be positive")
         if self.lambda_low < 0 or self.lambda_high < 0:

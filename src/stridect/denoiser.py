@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalAbortError, ShapeMismatchError
+from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
+                     require_seed)
 from .diffusion import NoiseSchedule
 
 MAGIC = b"STRDNET1"
@@ -270,6 +271,7 @@ class TinyNetParams:
 def init_tiny_net(in_ch: int, out_ch: int, hidden: int = 16, seed: int = 0) -> TinyNetParams:
     if hidden < 1:
         raise InvalidArgumentError("hidden must be >= 1")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     return TinyNetParams(
         w1=rng.normal(0.0, 1.0 / np.sqrt(9.0 * in_ch), (hidden, in_ch, 3, 3)),
@@ -514,6 +516,7 @@ def train_epsilon(data, sched: NoiseSchedule, *, epochs: int = 50,
     if not (0.0 <= p_cond <= 1.0):
         raise InvalidArgumentError("p_cond must lie in [0, 1]")
     n_views = data[0].shape[0]
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     if params is None:
         params = init_tiny_net(2, 1, hidden=hidden, seed=seed)
@@ -551,6 +554,7 @@ def train_score(data, *, epochs: int = 50, steps_per_epoch: int = 10,
     """
     data = [d[None] if d.ndim == 2 else d for d in _corpus(data)]
     channels = data[0].shape[0]
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     if params is None:
         params = init_tiny_net(channels, channels, hidden=hidden, seed=seed)

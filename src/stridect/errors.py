@@ -15,6 +15,13 @@ def require_finite(cfg, names) -> None:
             raise InvalidArgumentError(f"{name} must be finite, got {value}")
 
 
+def require_seed(seed, name="seed") -> None:
+    """Reject a negative random seed, which numpy refuses only at its first
+    draw, after the work before it has run."""
+    if seed < 0:
+        raise InvalidArgumentError(f"{name} must be >= 0, got {seed}")
+
+
 class ShapeMismatchError(InvalidArgumentError):
     """Array shapes are inconsistent with each other or with the geometry."""
 

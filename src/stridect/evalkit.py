@@ -87,6 +87,12 @@ def _check_data_range(data_range) -> None:
         raise InvalidArgumentError(f"data_range must be finite and > 0, got {data_range}")
 
 
+def _data_range(ref: np.ndarray, data_range) -> float:
+    """The range :func:`psnr` and :func:`ssim` use: ``data_range``, or where
+    that is None, ref's max - min (1 where ref is flat)."""
+    return (float(ref.max() - ref.min()) or 1.0) if data_range is None else data_range
+
+
 def psnr(ref, test, data_range: float | None = None) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs and -inf
     when the squared error overflows even as a fraction of the range.
@@ -99,10 +105,7 @@ def psnr(ref, test, data_range: float | None = None) -> float:
         err = float(np.mean((a - b) ** 2))
     if err == 0.0:
         return math.inf
-    if data_range is None:
-        data_range = float(a.max() - a.min())
-        if data_range == 0.0:
-            data_range = 1.0
+    data_range = _data_range(a, data_range)
     if err == math.inf:
         # the error measured in units of the range
         with np.errstate(over="ignore", under="ignore"):
@@ -182,10 +185,7 @@ def ssim(ref, test, data_range: float | None = None, window: int = SSIM_WINDOW) 
     if window < 1:
         raise InvalidArgumentError("SSIM window must be positive")
     check_ssim_size(a.shape, window)
-    if data_range is None:
-        data_range = float(a.max() - a.min())
-        if data_range == 0.0:
-            data_range = 1.0
+    data_range = _data_range(a, data_range)
     try:
         with np.errstate(over="raise", invalid="ignore", divide="ignore"):
             value = _ssim(a, b, data_range, window)

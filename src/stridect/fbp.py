@@ -12,11 +12,9 @@ serves every row the table lists for it, interpolated by np.interp's own
 rule through a small table of row values and slopes, so every row's samples
 equal np.interp's bytes. That geometry half depends on the geometry, the
 grid and the weighting only, not on the rows: :func:`backprojection_plan`
-computes it once for backprojections that share all three. A plan holds
-20 B per pixel per base view (a weight and an offset in float64, a knot
-index in int32): 1.9 MB for the 64² grid and 180 views of the desk scan (23
-base views), about 119 MB for a 256² grid and 720 views (91 base views).
-Without a plan each backprojection computes one base view's share at a time.
+computes it once for backprojections that share all three; its docstring
+gives a plan's size. Without a plan each backprojection computes one base
+view's share at a time.
 """
 
 from __future__ import annotations
@@ -221,20 +219,19 @@ class BackprojectionPlan:
 
 
 def backprojection_plan(g: FanBeamGeometry, grid: ImageGrid,
-                        weighting: str = "literal") -> BackprojectionPlan:
+                        spec: FilterSpec = FilterSpec()) -> BackprojectionPlan:
     """Every base view's served entries, weight and knot index (j and dx;
     r for a base view that serves one row), for any number of
-    :func:`fan_backproject` calls that share g, grid and weighting.
+    :func:`fan_backproject` calls that share g, grid and ``spec.weighting``.
 
-    It holds 20 B per pixel per base view: 1.9 MB for the desk scan's 64²
-    grid and 180 views (23 base views), about 119 MB for a 256² grid and 720
-    views (91 base views). A base view that serves one row holds 16 B per
-    pixel. Nothing keeps a plan but its caller.
+    It holds 20 B per pixel per base view (a weight and an offset in
+    float64, a knot index in int32): 1.9 MB for the desk scan's 64² grid and
+    180 views (23 base views), about 119 MB for a 256² grid and 720 views (91
+    base views). A base view that serves one row holds 16 B per pixel (r in
+    place of the index). Nothing keeps a plan but its caller.
     """
-    if weighting not in _WEIGHTINGS:
-        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
-    n_images, views = _base_views(g, grid, weighting)
-    return BackprojectionPlan(g, (grid.nx, grid.ny, grid.pixel_size), weighting,
+    n_images, views = _base_views(g, grid, spec.weighting)
+    return BackprojectionPlan(g, (grid.nx, grid.ny, grid.pixel_size), spec.weighting,
                               n_images, tuple(views))
 
 

@@ -16,10 +16,16 @@ _REF_CDD_MM = 400.0
 _REF_DET_WIDTH_MM = 413.0
 
 
-def _readonly(a):
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+def _checked_values(a, shape, name):
+    """The value check of :class:`ImageGrid` and :class:`Sinogram`: ``a`` as
+    a read-only float64 copy, which must have ``shape`` and be finite."""
+    v = np.array(a, dtype=np.float64)
+    if v.shape != shape:
+        raise ShapeMismatchError(f"{name} values of shape {v.shape}, expected {shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgumentError(f"{name} values must be finite")
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,8 @@ class ImageGrid:
             raise InvalidArgumentError("bad image dimensions")
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
             raise InvalidArgumentError(f"pixel_size {self.pixel_size} must be finite and > 0")
-        v = _readonly(self.values)
-        if v.shape != (self.ny, self.nx):
-            raise ShapeMismatchError(f"values shape {v.shape} != (ny, nx)=({self.ny}, {self.nx})")
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgumentError("image values must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values",
+                           _checked_values(self.values, (self.ny, self.nx), "image"))
 
     @property
     def xs(self):
@@ -211,16 +213,8 @@ class Sinogram:
         g = self.geometry
         if not isinstance(g, FanBeamGeometry):
             raise InvalidArgumentError("a sinogram needs its FanBeamGeometry")
-        v = _readonly(self.values)
-        if v.ndim != 2:
-            raise ShapeMismatchError("sinogram values must be 2-D")
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgumentError("sinogram values must be finite")
-        if v.shape != (g.n_views, g.n_detectors):
-            raise ShapeMismatchError(
-                f"sinogram shape {v.shape} != geometry ({g.n_views}, {g.n_detectors})"
-            )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_values(
+            self.values, (g.n_views, g.n_detectors), "sinogram"))
 
     @property
     def n_views(self):

@@ -23,7 +23,7 @@ from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
-from .errors import InvalidArgumentError, ShapeMismatchError, require_finite
+from .errors import InvalidArgumentError, ShapeMismatchError, require_finite, require_seed
 from .evalkit import SSIM_WINDOW, check_ssim_size, kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, backprojection_plan, extract_active_views, fbp_reconstruct
 from .fileio import to_csv
@@ -40,8 +40,9 @@ class PipelineConfig:
     variance of the analytic Gaussian surrogate and of the default band
     scores, finite and > 0 on every route; filter holds every FBP setting.
     An unknown final_dc or wavelet, align_per_step without alignment, a
-    negative sigma_ddim, a sigma_ddim or omega that is nan or infinite, or
-    a bad prior_var, is rejected here, before any chain work.
+    negative sigma_ddim, a sigma_ddim or omega that is nan or infinite, a
+    bad prior_var, or a negative seed, is rejected here, before any chain
+    work.
     """
 
     ddim_steps: int = 100
@@ -62,6 +63,7 @@ class PipelineConfig:
         if self.ddim_steps < 1:
             raise InvalidArgumentError("ddim_steps must be >= 1")
         require_finite(self, ("sigma_ddim", "omega"))
+        require_seed(self.seed)
         if not 0 < self.prior_var < np.inf:
             raise InvalidArgumentError(f"prior_var must be finite and > 0, got {self.prior_var}")
         if self.sigma_ddim < 0:
@@ -217,7 +219,6 @@ class _ChainInputs(NamedTuple):
     active: np.ndarray  # one flag per view
     scale: float  # ys_n = raw / scale
     ys_n: np.ndarray
-    interp: np.ndarray  # ys_n with unobserved rows interpolated along views
     model: object
     sched: NoiseSchedule
     score_low: object  # None for a branch that is off
@@ -255,8 +256,7 @@ def _set_up(y_s: Sinogram, m: SparseMask, cfg: PipelineConfig, model=None, sched
     check_refinement(score_low, score_high, cc)
     if model is None:
         model = AnalyticGaussianDenoiser(interp, cfg.prior_var, sched)
-    return _ChainInputs(raw, active, scale, ys_n, interp, model, sched,
-                        score_low, score_high)
+    return _ChainInputs(raw, active, scale, ys_n, model, sched, score_low, score_high)
 
 
 def _coarse(c: _ChainInputs, cfg: PipelineConfig):
@@ -382,15 +382,15 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     each equal to its own ``stride_reconstruct``'s.
 
     The set-up runs once, and the coarse stage and the finish once per
-    setting. Under the surrogate built here (no ``model``), with
-    sigma_ddim = 0 and no per-step alignment, model and step act pixel by
-    pixel, guidance writes only observed rows and every chain starts from
-    the same y_T, so the unobserved rows leave the coarse stage the same for
-    every setting: the first setting runs DDIM on every row, and each later
-    one on the observed rows only, written into the first's output. The 12
-    FBPs share one :func:`~stridect.fbp.backprojection_plan`, made here and
-    dropped on return. Only the table is returned; the chains compute no
-    per-stage metrics."""
+    setting. Under the set-up's surrogate (no ``model``), with sigma_ddim = 0
+    and no per-step alignment, model and step act pixel by pixel, guidance
+    writes only observed rows and every chain starts from the same y_T, so
+    the unobserved rows leave the coarse stage the same for every setting:
+    the first setting runs DDIM on every row, and each later one on the
+    observed rows only, under the surrogate's rows, into the first's output.
+    The 12 FBPs share one :func:`~stridect.fbp.backprojection_plan`, made
+    here and dropped on return. Only the table is returned; the chains
+    compute no per-stage metrics."""
     _check_references(y_s, grid, reference, reference_image)
     c = _set_up(y_s, m, cfg, **kwargs)
     ref = np.asarray(reference.values, dtype=np.float64)
@@ -403,8 +403,9 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     rows = np.flatnonzero(c.active)
     if pixelwise:
         live = np.ones(rows.size, bool)
-        observed_model = AnalyticGaussianDenoiser(c.interp[rows], cfg.prior_var, c.sched)
-    plan = backprojection_plan(y_s.geometry, grid, cfg.filter.weighting)
+        observed_model = AnalyticGaussianDenoiser(c.model.prior_mean[rows], c.model.prior_var,
+                                                  c.sched)
+    plan = backprojection_plan(y_s.geometry, grid, cfg.filter)
     y = None
     table = []
     for name, g in configs:

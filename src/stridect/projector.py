@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeMismatchError
+from .errors import InvalidArgumentError, ShapeMismatchError, require_seed
 from .geometry import (FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_mask,
                        from_images, served_views, to_images)
 
@@ -27,14 +27,16 @@ from .geometry import (FanBeamGeometry, ImageGrid, Sinogram, SparseMask, apply_m
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian measurement noise of standard deviation sigma,
-    drawn from ``seed``; sigma 0 means a noiseless measurement."""
+    drawn from ``seed``; sigma 0 means a noiseless measurement. A sigma
+    that is negative, nan or infinite, or a negative seed, is rejected."""
 
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma >= 0:  # also rejects nan
-            raise InvalidArgumentError("noise sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:  # also rejects nan
+            raise InvalidArgumentError(f"noise sigma must be finite and >= 0, got {self.sigma}")
+        require_seed(self.seed, "noise seed")
 
 
 def _ray_frames(g: FanBeamGeometry, n_views: int):

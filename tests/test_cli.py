@@ -11,6 +11,7 @@ import pytest
 
 import stridect as st
 import stridect.cli as cli
+import stridect.denoiser as denoiser
 import stridect.pipeline as pipeline
 from stridect.cli import (
     _UsageError,
@@ -18,6 +19,7 @@ from stridect.cli import (
     main,
     parse_config_file,
 )
+from stridect.errors import InvalidArgumentError
 
 
 def _run(*argv):
@@ -95,12 +97,18 @@ def test_simulate_masks_rows_and_reruns_identically(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_negative_noise_sigma_exit_three(workdir, capsys):
+def test_simulate_negative_noise_sigma_exit_three(workdir, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("projection started")
+
+    monkeypatch.setattr(cli, "simulate_measurement", reached)
     out = workdir / "neg.bin"
-    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
-                "--dets", "16", "--noise", "-0.1", "--out", str(out)) == 3
-    assert "noise sigma" in capsys.readouterr().err
-    assert not out.exists()
+    # an infinite sigma too, which used to fail after the projection
+    for sigma in ("-0.1", "inf"):
+        assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
+                    "--dets", "16", "--noise", sigma, "--out", str(out)) == 3
+        assert "noise sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("r", ["0", "13"])
@@ -282,6 +290,46 @@ def test_reconstruct_seed_reseeds_the_default_chain(workdir):
         images.append(st.read_image(out).values)
     a, b = images
     assert np.max(np.abs(a - b)) > 1e-2 * np.max(np.abs(a))
+
+
+# a negative seed on each route that sets one: the arguments, the work it
+# must come before and the refusal
+_NEGATIVE_SEED = {
+    "simulate": (["simulate", "--image", "ph.bin", "--views", "12", "--dets", "16",
+                  "--noise-sigma", "0.1", "--noise-seed", "-1"],
+                 (cli, "simulate_measurement"), "noise seed must be >= 0, got -1"),
+    "simulate-noiseless": (["simulate", "--image", "ph.bin", "--views", "12",
+                            "--dets", "16", "--noise-sigma", "0", "--noise-seed", "-1"],
+                           (cli, "simulate_measurement"), "noise seed must be >= 0, got -1"),
+    "reconstruct": (["reconstruct", "--sino", "sino.bin", "--r", "3", "--size", "16",
+                     "--seed", "-1"], (cli, "stride_reconstruct"), "seed must be >= 0, got -1"),
+    "reconstruct-config": (["reconstruct", "--sino", "sino.bin", "--r", "3", "--size", "16",
+                            "--config", "neg.cfg"], (cli, "stride_reconstruct"),
+                           "corrector seed must be >= 0, got -1"),
+    "ablate": (["ablate", "--sino", "sino.bin", "--r", "3", "--size", "16",
+                "--reference", "full.bin", "--config", "neg.cfg"],
+               (cli, "run_component_ablation"), "corrector seed must be >= 0, got -1"),
+    "train": (["train", "--sino", "full.bin", "--epochs", "1", "--steps", "1",
+               "--hidden", "4", "--seed", "-2"], (denoiser, "_fit"),
+              "seed must be >= 0, got -2"),
+}
+
+
+@pytest.mark.parametrize("route", list(_NEGATIVE_SEED))
+def test_negative_seed_exits_three_before_any_work(workdir, capsys, monkeypatch, route):
+    # each used to end in numpy's bare ValueError (exit 1), the config file's
+    # only after the coarse stage had run
+    argv, work, message = _NEGATIVE_SEED[route]
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{work[1]} reached")
+
+    monkeypatch.setattr(*work, reached)
+    monkeypatch.chdir(workdir)
+    (workdir / "neg.cfg").write_text("ddim_steps = 4\ncorrector_seed = -1\n")
+    assert _run(*argv, "--out", "o.bin") == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "o.bin").exists()
 
 
 def test_reconstruct_with_trained_net(workdir):
@@ -743,6 +791,35 @@ def test_one_key_config_file_builds_its_config(tmp_path, key):
     kv = parse_config_file(cfg)
     assert list(kv) == [key] and type(kv[key]) is tp
     assert build_pipeline_config(kv) == expect
+
+
+def test_every_config_key_changes_the_output(tmp_path):
+    # no knob that does nothing: each key's ONE_KEY value, set on its own,
+    # changes the default chain's image or sinogram bytes on a 16², 12-view,
+    # r = 3 scan, or is refused as documented; a key the table lacks fails
+    phantom = st.shepp_logan(16, 16)
+    sino = st.forward_project(phantom, st.desk_geometry(12, 16, 16))
+    m = st.make_sparse_mask(12, 3)
+    masked, grid = st.apply_mask(sino, m), st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
+
+    def output(cfg):
+        res = st.stride_reconstruct(masked, m, grid, cfg)
+        return res.image.values.tobytes(), res.sinogram.values.tobytes()
+
+    default = output(build_pipeline_config({}))
+    idle = []
+    for key in cli.CONFIG_SCHEMA:
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {ONE_KEY[key][0]}\n")
+        cfg = build_pipeline_config(parse_config_file(path))
+        if key == "omega":
+            with pytest.raises(InvalidArgumentError, match="needs a conditional model"):
+                output(cfg)
+            continue
+        image, sinogram = output(cfg)
+        if image == default[0] and sinogram == default[1]:
+            idle.append(key)
+    assert idle == []
 
 
 # a value each type cannot take, and the exit code it gives: a text that

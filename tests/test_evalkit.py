@@ -75,6 +75,16 @@ def test_metrics_refuse_a_range_that_is_not_finite_and_positive(metric, data_ran
             metric(a, b, data_range=data_range)
 
 
+@pytest.mark.parametrize("metric", [st.psnr, st.ssim])
+def test_metrics_default_range_is_the_references_or_one_where_flat(metric):
+    rng = np.random.default_rng(12)
+    test = rng.normal(size=(16, 16))
+    for ref in (np.zeros((16, 16)), np.full((16, 16), -3.0)):
+        assert metric(ref, test) == metric(ref, test, data_range=1.0)
+    ref = rng.normal(size=(16, 16))
+    assert metric(ref, test) == metric(ref, test, data_range=float(ref.max() - ref.min()))
+
+
 def test_psnr_consistent_with_mse():
     rng = np.random.default_rng(0)
     a = rng.random((8, 8))

@@ -218,7 +218,7 @@ def test_backprojection_plan_keeps_the_bytes(views, dets, n, angular_range, imag
     grid = st.ImageGrid(n, n, 1.0, np.zeros((n, n)))
     assert served_views(g, grid)[1] == images
     spec = st.FilterSpec(weighting=weighting)
-    plan = backprojection_plan(g, grid, weighting)
+    plan = backprojection_plan(g, grid, spec)
     s = st.Sinogram(np.random.default_rng(views).normal(size=(views, dets)), g)
     q = st.filter_projections(s)
     out = fan_backproject(q, grid, spec, plan=plan).values
@@ -258,7 +258,23 @@ def test_backprojection_plan_for_other_inputs_is_refused():
     with pytest.raises(InvalidArgumentError, match="weighting"):
         st.fbp_reconstruct(q, grid, st.FilterSpec(weighting="exact"), plan=plan)
     with pytest.raises(InvalidArgumentError, match="unknown weighting"):
-        backprojection_plan(g, grid, "cosine")
+        backprojection_plan(g, grid, st.FilterSpec(weighting="cosine"))
+
+
+def test_backprojection_plan_takes_the_filter_spec():
+    # the plan reads its weighting from the FilterSpec, as fan_backproject
+    # does, and the spec alone checks it
+    g = st.desk_geometry(12, 24, 16)
+    grid = st.ImageGrid(16, 16, 1.0, np.zeros((16, 16)))
+    q = st.filter_projections(st.Sinogram(np.random.default_rng(6).normal(size=(12, 24)), g))
+    exact = st.FilterSpec(weighting="exact")
+    plan = backprojection_plan(g, grid, exact)
+    assert plan.weighting == "exact"
+    out = fan_backproject(q, grid, exact, plan=plan).values
+    assert out.tobytes() == fan_backproject(q, grid, exact).values.tobytes()
+    with pytest.raises(InvalidArgumentError, match="plan made for weighting 'exact'"):
+        fan_backproject(q, grid, st.FilterSpec(weighting="literal"), plan=plan)
+    assert backprojection_plan(g, grid).weighting == "literal"
 
 
 def test_backprojection_behind_the_source():

@@ -326,6 +326,28 @@ def test_image_grid_values_readonly():
     assert img2.values[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("name,make", [
+    ("image", lambda v: st.ImageGrid(4, 3, 0.5, v)),
+    ("sinogram", lambda v: st.Sinogram(v, st.desk_geometry(3, 4, 16))),
+])
+def test_containers_check_their_values_in_one_place(name, make):
+    # both keep a read-only float64 copy of the expected (3, 4) shape, all
+    # finite, and refuse anything else with the same words
+    ints = np.arange(12).reshape(3, 4)
+    v = make(ints).values
+    assert v.dtype == np.float64 and not v.flags.writeable
+    assert not np.shares_memory(v, ints) and np.array_equal(v, ints)
+    for shape in ((12,), (4, 3), (1, 3, 4)):
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"{name} values of shape \({shape[0]},.*expected \(3, 4\)"):
+            make(np.zeros(shape))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros((3, 4))
+        bad[1, 2] = value
+        with pytest.raises(InvalidArgumentError, match=f"{name} values must be finite"):
+            make(bad)
+
+
 def test_sinogram_validation():
     g = st.desk_geometry(6, 4, 16)
     with pytest.raises(ShapeMismatchError):

@@ -360,6 +360,29 @@ def test_non_finite_pipeline_setting_rejected(key, value):
         PipelineConfig(**{key: value})
 
 
+# each place a seed is set: the name its refusal gives, and a call with it
+_SEEDED = {
+    "PipelineConfig": ("seed", lambda seed: PipelineConfig(seed=seed)),
+    "CorrectorConfig": ("corrector seed", lambda seed: st.CorrectorConfig(seed=seed)),
+    "NoiseSpec": ("noise seed", lambda seed: st.NoiseSpec(sigma=0.0, seed=seed)),
+    "init_tiny_net": ("seed", lambda seed: st.init_tiny_net(2, 1, hidden=2, seed=seed)),
+    "train_epsilon": ("seed", lambda seed: st.train_epsilon(
+        [np.zeros((4, 4))], st.linear_schedule(), epochs=1, steps_per_epoch=1,
+        hidden=2, seed=seed)),
+    "train_score": ("seed", lambda seed: st.train_score(
+        [np.zeros((4, 4))], epochs=1, steps_per_epoch=1, hidden=2, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("where", list(_SEEDED))
+def test_negative_seed_is_refused_where_it_is_set(where):
+    # numpy refuses it only at the first draw, with a bare ValueError
+    name, make = _SEEDED[where]
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be >= 0, got -1$"):
+        make(-1)
+    make(0)
+
+
 @pytest.mark.parametrize("n_steps", [600, 0])
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_prior_var_must_be_positive_on_every_route(n_steps, value):

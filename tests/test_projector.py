@@ -449,6 +449,8 @@ def test_simulate_noise_statistics():
 
 
 def test_noise_spec_validation():
-    for sigma in (-0.5, float("nan")):
-        with pytest.raises(InvalidArgumentError):
+    # an infinite sigma used to pass and fail later as a non-finite sinogram
+    for sigma in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"noise sigma must be finite and >= 0, got {sigma}"):
             st.NoiseSpec(sigma=sigma)
