@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
-                     require_finite, require_seed)
+from .errors import (InvalidArgumentError, NumericalAbortError, require_finite, require_seed,
+                     require_shape)
 from .denoiser import SCORE_T_MIN
 from .geometry import row_flags
 from .wavelet import WaveletBands
@@ -41,9 +41,7 @@ def fit_linear_alignment(y_gen, y_s, active) -> AlignmentParams:
     """
     g = np.asarray(getattr(y_gen, "values", y_gen), dtype=np.float64)
     y = np.asarray(getattr(y_s, "values", y_s), dtype=np.float64)
-    if g.shape != y.shape:
-        raise ShapeMismatchError(f"generated shape {g.shape} and observed shape "
-                                 f"{y.shape} differ")
+    require_shape(g.shape, y.shape, "y_gen")
     active = row_flags(active, g)
     if int(active.sum()) < 2:
         raise InvalidArgumentError("alignment needs at least 2 active views")
@@ -90,8 +88,7 @@ def data_consistency(x, observed, rows):
     """Replace the flagged rows of x with the observed rows, exactly."""
     x = np.asarray(x)
     observed = np.asarray(observed)
-    if x.shape != observed.shape:
-        raise ShapeMismatchError("data consistency shapes differ")
+    require_shape(observed.shape, x.shape, "observed")
     return np.where(row_flags(rows, x)[:, None], observed, x)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GuidanceClampWarning, InvalidArgumentError, ShapeMismatchError
+from .errors import GuidanceClampWarning, InvalidArgumentError, require_shape
 from .geometry import row_flags
 
 _GUIDANCE_MODES = ("temporal", "fixed")
@@ -153,9 +153,7 @@ def apply_sparse_guidance(y0_hat, y_s, active, lam: float):
     lam = _guidance_lambda(lam)
     y0_hat = np.asarray(y0_hat)
     y_s = np.asarray(y_s)
-    if y_s.shape != y0_hat.shape:
-        raise ShapeMismatchError(f"y_s of shape {y_s.shape} does not match "
-                                 f"y0_hat of shape {y0_hat.shape}")
+    require_shape(y_s.shape, y0_hat.shape, "y_s")
     active = row_flags(active, y0_hat)
     if lam == 0.0:
         return y0_hat

@@ -26,6 +26,13 @@ class ShapeMismatchError(InvalidArgumentError):
     """Array shapes are inconsistent with each other or with the geometry."""
 
 
+def require_shape(shape, expected, what) -> None:
+    """The one shape-agreement rule: reject ``what`` unless its ``shape`` is
+    ``expected``, naming both."""
+    if shape != expected:
+        raise ShapeMismatchError(f"{what} of shape {shape}, expected {expected}")
+
+
 class NumericalAbortError(RuntimeError):
     """A numerical routine hit a non-finite value and stopped."""
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeMismatchError
+from .errors import InvalidArgumentError, require_shape
 from .geometry import ImageGrid
 
 
@@ -72,8 +72,7 @@ def shepp_logan(nx: int, ny: int, pixel_size: float = 1.0) -> ImageGrid:
 def _pair(a, b):
     a = np.asarray(getattr(a, "values", a), dtype=np.float64)
     b = np.asarray(getattr(b, "values", b), dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    require_shape(b.shape, a.shape, "test")
     return a, b
 
 

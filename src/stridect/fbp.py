@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeMismatchError
+from .errors import InvalidArgumentError
 from .geometry import (FanBeamGeometry, ImageGrid, Sinogram, SparseMask, from_images,
-                       served_views)
+                       row_flags, served_views)
 
 _FILTER_KINDS = ("ram-lak", "hann")
 # samples (rows x pixels) interpolated at once: a desk-scale base view's eight
@@ -307,9 +307,7 @@ def extract_active_views(s: Sinogram, m: SparseMask) -> Sinogram:
     Requires n_views to be divisible by the stride so the kept views stay
     evenly spaced over the same angular range.
     """
-    g = s.geometry
-    if s.n_views != m.n_views:
-        raise ShapeMismatchError("mask and sinogram disagree on n_views")
+    active = row_flags(m.active, s.values)
     if s.n_views % m.r != 0:
         raise InvalidArgumentError("n_views must be divisible by the mask stride")
-    return Sinogram(s.values[m.active], replace(g, n_views=m.n_active))
+    return Sinogram(s.values[active], replace(s.geometry, n_views=m.n_active))

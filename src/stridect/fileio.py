@@ -146,8 +146,6 @@ def read_sinogram(path) -> Sinogram:
     with open(path, "rb") as f:
         n_views, n_det = _read_header(f, _SINO_MAGIC)
         vals = _read_payload(f, n_views * n_det).reshape(n_views, n_det)
-    if (n_views, n_det) != (geom.n_views, geom.n_detectors):
-        raise InvalidArgumentError("sinogram shape disagrees with sidecar")
     return Sinogram(values=vals, geometry=geom)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ShapeMismatchError
+from .errors import InvalidArgumentError, ShapeMismatchError, require_shape
 
 # Reference scanner: 40 cm source-to-center, 40 cm center-to-detector,
 # 41.3 cm flat detector. Desk-scale problems keep these ratios.
@@ -20,8 +20,7 @@ def _checked_values(a, shape, name):
     """The value check of :class:`ImageGrid` and :class:`Sinogram`: ``a`` as
     a read-only float64 copy, which must have ``shape`` and be finite."""
     v = np.array(a, dtype=np.float64)
-    if v.shape != shape:
-        raise ShapeMismatchError(f"{name} values of shape {v.shape}, expected {shape}")
+    require_shape(v.shape, shape, f"{name} values")
     if not np.all(np.isfinite(v)):
         raise InvalidArgumentError(f"{name} values must be finite")
     v.setflags(write=False)

@@ -23,7 +23,8 @@ from .diffusion import (GuidanceConfig, NoiseSchedule, _ddim_update, _guide_rows
 # the public step functions stay attributes of this module, where call
 # tracers look them up, though coarse_generate runs their in-place forms
 from .diffusion import apply_sparse_guidance, ddim_step, predict_x0  # noqa: F401
-from .errors import InvalidArgumentError, ShapeMismatchError, require_finite, require_seed
+from .errors import (InvalidArgumentError, ShapeMismatchError, require_finite, require_seed,
+                     require_shape)
 from .evalkit import SSIM_WINDOW, check_ssim_size, kl_divergence, mse, psnr, ssim
 from .fbp import FilterSpec, backprojection_plan, extract_active_views, fbp_reconstruct
 from .fileio import to_csv
@@ -133,9 +134,7 @@ def coarse_generate(y_T, y_s, active, model, sched: NoiseSchedule, cfg: Pipeline
     y_s = np.asarray(y_s, dtype=np.float64)
     active = row_flags(active, y_s)
     y = np.array(y_T, dtype=np.float64)
-    if y.shape != y_s.shape:
-        raise ShapeMismatchError(f"y_T of shape {y.shape} does not match "
-                                 f"y_s of shape {y_s.shape}")
+    require_shape(y.shape, y_s.shape, "y_T")
     if cfg.sigma_ddim > 0.0 and rng is None:
         raise InvalidArgumentError("sigma_ddim > 0 needs an rng")
     conditional = getattr(model, "conditional", False)
@@ -203,12 +202,10 @@ class ReconstructionResult:
 
 def _check_references(y_s: Sinogram, grid: ImageGrid, reference, reference_image):
     """Reject a reference the chain's output cannot be scored against."""
-    if reference is not None and reference.values.shape != y_s.values.shape:
-        raise ShapeMismatchError(f"reference sinogram shape {reference.values.shape} "
-                                 f"!= measured {y_s.values.shape}")
-    if reference_image is not None and reference_image.values.shape != (grid.ny, grid.nx):
-        raise ShapeMismatchError(f"reference image shape {reference_image.values.shape} "
-                                 f"!= output grid {(grid.ny, grid.nx)}")
+    if reference is not None:
+        require_shape(reference.values.shape, y_s.values.shape, "reference sinogram")
+    if reference_image is not None:
+        require_shape(reference_image.values.shape, (grid.ny, grid.nx), "reference image")
 
 
 class _ChainInputs(NamedTuple):
@@ -229,13 +226,11 @@ def _set_up(y_s: Sinogram, m: SparseMask, cfg: PipelineConfig, model=None, sched
             score_low=None, score_high=None) -> _ChainInputs:
     """The chain's checks, normalisation, view interpolation, surrogate and
     live band scores, which do not depend on the guidance setting."""
-    if m.n_views != y_s.geometry.n_views:
-        raise ShapeMismatchError("mask and sinogram view counts differ")
+    active = row_flags(m.active, y_s.values)
     if cfg.alignment and m.n_active < 2:
         raise InvalidArgumentError("alignment needs at least 2 active views")
     if sched is None:
         sched = linear_schedule()
-    active = m.active
     raw = np.asarray(y_s.values, dtype=np.float64)
     scale = float(np.max(np.abs(raw[active]))) if cfg.normalize else 1.0
     if scale == 0.0:

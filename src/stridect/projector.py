@@ -143,9 +143,14 @@ def simulate_measurement(x: ImageGrid, g: FanBeamGeometry,
                          m: SparseMask | None = None,
                          noise: NoiseSpec = NoiseSpec()) -> Sinogram:
     """Project, add noise, then zero the masked-out view rows (m=None keeps
-    every view)."""
+    every view). A sigma so large that the noisy measurement is not finite
+    is rejected."""
     y = forward_project(x, g)
     if noise.sigma > 0:
         rng = np.random.default_rng(noise.seed)
-        y = y.with_values(y.values + rng.normal(0.0, noise.sigma, y.values.shape))
+        noisy = y.values + rng.normal(0.0, noise.sigma, y.values.shape)
+        if not np.all(np.isfinite(noisy)):
+            raise InvalidArgumentError(f"noise sigma {noise.sigma} overflows: "
+                                       "the noisy measurement is not finite")
+        y = y.with_values(noisy)
     return apply_mask(y, m) if m is not None else y

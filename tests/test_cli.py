@@ -111,6 +111,15 @@ def test_simulate_negative_noise_sigma_exit_three(workdir, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_simulate_overflowing_noise_exit_three(workdir, capsys):
+    # a finite sigma whose draws overflow is refused after the projection
+    out = workdir / "huge.bin"
+    assert _run("simulate", "--image", str(workdir / "ph.bin"), "--views", "12",
+                "--dets", "16", "--r", "3", "--noise", "1e308", "--out", str(out)) == 3
+    assert "noise sigma 1e+308 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r", ["0", "13"])
 def test_simulate_stride_out_of_range_exit_three(workdir, capsys, r):
     out = workdir / "bad_r.bin"
@@ -381,7 +390,7 @@ def test_eval_size_mismatch_exit_three(workdir, capsys):
     capsys.readouterr()
     assert _run("eval", "--image", str(workdir / "ph.bin"),
                 "--reference", str(big)) == 3
-    assert "shape mismatch" in capsys.readouterr().err
+    assert "test of shape (16, 16), expected (24, 24)" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- ablate
@@ -649,7 +658,8 @@ def test_mismatched_reference_exit_three_before_chain(workdir, capsys, monkeypat
                  ("ablate", "--lambda-sweep") + common):
         capsys.readouterr()
         assert _run(*argv, "--out", str(out)) == 3
-        assert "reference sinogram shape" in capsys.readouterr().err
+        assert ("reference sinogram of shape (24, 16), expected (12, 16)"
+                in capsys.readouterr().err)
     assert not out.exists()
 
 

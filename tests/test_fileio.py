@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stridect as st
-from stridect.errors import InvalidArgumentError
+from stridect.errors import InvalidArgumentError, ShapeMismatchError
 from stridect.fileio import read_kv
 
 
@@ -131,7 +131,7 @@ def test_sinogram_errors(tmp_path):
     mixed.write_bytes(path.read_bytes())
     (tmp_path / "mixed.bin.geom").write_bytes(
         (tmp_path / "other.bin.geom").read_bytes())
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ShapeMismatchError, match=r"\(6, 8\), expected \(12, 8\)"):
         st.read_sinogram(mixed)
 
     # corrupted sidecar text
