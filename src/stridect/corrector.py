@@ -118,11 +118,9 @@ class CorrectorConfig:
 
 def eps_schedule(cfg: CorrectorConfig) -> np.ndarray:
     """Geometric step-size decay over n_steps."""
-    if cfg.n_steps == 0:
-        return np.zeros(0)
-    if cfg.n_steps == 1:
-        return np.array([cfg.eps_start])
-    ratio = (cfg.eps_end / cfg.eps_start) ** (1.0 / (cfg.n_steps - 1))
+    # 0 or 1 steps take the exponent 1, which cannot overflow and leaves
+    # the first step at eps_start
+    ratio = (cfg.eps_end / cfg.eps_start) ** (1.0 / max(cfg.n_steps - 1, 1))
     return cfg.eps_start * ratio ** np.arange(cfg.n_steps)
 
 

@@ -14,6 +14,7 @@ nonlinearities, and a per-timestep scalar embedding added channelwise, under
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -592,10 +593,11 @@ def save_params(params: TinyNetParams, path):
 
 
 def _read_exact(fh, n, path):
-    buf = fh.read(n)
-    if len(buf) != n:
+    """n bytes of fh, refused before the read when fewer are left, so a
+    header claiming a huge array allocates nothing."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise InvalidArgumentError(f"{path}: truncated model file")
-    return buf
+    return fh.read(n)
 
 
 def load_params(path) -> TinyNetParams:
@@ -607,8 +609,7 @@ def load_params(path) -> TinyNetParams:
         for _ in range(count):
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
-            n = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(fh, 8 * n, path)
+            buf = _read_exact(fh, 8 * math.prod(shape), path)
             arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
         extra = fh.read(1)
     if extra:

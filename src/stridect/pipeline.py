@@ -254,15 +254,6 @@ def _set_up(y_s: Sinogram, m: SparseMask, cfg: PipelineConfig, model=None, sched
     return _ChainInputs(raw, active, scale, ys_n, model, sched, score_low, score_high)
 
 
-def _coarse(c: _ChainInputs, cfg: PipelineConfig):
-    """The coarse stage on every row. Its start y_T is the first draw of
-    SeedSequence([cfg.seed, 0]), whose generator then draws the steps'
-    noise. Returns (y_T, coarse output)."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    y_T = rng.standard_normal(c.ys_n.shape)
-    return y_T, coarse_generate(y_T, c.ys_n, c.active, c.model, c.sched, cfg, rng)
-
-
 def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
             ref_arr, reference_image, plan=None) -> ReconstructionResult:
     """Alignment, band refinement, final data consistency and FBP (through
@@ -282,9 +273,11 @@ def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
         y = apply_linear_alignment(y, align)
         stages.append(snapshot("aligned", y))
 
-    if c.score_low is not None or c.score_high is not None:
-        bands = refine_bands(swt_decompose(y, cfg.wavelet), c.score_low, c.score_high,
-                             cfg.corrector)
+    cc = cfg.corrector  # a branch the set-up scores may be off in this chain
+    low = c.score_low if cc.lambda_low > 0 else None
+    high = c.score_high if cc.lambda_high > 0 else None
+    if low is not None or high is not None:
+        bands = refine_bands(swt_decompose(y, cfg.wavelet), low, high, cc)
         y = iswt_reconstruct(bands)
         stages.append(snapshot("refined", y))
 
@@ -299,6 +292,49 @@ def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
                          None if reference_image is None else reference_image.values))
     return ReconstructionResult(image=image, sinogram=sino_out,
                                 stages=tuple(stages), alignment=align)
+
+
+def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, variants,
+            reference: Sinogram | None = None, reference_image: ImageGrid | None = None,
+            model=None, **kwargs):
+    """Yield one :class:`ReconstructionResult` per config of ``variants``, in
+    order, each equal to its own chain's. A variant may change the guidance
+    and the band weights, and turn alignment off; the seed, sigma_ddim,
+    ddim_steps, omega, normalize, wavelet, prior_var and filter are cfg's.
+
+    Given references are checked first. The set-up runs once, under cfg.
+    The first chain runs DDIM on every row from y_T, the first draw of
+    SeedSequence([cfg.seed, 0]). Under the set-up's surrogate (no
+    ``model``), with sigma_ddim = 0 and no per-step alignment, model and step
+    act pixel by pixel and guidance writes only observed rows, so each later
+    chain runs DDIM on the observed rows only, into the first's output;
+    otherwise every chain runs every row. With more than one chain, the FBPs
+    share one :func:`~stridect.fbp.backprojection_plan`."""
+    _check_references(y_s, grid, reference, reference_image)
+    if reference is not None:
+        check_ssim_size(y_s.values.shape, SSIM_WINDOW)
+    if reference_image is not None:
+        check_ssim_size((grid.ny, grid.nx), SSIM_WINDOW)
+    c = _set_up(y_s, m, cfg, model, **kwargs)
+    ref_arr = None if reference is None else np.asarray(reference.values, dtype=np.float64)
+    plan = backprojection_plan(y_s.geometry, grid, cfg.filter) if len(variants) > 1 else None
+    observed_only = (plan is not None and model is None and cfg.sigma_ddim == 0.0
+                     and not cfg.align_per_step)
+    if observed_only:
+        rows = np.flatnonzero(c.active)
+        observed_model = AnalyticGaussianDenoiser(c.model.prior_mean[rows], c.model.prior_var,
+                                                  c.sched)
+    for k, v in enumerate(variants):
+        if k == 0 or not observed_only:
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+            y_T = rng.standard_normal(c.ys_n.shape)
+            y = coarse_generate(y_T, c.ys_n, c.active, c.model, c.sched, v, rng)
+            y_T = y_T[rows] if observed_only else None  # not held through the finish
+        else:
+            # _finish does not write y, so its unobserved rows are the first's
+            y[rows] = coarse_generate(y_T, c.ys_n[rows], c.active[rows], observed_model,
+                                      c.sched, v, None)
+        yield _finish(c, y, v, y_s.geometry, grid, ref_arr, reference_image, plan)
 
 
 def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
@@ -319,15 +355,9 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     scores by :func:`check_refinement`, all before the chain starts.
     grid supplies the output raster (values unused).
     """
-    _check_references(y_s, grid, reference, reference_image)
-    if reference is not None:
-        check_ssim_size(y_s.values.shape, SSIM_WINDOW)
-    if reference_image is not None:
-        check_ssim_size((grid.ny, grid.nx), SSIM_WINDOW)
-    c = _set_up(y_s, m, cfg, model, sched, score_low, score_high)
-    ref_arr = None if reference is None else np.asarray(reference.values, dtype=np.float64)
-    y = _coarse(c, cfg)[1]  # y_T is not held through the finish
-    return _finish(c, y, cfg, y_s.geometry, grid, ref_arr, reference_image)
+    (res,) = _chains(y_s, m, grid, cfg, [cfg], reference, reference_image, model,
+                     sched=sched, score_low=score_low, score_high=score_high)
+    return res
 
 
 def sparse_fbp_baseline(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
@@ -351,18 +381,14 @@ def run_component_ablation(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
                            cfg: PipelineConfig, reference: Sinogram,
                            reference_image: ImageGrid | None = None,
                            **kwargs):
-    """Re-run the chain with one component disabled at a time.
-
-    Returns (name, final sinogram MSE vs reference, result) tuples; the
-    full configuration is first.
-    """
-    rows = []
+    """The chain with one component disabled at a time, sharing work as
+    :func:`_chains` does: (name, final sinogram MSE vs reference, result)
+    tuples, the full configuration first."""
     ref = np.asarray(reference.values, dtype=np.float64)
-    for name, variant in _ablation_variants(cfg):
-        res = stride_reconstruct(y_s, m, grid, variant, reference=reference,
-                                 reference_image=reference_image, **kwargs)
-        rows.append((name, mse(ref, np.asarray(res.sinogram.values)), res))
-    return rows
+    names, variants = zip(*_ablation_variants(cfg))
+    return [(name, mse(ref, np.asarray(res.sinogram.values)), res)
+            for res, name in zip(_chains(y_s, m, grid, cfg, variants, reference,
+                                         reference_image, **kwargs), names)]
 
 
 def ablation_to_csv(rows) -> str:
@@ -376,47 +402,20 @@ def run_lambda_sweep(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     schedule: 12 rows of (label, sinogram MSE, image PSNR, sinogram KL),
     each equal to its own ``stride_reconstruct``'s.
 
-    The set-up runs once, and the coarse stage and the finish once per
-    setting. Under the set-up's surrogate (no ``model``), with sigma_ddim = 0
-    and no per-step alignment, model and step act pixel by pixel, guidance
-    writes only observed rows and every chain starts from the same y_T, so
-    the unobserved rows leave the coarse stage the same for every setting:
-    the first setting runs DDIM on every row, and each later one on the
-    observed rows only, under the surrogate's rows, into the first's output.
-    The 12 FBPs share one :func:`~stridect.fbp.backprojection_plan`, made
-    here and dropped on return. Only the table is returned; the chains
-    compute no per-stage metrics."""
+    The 12 chains share work as :func:`_chains` does. Only the table is
+    returned; the chains compute no per-stage metrics."""
     _check_references(y_s, grid, reference, reference_image)
-    c = _set_up(y_s, m, cfg, **kwargs)
     ref = np.asarray(reference.values, dtype=np.float64)
     ref_img = None if reference_image is None else reference_image.values
-    configs = [(f"fixed-{k / 10.0:.1f}", GuidanceConfig(mode="fixed", nu=k / 10.0))
-               for k in range(11)]
-    configs.append(("temporal", GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)))
-    pixelwise = (kwargs.get("model") is None and cfg.sigma_ddim == 0.0
-                 and not cfg.align_per_step)
-    rows = np.flatnonzero(c.active)
-    if pixelwise:
-        live = np.ones(rows.size, bool)
-        observed_model = AnalyticGaussianDenoiser(c.model.prior_mean[rows], c.model.prior_var,
-                                                  c.sched)
-    plan = backprojection_plan(y_s.geometry, grid, cfg.filter)
-    y = None
+    guides = {f"fixed-{k / 10.0:.1f}": GuidanceConfig(mode="fixed", nu=k / 10.0)
+              for k in range(11)}
+    guides["temporal"] = GuidanceConfig(mode="temporal", nu=cfg.guidance.nu)
+    variants = [replace(cfg, guidance=g) for g in guides.values()]
     table = []
-    for name, g in configs:
-        run_cfg = replace(cfg, guidance=g)
-        if y is None or not pixelwise:
-            y_T, y = _coarse(c, run_cfg)
-        else:
-            # _finish does not write y, so its unobserved rows are the first's
-            y[rows] = coarse_generate(y_T[rows], c.ys_n[rows], live, observed_model,
-                                      c.sched, run_cfg, None)
-        res = _finish(c, y, run_cfg, y_s.geometry, grid, None, None, plan)
+    for res, name in zip(_chains(y_s, m, grid, cfg, variants, **kwargs), guides):
         out = np.asarray(res.sinogram.values)
-        table.append((name, mse(ref, out),
-                      psnr(ref_img, res.image.values) if ref_img is not None
-                      else float("nan"),
-                      kl_divergence(ref, out)))
+        pk = np.nan if ref_img is None else psnr(ref_img, res.image.values)
+        table.append((name, mse(ref, out), pk, kl_divergence(ref, out)))
     return table
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -558,6 +559,28 @@ def test_net_with_layers_that_do_not_chain_exit_three_before_chain(workdir, caps
                 "--net", str(net), "--out", str(out))
     assert code == 3
     assert "w2 has shape (3, 3, 3, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# model-file headers (after the magic and a count of 8 arrays) whose first
+# array needs more bytes than the file holds
+_HUGE_NET_HEADERS = {
+    "ndim 2**32-1": struct.pack("<I", 2**32 - 1),
+    "shape (2**32-1,)": struct.pack("<II", 1, 2**32 - 1),
+    "shape (2**31, 2**31, 4)": struct.pack("<4I", 3, 2**31, 2**31, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_NET_HEADERS))
+def test_net_claiming_more_bytes_than_it_holds_exit_three(case, workdir, capsys):
+    net = workdir / "huge.bin"
+    net.write_bytes(denoiser.MAGIC + struct.pack("<I", 8) + _HUGE_NET_HEADERS[case])
+    out = workdir / "o.bin"
+    code = _run("reconstruct", "--sino", str(workdir / "sino.bin"), "--r", "3",
+                "--size", "16", "--config", str(workdir / "fast.cfg"),
+                "--net", str(net), "--out", str(out))
+    assert code == 3
+    assert f"{net}: truncated model file" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -193,6 +193,14 @@ def test_eps_schedule_shapes_and_endpoints():
     assert d[0] == 1e-2 * st.denoiser.ve_sigma(1.0) ** 2
 
 
+@pytest.mark.parametrize("start,end", [(1e200, 1e-200), (1.0, 5e-324), (1e-300, 1e300)])
+def test_eps_schedule_of_no_or_one_step_survives_an_extreme_ratio(start, end):
+    # end / start is 0, subnormal or infinite; the first two raise at the power -1
+    cfg = CorrectorConfig(n_steps=0, eps_start=start, eps_end=end)
+    assert eps_schedule(cfg).size == 0
+    assert eps_schedule(replace(cfg, n_steps=1)).tobytes() == np.array([start]).tobytes()
+
+
 def test_corrector_config_validation():
     with pytest.raises(InvalidArgumentError):
         CorrectorConfig(n_steps=-1)

@@ -797,8 +797,8 @@ _SWEEP_ROUTES = {
 }
 
 
-def _sweep_route(route):
-    problem, over, given, observed_only = _SWEEP_ROUTES[route]
+def _route(routes, route):
+    problem, over, given, observed_only = routes[route]
     phantom, g, sino, m, masked, grid = _small_problem(**problem)
     cfg, sched = _small_cfg(**over)
     kwargs = dict(sched=sched)
@@ -812,7 +812,7 @@ def _sweep_route(route):
 
 @pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
 def test_lambda_sweep_table_unchanged_without_stage_metrics(route, monkeypatch):
-    phantom, sino, m, masked, grid, cfg, kwargs, _ = _sweep_route(route)
+    phantom, sino, m, masked, grid, cfg, kwargs, _ = _route(_SWEEP_ROUTES, route)
     # the table as first computed: each chain run with the references
     ref = np.asarray(sino.values, dtype=np.float64)
     guides = [(f"fixed-{k / 10.0:.1f}", st.GuidanceConfig(mode="fixed", nu=k / 10.0))
@@ -843,7 +843,7 @@ def test_lambda_sweep_shares_its_set_up_and_unobserved_rows(route, monkeypatch):
     # set-up runs once; with the surrogate built by the sweep, sigma_ddim = 0
     # and no per-step alignment, only the first setting's coarse stage sees
     # every row, and the other 11 see the observed rows alone
-    phantom, sino, m, masked, grid, cfg, kwargs, observed_only = _sweep_route(route)
+    phantom, sino, m, masked, grid, cfg, kwargs, observed_only = _route(_SWEEP_ROUTES, route)
     model_cls = type(kwargs.get("model", AnalyticGaussianDenoiser(0.0, 1.0, kwargs["sched"])))
     shapes, interps = [], []
     predict = model_cls.predict_eps
@@ -871,7 +871,7 @@ def test_lambda_sweep_shares_its_set_up_and_unobserved_rows(route, monkeypatch):
 
 @pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
 def test_lambda_sweep_backprojects_through_one_plan(route, monkeypatch):
-    phantom, sino, m, masked, grid, cfg, kwargs, _ = _sweep_route(route)
+    phantom, sino, m, masked, grid, cfg, kwargs, _ = _route(_SWEEP_ROUTES, route)
     plans, used = [], []
     make_plan = pipeline.backprojection_plan
     backproject = fbp.fan_backproject
@@ -889,3 +889,112 @@ def test_lambda_sweep_backprojects_through_one_plan(route, monkeypatch):
     st.run_lambda_sweep(masked, m, grid, cfg, sino, **kwargs)
     assert len(plans) == 1
     assert len(used) == 12 and all(p is plans[0] for p in used)
+
+
+# ablation routes, in the sweep routes' form
+_ABLATION_ROUTES = {
+    "default": ({}, {}, None, True),
+    "align-per-step": ({}, dict(align_per_step=True), None, False),
+    "sigma": ({}, dict(sigma_ddim=0.3), None, False),
+    "no-high-band": ({}, dict(corrector=st.CorrectorConfig(n_steps=5, eps_start=1e-4,
+                                                           eps_end=1e-6, lambda_high=0.0)),
+                     None, True),
+    "corrector-off": ({}, dict(corrector=st.CorrectorConfig(n_steps=0)), None, True),
+    "coupled": ({}, {}, "coupled", False),
+    "fixed-0.4": ({}, dict(guidance=st.GuidanceConfig(mode="fixed", nu=0.4)), None, True),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ABLATION_ROUTES))
+def test_every_ablation_row_equals_its_own_chain(route):
+    phantom, sino, m, masked, grid, cfg, kwargs, _ = _route(_ABLATION_ROUTES, route)
+    variants = {
+        "full": cfg,
+        "no-guidance": replace(cfg, guidance=st.GuidanceConfig(mode="fixed", nu=0.0)),
+        "no-alignment": replace(cfg, alignment=False, align_per_step=False),
+        "no-low-band": replace(cfg, corrector=replace(cfg.corrector, lambda_low=0.0)),
+        "no-high-band": replace(cfg, corrector=replace(cfg.corrector, lambda_high=0.0)),
+    }
+    rows = st.run_component_ablation(masked, m, grid, cfg, sino, reference_image=phantom,
+                                     **kwargs)
+    assert [name for name, _, _ in rows] == list(variants)
+    for (name, err, res), variant in zip(rows, variants.values()):
+        own = st.stride_reconstruct(masked, m, grid, variant, reference=sino,
+                                    reference_image=phantom, **kwargs)
+        assert res.image.values.tobytes() == own.image.values.tobytes(), name
+        assert res.sinogram.values.tobytes() == own.sinogram.values.tobytes(), name
+        assert report_to_csv(res.stages) == report_to_csv(own.stages), name
+        assert res.alignment == own.alignment, name
+        assert err == st.mse(sino.values, own.sinogram.values), name
+
+
+@pytest.mark.parametrize("route", sorted(_ABLATION_ROUTES))
+def test_ablation_shares_its_set_up_unobserved_rows_and_plan(route, monkeypatch):
+    # the sweep's rule: one set-up and one plan for the 5 FBPs; under the
+    # surrogate with deterministic steps, chains after the first run DDIM on
+    # the observed rows only
+    phantom, sino, m, masked, grid, cfg, kwargs, observed_only = _route(_ABLATION_ROUTES, route)
+    model_cls = type(kwargs.get("model", AnalyticGaussianDenoiser(0.0, 1.0, kwargs["sched"])))
+    shapes, interps, plans, used = [], [], [], []
+    predict = model_cls.predict_eps
+    interp = pipeline.interpolate_views
+    make_plan = pipeline.backprojection_plan
+    backproject = fbp.fan_backproject
+
+    def counted_predict(self, y_t, t, condition=None):
+        shapes.append(np.shape(y_t))
+        return predict(self, y_t, t, condition)
+
+    def counted_interp(*args):
+        interps.append(args)
+        return interp(*args)
+
+    def counted_plan(*args):
+        plans.append(make_plan(*args))
+        return plans[-1]
+
+    def counted_backproject(*args, plan=None):
+        used.append(plan)
+        return backproject(*args, plan=plan)
+
+    monkeypatch.setattr(model_cls, "predict_eps", counted_predict)
+    monkeypatch.setattr(pipeline, "interpolate_views", counted_interp)
+    monkeypatch.setattr(pipeline, "backprojection_plan", counted_plan)
+    monkeypatch.setattr(fbp, "fan_backproject", counted_backproject)
+    st.run_component_ablation(masked, m, grid, cfg, sino, **kwargs)
+    full = masked.values.shape
+    steps = cfg.ddim_steps
+    assert len(interps) == 1
+    assert len(plans) == 1
+    assert len(used) == 5 and all(p is plans[0] for p in used)
+    if observed_only:
+        assert shapes == [full] * steps + [(m.n_active, full[1])] * (4 * steps)
+    else:
+        assert shapes == [full] * (5 * steps)
+
+
+def test_single_chain_builds_no_plan_and_no_observed_row_model(monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    models, used = [], []
+    make_model = pipeline.AnalyticGaussianDenoiser
+    backproject = fbp.fan_backproject
+
+    def no_plan(*args):
+        raise AssertionError("a plan was built")
+
+    def counted_model(*args):
+        models.append(args)
+        return make_model(*args)
+
+    def counted_backproject(*args, plan=None):
+        used.append(plan)
+        return backproject(*args, plan=plan)
+
+    monkeypatch.setattr(pipeline, "backprojection_plan", no_plan)
+    monkeypatch.setattr(pipeline, "AnalyticGaussianDenoiser", counted_model)
+    monkeypatch.setattr(fbp, "fan_backproject", counted_backproject)
+    st.stride_reconstruct(masked, m, grid, cfg, sched=sched, reference=sino,
+                          reference_image=phantom)
+    assert len(models) == 1  # the surrogate on every row
+    assert used == [None]
