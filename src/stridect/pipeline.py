@@ -31,6 +31,11 @@ from .fileio import to_csv
 from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows, row_flags
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
+# pixels per row tile of the surrogate's coarse DDIM: a step's six
+# tile-sized arrays (256 KB each) then fit a 2 MB per-core L2 cache instead
+# of streaming from L3 on every pass
+_TILE = 1 << 15
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -107,16 +112,35 @@ def interpolate_views(values, active):
         raise InvalidArgumentError("no active views to interpolate from")
     n = values.shape[0]
     rows = np.arange(n, dtype=np.float64)
-    # the knots padded by one period on each side, as period=n pads them,
-    # but once: period=n re-sorts and re-pads per column, 4-8 ms a call at
-    # 180 x 256 against about 1 ms on a 2-CPU x86-64 machine
+    # the knots padded by one period on each side, as period=n pads them;
+    # every row lies strictly inside the padded knots
     xp = rows[active]
     xp = np.concatenate((xp[-1:] - n, xp, xp[:1] + n))
     fp = values[active]
     fp = np.concatenate((fp[-1:], fp, fp[:1]))
-    out = np.empty(values.shape)
-    for j in range(values.shape[1]):
-        out[:, j] = np.interp(rows, xp, fp[:, j])
+    # np.interp's own rule, as in fbp._interp_rows, for every column at
+    # once: slope[j] (x - xp[j]) + fp[j], and fp[j] itself on a knot. A
+    # column loop of np.interp took 1.45-1.49 ms at 180 x 256 against
+    # 0.35-0.53 ms (best of 30, two runs, on a 2-CPU x86-64 Xeon)
+    j = np.searchsorted(xp, rows, side="right") - 1
+    dx = rows - xp[j]
+    on_knot = dx == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # np.interp warns on nothing
+        slope = np.diff(fp, axis=0) / np.diff(xp)[:, None]
+        out = slope[j]
+        out *= dx[:, None]
+        out += fp[j]
+        out[on_knot] = fp[j[on_knot]]
+        # a nan off the knots is retried from the right knot, then, between
+        # equal knot values, is that value
+        retry = np.isnan(out)
+        retry[on_knot] = False
+        if retry.any():
+            r, col = np.nonzero(retry)
+            left, right = fp[j[r], col], fp[j[r] + 1, col]
+            alt = slope[j[r], col] * (rows[r] - xp[j[r] + 1]) + right
+            alt = np.where(np.isnan(alt) & (left == right), left, alt)
+            out[r, col] = alt
     return out
 
 
@@ -294,6 +318,27 @@ def _finish(c: _ChainInputs, y, cfg: PipelineConfig, geometry, grid: ImageGrid,
                                 stages=tuple(stages), alignment=align)
 
 
+def _row_tiles(n_rows: int, n_cols: int) -> list:
+    """Row slices covering n_rows rows of n_cols in at most b =
+    ceil(n_rows n_cols / _TILE) tiles, each ceil(n_rows / b) rows high and
+    the last one possibly shorter."""
+    blocks = -(-n_rows * n_cols // _TILE)
+    height = -(-n_rows // blocks)
+    return [slice(i, i + height) for i in range(0, n_rows, height)]
+
+
+def _surrogate_rows(c: _ChainInputs, rows) -> AnalyticGaussianDenoiser:
+    """The set-up's surrogate on the given rows alone."""
+    return AnalyticGaussianDenoiser(c.model.prior_mean[rows], c.model.prior_var, c.sched)
+
+
+def _tiled_coarse(y, starts, tiles, c: _ChainInputs, cfg: PipelineConfig):
+    """y[rows] <- coarse_generate from each start under each tile's model,
+    for the (rows, model) pairs of ``tiles``."""
+    for y_T, (rows, model) in zip(starts, tiles):
+        y[rows] = coarse_generate(y_T, c.ys_n[rows], c.active[rows], model, c.sched, cfg, None)
+
+
 def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, variants,
             reference: Sinogram | None = None, reference_image: ImageGrid | None = None,
             model=None, **kwargs):
@@ -309,7 +354,12 @@ def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, 
     act pixel by pixel and guidance writes only observed rows, so each later
     chain runs DDIM on the observed rows only, into the first's output;
     otherwise every chain runs every row. With more than one chain, the FBPs
-    share one :func:`~stridect.fbp.backprojection_plan`."""
+    share one :func:`~stridect.fbp.backprojection_plan`.
+
+    Under that same condition DDIM runs in row tiles of :func:`_row_tiles`,
+    each under its rows of the surrogate: every row in the first chain, the
+    observed rows in later ones. Rows that fit in one tile run in one call,
+    and every other setting runs one untiled call per chain."""
     _check_references(y_s, grid, reference, reference_image)
     if reference is not None:
         check_ssim_size(y_s.values.shape, SSIM_WINDOW)
@@ -318,22 +368,28 @@ def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, 
     c = _set_up(y_s, m, cfg, model, **kwargs)
     ref_arr = None if reference is None else np.asarray(reference.values, dtype=np.float64)
     plan = backprojection_plan(y_s.geometry, grid, cfg.filter) if len(variants) > 1 else None
-    observed_only = (plan is not None and model is None and cfg.sigma_ddim == 0.0
-                     and not cfg.align_per_step)
+    pixelwise = model is None and cfg.sigma_ddim == 0.0 and not cfg.align_per_step
+    observed_only = plan is not None and pixelwise
     if observed_only:
         rows = np.flatnonzero(c.active)
-        observed_model = AnalyticGaussianDenoiser(c.model.prior_mean[rows], c.model.prior_var,
-                                                  c.sched)
+        later = [(rows[b], _surrogate_rows(c, rows[b]))
+                 for b in _row_tiles(len(rows), c.ys_n.shape[1])]
     for k, v in enumerate(variants):
         if k == 0 or not observed_only:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
             y_T = rng.standard_normal(c.ys_n.shape)
-            y = coarse_generate(y_T, c.ys_n, c.active, c.model, c.sched, v, rng)
-            y_T = y_T[rows] if observed_only else None  # not held through the finish
+            first = _row_tiles(*y_T.shape) if pixelwise else [slice(None)]
+            if len(first) == 1:
+                y = coarse_generate(y_T, c.ys_n, c.active, c.model, c.sched, v, rng)
+            else:  # made as its tile runs, each tile's model is held alone
+                y = np.empty(y_T.shape)
+                _tiled_coarse(y, (y_T[b] for b in first),
+                              ((b, _surrogate_rows(c, b)) for b in first), c, v)
+            # only the observed rows are held through the finish
+            y_T = [y_T[r] for r, _ in later] if observed_only else None
         else:
             # _finish does not write y, so its unobserved rows are the first's
-            y[rows] = coarse_generate(y_T, c.ys_n[rows], c.active[rows], observed_model,
-                                      c.sched, v, None)
+            _tiled_coarse(y, y_T, later, c, v)
         yield _finish(c, y, v, y_s.geometry, grid, ref_arr, reference_image, plan)
 
 
@@ -355,6 +411,8 @@ def stride_reconstruct(y_s: Sinogram, m: SparseMask, grid: ImageGrid,
     scores by :func:`check_refinement`, all before the chain starts.
     grid supplies the output raster (values unused).
     """
+    # exhausted, not next(): a suspended driver holds its chain's arrays until
+    # dropped, which raised recon-desk's peak RSS by 0.02-0.14 MB
     (res,) = _chains(y_s, m, grid, cfg, [cfg], reference, reference_image, model,
                      sched=sched, score_low=score_low, score_high=score_high)
     return res

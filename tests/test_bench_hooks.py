@@ -68,16 +68,28 @@ def _traced_operation(monkeypatch, name):
     return w, [s.name for s in tracer.spans if s.op == 0]
 
 
+def _tile_count(shape):
+    """Row tiles of the surrogate's coarse DDIM over a (rows, detectors)
+    block: it predicts once per step in each."""
+    from stridect.pipeline import _row_tiles
+    return len(_row_tiles(*shape))
+
+
 def test_traced_recon_desk_records_one_prediction_per_ddim_step(monkeypatch):
     # a model method that reached another traced method would count twice
     w, names = _traced_operation(monkeypatch, "recon-desk")
-    assert names.count("denoiser.predict_eps") == w.cfg.ddim_steps == 100
+    tiles = _tile_count(w.scan.measured.values.shape)
+    assert names.count("denoiser.predict_eps") == w.cfg.ddim_steps * tiles
 
 
 def test_traced_lambda_sweep_records_every_fbp_half_and_prediction(monkeypatch):
     # 12 chains: each FBP reaches its filter and backprojection through the
-    # traced attributes, and 12 x 100 DDIM steps predict through the model
+    # traced attributes; the first chain's DDIM predicts per step in each
+    # tile of every row, the other 11 in each tile of the observed rows
     w, names = _traced_operation(monkeypatch, "lambda-sweep")
     for name in ("fbp.fbp", "fbp.filter", "fbp.backproject"):
         assert names.count(name) == 12, name
-    assert names.count("denoiser.predict_eps") == 12 * w.cfg.ddim_steps == 1200
+    views, detectors = w.scan.measured.values.shape
+    tiles = (_tile_count((views, detectors))
+             + 11 * _tile_count((w.scan.mask.n_active, detectors)))
+    assert names.count("denoiser.predict_eps") == w.cfg.ddim_steps * tiles

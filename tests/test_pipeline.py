@@ -125,6 +125,29 @@ def test_interpolate_views_matches_column_loop_bytes():
         assert out.tobytes() == expect.tobytes()
 
 
+def _interp_cases():
+    rng = np.random.default_rng(5)
+    scan = rng.normal(size=(180, 32))
+    irregular = np.zeros(180, bool)
+    irregular[[2, 3, 17, 40, 41, 42, 99, 150, 179]] = True
+    one = np.zeros(180, bool)
+    one[77] = True
+    # knot differences overflow: slopes and values reach +-inf
+    huge = rng.choice([1.7e308, -1.7e308, 1e308, -0.5e308, 0.0], size=(24, 7))
+    return {"non-stride": (scan, irregular), "one-view": (scan, one),
+            "near-overflow": (huge, np.arange(24) % 3 != 1)}
+
+
+@pytest.mark.parametrize("case", sorted(_interp_cases()))
+def test_interpolate_views_matches_column_loop_on_more_masks(case):
+    values, active = _interp_cases()[case]
+    expect = _interp_column_loop(values, active)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interpolate_views(values, active)
+    assert out.tobytes() == expect.tobytes()
+
+
 def test_interpolate_views_periodic_wrap():
     vals = np.zeros((8, 2))
     vals[0] = 1.0
@@ -998,3 +1021,125 @@ def test_single_chain_builds_no_plan_and_no_observed_row_model(monkeypatch):
                           reference_image=phantom)
     assert len(models) == 1  # the surrogate on every row
     assert used == [None]
+
+
+# ---------------------------------------------------------------- row tiles
+
+# 40 pixels a tile: the 20 x 16 problem's rows run in 7 tiles (six of 3
+# rows, then 2), and its 7 observed rows in 3 (3, 3, then 1)
+_SMALL_TILE = 40
+
+
+def _counted_coarse(monkeypatch):
+    """The row counts of every coarse_generate call, in order."""
+    calls = []
+    generate = pipeline.coarse_generate
+
+    def counted(y_T, *args):
+        calls.append(np.shape(y_T)[0])
+        return generate(y_T, *args)
+
+    monkeypatch.setattr(pipeline, "coarse_generate", counted)
+    return calls
+
+
+def _same_result(a, b):
+    assert a.image.values.tobytes() == b.image.values.tobytes()
+    assert a.sinogram.values.tobytes() == b.sinogram.values.tobytes()
+    assert report_to_csv(a.stages) == report_to_csv(b.stages)
+    assert a.alignment == b.alignment
+
+
+def test_row_tiles_cover_the_rows_in_equal_blocks():
+    assert pipeline._row_tiles(180, 256) == [slice(0, 90), slice(90, 180)]
+    assert pipeline._row_tiles(60, 256) == [slice(0, 60)]
+    assert len(pipeline._row_tiles(240, 384)) == 3
+    for n_rows, n_cols in [(1, 1), (7, 16), (20, 16), (720, 384), (13, 5000)]:
+        tiles = pipeline._row_tiles(n_rows, n_cols)
+        assert len(tiles) <= -(-n_rows * n_cols // pipeline._TILE)
+        blocks = [range(n_rows)[t] for t in tiles]
+        assert [r for b in blocks for r in b] == list(range(n_rows))
+        heights = [len(b) for b in blocks]
+        assert len(set(heights[:-1])) <= 1 and 0 < heights[-1] <= heights[0]
+
+
+@pytest.mark.parametrize("guidance", [st.GuidanceConfig(mode="temporal", nu=0.9)]
+                         + [st.GuidanceConfig(mode="fixed", nu=nu) for nu in (0.0, 0.5, 1.0)],
+                         ids=["temporal", "fixed-0", "fixed-0.5", "fixed-1"])
+def test_tiled_chain_equals_one_tile(guidance, monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem(n_views=20)
+    cfg, sched = _small_cfg(guidance=guidance)
+    kwargs = dict(sched=sched, reference=sino, reference_image=phantom)
+    one = st.stride_reconstruct(masked, m, grid, cfg, **kwargs)
+    monkeypatch.setattr(pipeline, "_TILE", _SMALL_TILE)
+    calls = _counted_coarse(monkeypatch)
+    _same_result(st.stride_reconstruct(masked, m, grid, cfg, **kwargs), one)
+    assert calls == [3] * 6 + [2]
+
+
+def test_tiled_sweep_and_ablation_rows_equal_their_own_chains(monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem(n_views=20)
+    cfg, sched = _small_cfg()
+    monkeypatch.setattr(pipeline, "_TILE", _SMALL_TILE)
+    calls = _counted_coarse(monkeypatch)
+    first = [3] * 6 + [2]
+    sweep = st.run_lambda_sweep(masked, m, grid, cfg, sino, reference_image=phantom,
+                                sched=sched)
+    assert calls == first + [3, 3, 1] * 11
+    del calls[:]
+    ablation = st.run_component_ablation(masked, m, grid, cfg, sino,
+                                         reference_image=phantom, sched=sched)
+    assert calls == first + [3, 3, 1] * 4
+    guides = [st.GuidanceConfig(mode="fixed", nu=k / 10.0) for k in range(11)]
+    guides.append(st.GuidanceConfig(mode="temporal", nu=cfg.guidance.nu))
+    for (name, err, pk, kl), guide in zip(sweep, guides, strict=True):
+        own = st.stride_reconstruct(masked, m, grid, replace(cfg, guidance=guide),
+                                    sched=sched)
+        out = own.sinogram.values
+        assert (err, pk, kl) == (st.mse(sino.values, out),
+                                 st.psnr(phantom.values, own.image.values),
+                                 st.kl_divergence(sino.values, out)), name
+    for (name, err, res), (_, variant) in zip(ablation, pipeline._ablation_variants(cfg),
+                                              strict=True):
+        own = st.stride_reconstruct(masked, m, grid, variant, sched=sched, reference=sino,
+                                    reference_image=phantom)
+        _same_result(res, own)
+        assert err == st.mse(sino.values, own.sinogram.values), name
+
+
+@pytest.mark.parametrize("route", ["given-model", "sigma", "align-per-step"])
+def test_untiled_routes_run_one_coarse_call_per_chain(route, monkeypatch):
+    phantom, g, sino, m, masked, grid = _small_problem(n_views=20)
+    over = {"sigma": dict(sigma_ddim=0.3), "align-per-step": dict(align_per_step=True)}
+    cfg, sched = _small_cfg(**over.get(route, {}))
+    kwargs = dict(sched=sched)
+    if route == "given-model":
+        prior = interpolate_views(masked.values / np.max(np.abs(masked.values)), m.active)
+        kwargs["model"] = AnalyticGaussianDenoiser(prior, 0.05, sched)
+    monkeypatch.setattr(pipeline, "_TILE", _SMALL_TILE)
+    calls = _counted_coarse(monkeypatch)
+    st.stride_reconstruct(masked, m, grid, cfg, **kwargs)
+    assert calls == [20]
+    del calls[:]
+    st.run_component_ablation(masked, m, grid, cfg, sino, **kwargs)
+    assert calls == [20] * 5
+
+
+def test_stride_reconstruct_runs_the_chain_driver_to_its_end(monkeypatch):
+    # a driver left suspended holds its chain's arrays until it is dropped
+    ends = []
+    chains = pipeline._chains
+
+    def watched(*args, **kwargs):
+        try:
+            yield from chains(*args, **kwargs)
+        except GeneratorExit:
+            ends.append("closed")
+            raise
+        ends.append("exhausted")
+
+    monkeypatch.setattr(pipeline, "_chains", watched)
+    phantom, g, sino, m, masked, grid = _small_problem()
+    cfg, sched = _small_cfg()
+    st.stride_reconstruct(masked, m, grid, cfg, sched=sched)
+    assert ends == ["exhausted"]
