@@ -13,6 +13,7 @@ nonlinearities, and a per-timestep scalar embedding added channelwise, under
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (InvalidArgumentError, NumericalAbortError, ShapeMismatchError,
                      require_seed)
 from .diffusion import NoiseSchedule
+from .geometry import row_flags
 
 MAGIC = b"STRDNET1"
 MAX_PARAMS = 10_000
@@ -57,10 +59,12 @@ class AnalyticGaussianDenoiser:
     (N, D) y_t); any other y_t raises ShapeMismatchError naming both shapes,
     at every t. t = 0 returns zeros (the clean limit has no noise to
     explain). Otherwise the noise is ``_eps(y_t, ab)`` for ab = alpha_bar[t]
-    as a Python float, a fresh array of y_t's shape.
+    as a Python float, a fresh array of y_t's shape. A pixel's noise reads
+    only that pixel of y_t and prior_mean (``pixelwise``; see :meth:`rows`).
     """
 
     conditional = False
+    pixelwise = True
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule):
         if not prior_var >= 0:
@@ -82,6 +86,17 @@ class AnalyticGaussianDenoiser:
             return np.zeros_like(y_t)
         return self._eps(y_t, float(self.sched.alpha_bar[t]))
 
+    def rows(self, flags):
+        """This model on the rows ``flags`` sets, one flag per row of y_t: one of
+        its class with prior_mean[flags] as its mean, bytes included. A mean
+        that broadcasts over rows (a scalar, one row or one dimension) is kept
+        whole; any other needs one row per flag, or ShapeMismatchError."""
+        part = copy.copy(self)
+        if self.prior_mean.ndim >= 2 and self.prior_mean.shape[0] > 1:
+            part.prior_mean = self.prior_mean[row_flags(flags, self.prior_mean)]
+            part._scratch = np.empty_like(part.prior_mean)
+        return part
+
     def _eps(self, y_t, ab):
         """Three passes: out = y_t k, then out -= mu (sqrt(ab) k), with the
         Python float k = sqrt(1 - ab) / (ab v + 1 - ab)."""
@@ -100,8 +115,11 @@ class CoupledGaussianDenoiser(AnalyticGaussianDenoiser):
     observed rows influence their unobserved neighbors on the next step.
     The noise is the plain Gaussian one minus the blend's share,
     sqrt(ab) mix / sqrt(1 - ab) (nb(x0) - x0); at mix 0 it is the plain
-    noise, bytes included.
+    noise, bytes included. The mixing reads neighbouring rows, so the model
+    is not ``pixelwise``.
     """
+
+    pixelwise = False
 
     def __init__(self, prior_mean, prior_var: float, sched: NoiseSchedule,
                  mix: float = 0.5):

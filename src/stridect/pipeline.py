@@ -31,9 +31,10 @@ from .fileio import to_csv
 from .geometry import ImageGrid, SparseMask, Sinogram, mask_rows, row_flags
 from .wavelet import filter_pair, iswt_reconstruct, swt_decompose
 
-# pixels per row tile of the surrogate's coarse DDIM: a step's six
-# tile-sized arrays (256 KB each) then fit a 2 MB per-core L2 cache instead
-# of streaming from L3 on every pass
+# pixels per row tile of a pixelwise model's coarse DDIM: a step's six
+# tile-sized arrays (256 KB each) then fit the 2 MB per-core L2 of the 2-CPU
+# x86-64 Xeon it was sized on, instead of streaming from L3 on every pass.
+# Tune it no further without a measured pair from a second machine.
 _TILE = 1 << 15
 
 
@@ -327,18 +328,6 @@ def _row_tiles(n_rows: int, n_cols: int) -> list:
     return [slice(i, i + height) for i in range(0, n_rows, height)]
 
 
-def _surrogate_rows(c: _ChainInputs, rows) -> AnalyticGaussianDenoiser:
-    """The set-up's surrogate on the given rows alone."""
-    return AnalyticGaussianDenoiser(c.model.prior_mean[rows], c.model.prior_var, c.sched)
-
-
-def _tiled_coarse(y, starts, tiles, c: _ChainInputs, cfg: PipelineConfig):
-    """y[rows] <- coarse_generate from each start under each tile's model,
-    for the (rows, model) pairs of ``tiles``."""
-    for y_T, (rows, model) in zip(starts, tiles):
-        y[rows] = coarse_generate(y_T, c.ys_n[rows], c.active[rows], model, c.sched, cfg, None)
-
-
 def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, variants,
             reference: Sinogram | None = None, reference_image: ImageGrid | None = None,
             model=None, **kwargs):
@@ -347,19 +336,16 @@ def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, 
     and the band weights, and turn alignment off; the seed, sigma_ddim,
     ddim_steps, omega, normalize, wavelet, prior_var and filter are cfg's.
 
-    Given references are checked first. The set-up runs once, under cfg.
-    The first chain runs DDIM on every row from y_T, the first draw of
-    SeedSequence([cfg.seed, 0]). Under the set-up's surrogate (no
-    ``model``), with sigma_ddim = 0 and no per-step alignment, model and step
-    act pixel by pixel and guidance writes only observed rows, so each later
-    chain runs DDIM on the observed rows only, into the first's output;
-    otherwise every chain runs every row. With more than one chain, the FBPs
-    share one :func:`~stridect.fbp.backprojection_plan`.
-
-    Under that same condition DDIM runs in row tiles of :func:`_row_tiles`,
-    each under its rows of the surrogate: every row in the first chain, the
-    observed rows in later ones. Rows that fit in one tile run in one call,
-    and every other setting runs one untiled call per chain."""
+    References are checked first; the set-up runs once, under cfg. DDIM runs
+    from y_T, the first draw of SeedSequence([cfg.seed, 0]), one
+    ``coarse_generate`` per block of rows. A ``pixelwise`` model (the
+    set-up's surrogate is one) with sigma_ddim = 0 and no per-step alignment
+    acts pixel by pixel, and guidance writes only observed rows, so its
+    blocks are :func:`_row_tiles` under the model's ``rows``: every row in the
+    first chain, the observed rows alone, into the first's output, in later
+    ones. A first chain of one tile, and every chain in any other setting,
+    runs every row in one call under the model itself. More than one chain
+    share one :func:`~stridect.fbp.backprojection_plan`."""
     _check_references(y_s, grid, reference, reference_image)
     if reference is not None:
         check_ssim_size(y_s.values.shape, SSIM_WINDOW)
@@ -368,28 +354,29 @@ def _chains(y_s: Sinogram, m: SparseMask, grid: ImageGrid, cfg: PipelineConfig, 
     c = _set_up(y_s, m, cfg, model, **kwargs)
     ref_arr = None if reference is None else np.asarray(reference.values, dtype=np.float64)
     plan = backprojection_plan(y_s.geometry, grid, cfg.filter) if len(variants) > 1 else None
-    pixelwise = model is None and cfg.sigma_ddim == 0.0 and not cfg.align_per_step
-    observed_only = plan is not None and pixelwise
-    if observed_only:
-        rows = np.flatnonzero(c.active)
-        later = [(rows[b], _surrogate_rows(c, rows[b]))
-                 for b in _row_tiles(len(rows), c.ys_n.shape[1])]
+    pixelwise = (getattr(c.model, "pixelwise", False) and cfg.sigma_ddim == 0.0
+                 and not cfg.align_per_step)
+    shared = plan is not None and pixelwise
+    idx = np.arange(len(c.active))  # the flags of rows r are np.isin(idx, r)
     for k, v in enumerate(variants):
-        if k == 0 or not observed_only:
+        if k == 0 or not shared:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
             y_T = rng.standard_normal(c.ys_n.shape)
-            first = _row_tiles(*y_T.shape) if pixelwise else [slice(None)]
-            if len(first) == 1:
-                y = coarse_generate(y_T, c.ys_n, c.active, c.model, c.sched, v, rng)
-            else:  # made as its tile runs, each tile's model is held alone
-                y = np.empty(y_T.shape)
-                _tiled_coarse(y, (y_T[b] for b in first),
-                              ((b, _surrogate_rows(c, b)) for b in first), c, v)
-            # only the observed rows are held through the finish
-            y_T = [y_T[r] for r, _ in later] if observed_only else None
-        else:
-            # _finish does not write y, so its unobserved rows are the first's
-            _tiled_coarse(y, y_T, later, c, v)
+            y = np.empty(y_T.shape)
+            tiles = _row_tiles(*y_T.shape) if pixelwise else [slice(None)]
+            # made as its tile runs, each tile's model is held alone
+            blocks = ([(tiles[0], y_T, c.model)] if len(tiles) == 1
+                      else ((b, y_T[b], c.model.rows(np.isin(idx, idx[b]))) for b in tiles))
+        else:  # _finish does not write y, so its unobserved rows are the first's
+            blocks = later
+        for b, y_b, block_model in blocks:
+            y[b] = coarse_generate(y_b, c.ys_n[b], c.active[b], block_model, c.sched, v, rng)
+        if k == 0 and shared:  # the later chains' blocks, their models made once
+            rows = np.flatnonzero(c.active)
+            later = [(rows[b], y_T[rows[b]], c.model.rows(np.isin(idx, rows[b])))
+                     for b in _row_tiles(len(rows), c.ys_n.shape[1])]
+        # of y_T and the blocks, only the later chains' are held through the finish
+        y_T = blocks = y_b = block_model = None
         yield _finish(c, y, v, y_s.geometry, grid, ref_arr, reference_image, plan)
 
 

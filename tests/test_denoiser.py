@@ -85,6 +85,38 @@ def test_closed_form_eps_has_the_shape_of_y_t(cls):
                 model.predict_eps(np.zeros(bad), t)
 
 
+@pytest.mark.parametrize("cls", [st.AnalyticGaussianDenoiser, st.ExactNoiseDenoiser])
+def test_pixelwise_rows_equal_the_whole_model_on_those_rows(cls):
+    s = st.linear_schedule(T=10)
+    make = ((lambda c: cls(c, s)) if cls is st.ExactNoiseDenoiser
+            else (lambda c: cls(c, 0.5, s)))
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=(6, 4))
+    for center in (0.5, np.full((1, 4), 0.5), rng.normal(size=(6, 1)),
+                   rng.normal(size=(6, 4))):
+        model = make(center)
+        assert model.pixelwise
+        for sel in (slice(1, 4), slice(5, 6), [0, 2, 5]):
+            flags = np.zeros(6, bool)
+            flags[sel] = True
+            part = model.rows(flags)
+            assert type(part) is cls
+            for t in (0, 1, 10):
+                assert (part.predict_eps(y[flags], t).tobytes()
+                        == model.predict_eps(y, t)[flags].tobytes())
+    # a mean that broadcasts over rows is kept whole, for flags of any length;
+    # any other needs one flag per row
+    assert make(np.full((1, 4), 0.5)).rows(np.ones(3, bool)).prior_mean.shape == (1, 4)
+    with pytest.raises(ShapeMismatchError, match=r"\(5,\).*\(6, 4\)"):
+        make(np.zeros((6, 4))).rows(np.ones(5, bool))
+
+
+def test_models_that_mix_rows_are_not_pixelwise():
+    s = st.linear_schedule(T=10)
+    assert not st.CoupledGaussianDenoiser(np.zeros((6, 4)), 0.5, s).pixelwise
+    assert not hasattr(st.TinyEpsNet(st.init_tiny_net(2, 1, hidden=2), s), "pixelwise")
+
+
 def test_coarse_generate_with_a_prior_of_another_size_names_both_shapes():
     s = st.linear_schedule(T=10)
     y_s = np.ones((6, 4))

@@ -816,7 +816,7 @@ _SWEEP_ROUTES = {
     "stride-2": (dict(r=2), {}, None, True),
     "stride-4": (dict(r=4), {}, None, True),
     "coupled": ({}, {}, "coupled", False),
-    "given-gaussian": ({}, {}, "gaussian", False),
+    "given-gaussian": ({}, {}, "gaussian", True),
 }
 
 
@@ -863,9 +863,10 @@ def test_lambda_sweep_table_unchanged_without_stage_metrics(route, monkeypatch):
 
 @pytest.mark.parametrize("route", sorted(_SWEEP_ROUTES))
 def test_lambda_sweep_shares_its_set_up_and_unobserved_rows(route, monkeypatch):
-    # set-up runs once; with the surrogate built by the sweep, sigma_ddim = 0
-    # and no per-step alignment, only the first setting's coarse stage sees
-    # every row, and the other 11 see the observed rows alone
+    # set-up runs once; with a pixelwise model (the set-up's surrogate or a
+    # given Gaussian), sigma_ddim = 0 and no per-step alignment, only the
+    # first setting's coarse stage sees every row, and the other 11 see the
+    # observed rows alone
     phantom, sino, m, masked, grid, cfg, kwargs, observed_only = _route(_SWEEP_ROUTES, route)
     model_cls = type(kwargs.get("model", AnalyticGaussianDenoiser(0.0, 1.0, kwargs["sched"])))
     shapes, interps = [], []
@@ -953,9 +954,9 @@ def test_every_ablation_row_equals_its_own_chain(route):
 
 @pytest.mark.parametrize("route", sorted(_ABLATION_ROUTES))
 def test_ablation_shares_its_set_up_unobserved_rows_and_plan(route, monkeypatch):
-    # the sweep's rule: one set-up and one plan for the 5 FBPs; under the
-    # surrogate with deterministic steps, chains after the first run DDIM on
-    # the observed rows only
+    # the sweep's rule: one set-up and one plan for the 5 FBPs; under a
+    # pixelwise model with deterministic steps, chains after the first run
+    # DDIM on the observed rows only
     phantom, sino, m, masked, grid, cfg, kwargs, observed_only = _route(_ABLATION_ROUTES, route)
     model_cls = type(kwargs.get("model", AnalyticGaussianDenoiser(0.0, 1.0, kwargs["sched"])))
     shapes, interps, plans, used = [], [], [], []
@@ -1071,10 +1072,28 @@ def test_tiled_chain_equals_one_tile(guidance, monkeypatch):
     cfg, sched = _small_cfg(guidance=guidance)
     kwargs = dict(sched=sched, reference=sino, reference_image=phantom)
     one = st.stride_reconstruct(masked, m, grid, cfg, **kwargs)
+    # a given pixelwise model, here the set-up's surrogate built by hand, is
+    # tiled as the surrogate is
+    prior = interpolate_views(masked.values / np.max(np.abs(masked.values)), m.active)
+    given = AnalyticGaussianDenoiser(prior, 0.05, sched)
     monkeypatch.setattr(pipeline, "_TILE", _SMALL_TILE)
     calls = _counted_coarse(monkeypatch)
-    _same_result(st.stride_reconstruct(masked, m, grid, cfg, **kwargs), one)
-    assert calls == [3] * 6 + [2]
+    for model in (None, given):
+        _same_result(st.stride_reconstruct(masked, m, grid, cfg, model=model, **kwargs), one)
+        assert calls == [3] * 6 + [2]
+        del calls[:]
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_tiled_given_model_of_other_rows_is_refused(extra, monkeypatch):
+    # a tile's rows of the model may fit the tile, as a mean of one row
+    # broadcasts, while the whole model does not fit y_T
+    phantom, g, sino, m, masked, grid = _small_problem(n_views=20)
+    cfg, sched = _small_cfg()
+    model = AnalyticGaussianDenoiser(np.zeros((20 + extra, 16)), 0.05, sched)
+    monkeypatch.setattr(pipeline, "_TILE", _SMALL_TILE)
+    with pytest.raises(ShapeMismatchError, match=rf"\(20,\).*\({20 + extra}, 16\)"):
+        st.stride_reconstruct(masked, m, grid, cfg, model=model, sched=sched)
 
 
 def test_tiled_sweep_and_ablation_rows_equal_their_own_chains(monkeypatch):
@@ -1113,9 +1132,9 @@ def test_untiled_routes_run_one_coarse_call_per_chain(route, monkeypatch):
     over = {"sigma": dict(sigma_ddim=0.3), "align-per-step": dict(align_per_step=True)}
     cfg, sched = _small_cfg(**over.get(route, {}))
     kwargs = dict(sched=sched)
-    if route == "given-model":
+    if route == "given-model":  # a model that mixes rows stays untiled
         prior = interpolate_views(masked.values / np.max(np.abs(masked.values)), m.active)
-        kwargs["model"] = AnalyticGaussianDenoiser(prior, 0.05, sched)
+        kwargs["model"] = st.CoupledGaussianDenoiser(prior, 0.05, sched, mix=0.5)
     monkeypatch.setattr(pipeline, "_TILE", _SMALL_TILE)
     calls = _counted_coarse(monkeypatch)
     st.stride_reconstruct(masked, m, grid, cfg, **kwargs)
